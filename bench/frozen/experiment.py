@@ -1,0 +1,200 @@
+"""Experiment runner and report emission (JSON / CSV)."""
+
+from __future__ import annotations
+
+import csv
+import json
+import time
+from dataclasses import asdict, dataclass, field
+
+from .divide import divide_run, rescale_run
+from .generators import gen_family, gen_uniform
+from .lr import lr_oracle, lr_run
+from .model import Instance
+from .offline import brute_force_optimal, monotone_optimal
+from .subroutines import make_subroutine
+
+REPORT_COLUMNS = (
+    "instance_id",
+    "algo",
+    "k",
+    "cost",
+    "opt_cost",
+    "ratio",
+    "oracle_bits_read",
+    "aux_bits",
+    "seed",
+    "wall_time_ms",
+)
+
+ALGORITHMS = ("lr", "divide", "rescale", "greedy", "permutation")
+
+
+class ExperimentError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class RunReport:
+    instance_id: str
+    algo: str
+    k: int | None
+    cost: float
+    opt_cost: float
+    ratio: float
+    oracle_bits_read: int
+    aux_bits: int
+    seed: int | None
+    wall_time_ms: float
+
+
+def _ratio(cost, opt_cost) -> float:
+    if opt_cost > 0:
+        return cost / opt_cost
+    return 1.0 if cost == 0 else float("inf")
+
+
+def run_algorithm(
+    instance: Instance,
+    algo: str,
+    k: int | None = None,
+    subroutine: str = "greedy",
+) -> dict:
+    """One run; returns cost, bit counts, and the matching."""
+    if algo == "lr":
+        result = lr_run(instance, lr_oracle(instance))
+        return {
+            "matching": result.matching,
+            "cost": result.matching.cost,
+            "oracle_bits_read": result.bits_read,
+            "aux_bits": 0,
+        }
+    if algo == "divide":
+        result = divide_run(instance, k if k is not None else 1, subroutine)
+        return {
+            "matching": result.matching,
+            "cost": result.matching.cost,
+            "oracle_bits_read": result.oracle_bits_read,
+            "aux_bits": result.aux_bits_written,
+            "divide": result,
+        }
+    if algo == "rescale":
+        result = rescale_run(instance, k if k is not None else 1, subroutine)
+        return {
+            "matching": result.matching,
+            "cost": result.cost,
+            "oracle_bits_read": result.scaled.oracle_bits_read,
+            "aux_bits": result.scaled.aux_bits_written,
+            "rescale": result,
+        }
+    if algo in ("greedy", "permutation"):
+        sub = make_subroutine(algo, instance.servers, exact=instance.integer_mode)
+        assignment = [sub.serve(r) for r in instance.requests]
+        from .model import make_matching
+
+        matching = make_matching(instance, assignment)
+        return {
+            "matching": matching,
+            "cost": matching.cost,
+            "oracle_bits_read": 0,
+            "aux_bits": 0,
+        }
+    raise ExperimentError(f"unknown algorithm {algo!r}")
+
+
+@dataclass
+class ExperimentConfig:
+    algo: str
+    k: int | None = None
+    subroutine: str = "greedy"
+    instances: list = field(default_factory=list)  # (instance_id, seed, Instance)
+    cross_check_brute: bool = True
+
+    @classmethod
+    def uniform(
+        cls,
+        algo: str,
+        n: int,
+        seeds,
+        position_range=(0, 100),
+        integer_mode: bool = True,
+        request_range=None,
+        **kwargs,
+    ) -> "ExperimentConfig":
+        instances = [
+            (
+                f"uniform-n{n}-s{seed}",
+                seed,
+                gen_uniform(n, position_range, seed, integer_mode, request_range),
+            )
+            for seed in seeds
+        ]
+        return cls(algo=algo, instances=instances, **kwargs)
+
+    @classmethod
+    def family(cls, algo: str, n: int, **kwargs) -> "ExperimentConfig":
+        instances = [
+            (f"family-n{n}-m{i}", None, member.instance())
+            for i, member in enumerate(gen_family(n))
+        ]
+        return cls(algo=algo, instances=instances, **kwargs)
+
+    def validate(self) -> None:
+        if self.algo not in ALGORITHMS:
+            raise ExperimentError(f"unknown algorithm {self.algo!r}")
+        if not self.instances:
+            raise ExperimentError("no instances configured")
+        if self.algo in ("divide", "rescale") and self.k is None:
+            raise ExperimentError(f"{self.algo} needs k")
+
+
+def run_experiment(config: ExperimentConfig) -> list[RunReport]:
+    config.validate()
+    reports = []
+    for instance_id, seed, instance in config.instances:
+        start = time.perf_counter()
+        outcome = run_algorithm(instance, config.algo, config.k, config.subroutine)
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        opt = monotone_optimal(instance).cost
+        if config.cross_check_brute and instance.n <= 10:
+            brute = brute_force_optimal(instance).cost
+            if abs(brute - opt) > 1e-9:
+                raise ExperimentError(
+                    f"{instance_id}: oracle disagreement {brute} vs {opt}"
+                )
+        reports.append(
+            RunReport(
+                instance_id=instance_id,
+                algo=config.algo,
+                k=config.k,
+                cost=outcome["cost"],
+                opt_cost=opt,
+                ratio=_ratio(outcome["cost"], opt),
+                oracle_bits_read=outcome["oracle_bits_read"],
+                aux_bits=outcome["aux_bits"],
+                seed=seed,
+                wall_time_ms=elapsed_ms,
+            )
+        )
+    return reports
+
+
+def emit_report(reports, path, fmt: str = "json") -> None:
+    if fmt == "json":
+        with open(path, "w") as fh:
+            json.dump([asdict(r) for r in reports], fh, indent=2)
+            fh.write("\n")
+    elif fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(REPORT_COLUMNS)
+            for r in reports:
+                row = asdict(r)
+                writer.writerow([row[c] for c in REPORT_COLUMNS])
+    else:
+        raise ExperimentError(f"unknown report format {fmt!r}")
+
+
+def load_report(path) -> list[RunReport]:
+    with open(path) as fh:
+        return [RunReport(**row) for row in json.load(fh)]
