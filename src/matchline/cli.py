@@ -1,6 +1,8 @@
 """Command line interface: gen / run / verify / report.
 
-Exit codes: 0 all passed, 1 a verification failed, 2 usage or input error.
+Exit codes: 0 all passed, 1 a verification failed, 2 usage, input or internal
+error. Any exception a command raises prints ``error: ...`` and exits 2, so
+an internal error never reads as a failed verification.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import verification
-from .divide import DivideError
 from .experiment import (
     ALGORITHMS,
     ExperimentConfig,
@@ -18,8 +19,8 @@ from .experiment import (
     load_report,
     run_experiment,
 )
-from .generators import GeneratorError, gen_family, gen_uniform
-from .model import InstanceError, save_instance
+from .generators import gen_family, gen_uniform
+from .model import save_instance
 from .subroutines import SUBROUTINE_NAMES
 
 
@@ -165,8 +166,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InstanceError, GeneratorError, DivideError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 #: absolute tolerance for cost comparisons on float-valued instances
@@ -43,9 +44,13 @@ class Instance:
     def n(self) -> int:
         return len(self.servers)
 
-    @property
+    @cached_property
     def integer_mode(self) -> bool:
-        """True when every position is an integer and the servers start at 1."""
+        """True when every position is an integer and the servers start at 1.
+
+        Computed once per instance; the cache lives outside the dataclass
+        fields, so equality and hashing ignore it.
+        """
         return (
             all(isinstance(p, int) for p in self.servers)
             and all(isinstance(p, int) for p in self.requests)

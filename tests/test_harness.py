@@ -16,7 +16,10 @@ from matchline.experiment import (
     run_experiment,
 )
 from matchline.generators import gen_uniform
+from matchline.lr import LRError
 from matchline.model import load_instance, save_instance, validate_instance
+from matchline.subroutines import SubroutineError
+from matchline.tape import TapeUnderflow
 
 
 def test_lr_on_family_is_optimal():
@@ -223,3 +226,17 @@ def test_cli_bad_range_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--mode", "uniform", "--n", "3", "--range", "abc", "--out", "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("error", [LRError, SubroutineError, TapeUnderflow, KeyError])
+def test_cli_internal_error_exits_two(tmp_path, monkeypatch, capsys, error):
+    from matchline import experiment
+
+    def broken(*args, **kwargs):
+        raise error("boom")
+
+    inst_path = tmp_path / "inst.json"
+    save_instance(gen_uniform(4, (0, 12), 1, integer_mode=True), inst_path)
+    monkeypatch.setattr(experiment, "run_algorithm", broken)
+    assert main(["run", "--algo", "lr", "--input", str(inst_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,11 +1,13 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from matchline.generators import gen_uniform, rho_zero
-from matchline.lr import LRState, lr_oracle, lr_run, lr_serve
+from matchline.lr import LRError, LRState, lr_oracle, lr_run, lr_serve
 from matchline.model import validate_instance
-from matchline.offline import brute_force_optimal
+from matchline.offline import brute_force_optimal, monotone_optimal
 from matchline.tape import AdviceTape, TapeUnderflow
 
 
@@ -126,3 +128,25 @@ def test_oracle_optimal_property(n, data):
     result = lr_run(inst, lr_oracle(inst))
     assert result.matching.cost == brute_force_optimal(inst).cost
     assert result.bits_read <= max(n - 1, 0)
+
+
+def test_oracle_optimal_on_large_float_coordinates():
+    # coordinates up to 1e9: an absolute tie tolerance cannot tell the two
+    # directions apart here, the rank rule compares positions only
+    for seed in range(40):
+        n = 200
+        inst = gen_uniform(n, (0.0, 1e9), seed)
+        result = lr_run(inst, lr_oracle(inst))
+        cost, opt = result.matching.cost, monotone_optimal(inst).cost
+        assert abs(cost - opt) <= 2 * n * sys.float_info.epsilon * max(cost, opt)
+        assert result.bits_read <= n - 1
+
+
+def test_pool_of_indexed_servers_returns_their_indices():
+    state = LRState.for_servers([7, 3, 3, 9], indices=[40, 12, 10, 31])
+    tape = AdviceTape((1,))
+    served = [lr_serve(state, r, tape) for r in (3, 8, 3, 5)]
+    assert served == [10, 31, 12, 40]
+    assert state.bits_read == 1
+    with pytest.raises(LRError):
+        lr_serve(state, 0, tape)

@@ -168,3 +168,11 @@ def test_integer_round_trip_is_bit_exact(tmp_path):
     back = load_instance(path)
     assert back.servers == inst.servers and back.requests == inst.requests
     assert all(isinstance(p, int) for p in back.servers + back.requests)
+
+
+def test_integer_mode_is_cached_outside_equality_and_hash():
+    fresh, used = validate_instance([1, 3], [2, 2]), validate_instance([1, 3], [2, 2])
+    assert used.integer_mode and "integer_mode" in vars(used)
+    assert "integer_mode" not in vars(fresh)
+    assert fresh == used and hash(fresh) == hash(used)
+    assert not validate_instance([2, 3], [2, 2]).integer_mode
