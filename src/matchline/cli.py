@@ -12,12 +12,13 @@ import sys
 from pathlib import Path
 
 from . import verification
+from .divide import WORD_LABELS, advice_words
 from .experiment import (
     ALGORITHMS,
     ExperimentConfig,
     emit_report,
     load_report,
-    run_experiment,
+    run_instance,
 )
 from .generators import gen_family, gen_uniform
 from .model import save_instance
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--in-span",
         action="store_true",
-        help="keep requests inside the servers' span [1, N-1]",
+        help="draw requests inside the servers' span",
     )
     gen.add_argument("--out", required=True, help="file (uniform) or directory (family)")
 
@@ -101,7 +102,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .experiment import run_algorithm
     from .model import load_instance
 
     instance = load_instance(args.input)
@@ -111,24 +111,19 @@ def _cmd_run(args) -> int:
         subroutine=args.sub,
         instances=[(Path(args.input).stem, None, instance)],
     )
-    reports = run_experiment(config)
-    r = reports[0]
+    config.validate()
+    r, outcome = run_instance(config, *config.instances[0])
     print(
         f"{r.algo}: cost={r.cost} opt={r.opt_cost} ratio={r.ratio:.6g} "
         f"advice_bits={r.oracle_bits_read} aux_bits={r.aux_bits}"
     )
     if args.verbose_tape and args.algo in ("divide", "rescale"):
-        from .divide import _advice_schedule
-
-        outcome = run_algorithm(instance, args.algo, args.k, args.sub)
         divide = outcome.get("divide") or outcome["rescale"].scaled
         print(f"advice tape: {divide.tape_dump}")
-        for label, value, width in _advice_schedule(
-            divide.advice, divide.span_bound, instance.n
-        ):
-            print(f"  {label:10s} width={width:2d} value={value}")
+        for f, b, value, width in advice_words(divide.advice, divide.span_bound, instance.n):
+            print(f"  {WORD_LABELS[f].format(b + 1):10s} width={width:2d} value={value}")
     if args.report:
-        emit_report(reports, args.report, args.format)
+        emit_report([r], args.report, args.format)
         print(f"wrote report to {args.report}")
     return 0
 

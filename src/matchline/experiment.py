@@ -148,35 +148,34 @@ class ExperimentConfig:
             raise ExperimentError(f"{self.algo} needs k")
 
 
+def run_instance(config: ExperimentConfig, instance_id: str, seed, instance: Instance):
+    """One configured run checked against the optimum: (report, outcome)."""
+    start = time.perf_counter()
+    outcome = run_algorithm(instance, config.algo, config.k, config.subroutine)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    opt = monotone_optimal(instance).cost
+    if config.cross_check_brute and instance.n <= 10:
+        brute = brute_force_optimal(instance).cost
+        if abs(brute - opt) > 1e-9:
+            raise ExperimentError(f"{instance_id}: oracle disagreement {brute} vs {opt}")
+    report = RunReport(
+        instance_id=instance_id,
+        algo=config.algo,
+        k=config.k,
+        cost=outcome["cost"],
+        opt_cost=opt,
+        ratio=_ratio(outcome["cost"], opt),
+        oracle_bits_read=outcome["oracle_bits_read"],
+        aux_bits=outcome["aux_bits"],
+        seed=seed,
+        wall_time_ms=elapsed_ms,
+    )
+    return report, outcome
+
+
 def run_experiment(config: ExperimentConfig) -> list[RunReport]:
     config.validate()
-    reports = []
-    for instance_id, seed, instance in config.instances:
-        start = time.perf_counter()
-        outcome = run_algorithm(instance, config.algo, config.k, config.subroutine)
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        opt = monotone_optimal(instance).cost
-        if config.cross_check_brute and instance.n <= 10:
-            brute = brute_force_optimal(instance).cost
-            if abs(brute - opt) > 1e-9:
-                raise ExperimentError(
-                    f"{instance_id}: oracle disagreement {brute} vs {opt}"
-                )
-        reports.append(
-            RunReport(
-                instance_id=instance_id,
-                algo=config.algo,
-                k=config.k,
-                cost=outcome["cost"],
-                opt_cost=opt,
-                ratio=_ratio(outcome["cost"], opt),
-                oracle_bits_read=outcome["oracle_bits_read"],
-                aux_bits=outcome["aux_bits"],
-                seed=seed,
-                wall_time_ms=elapsed_ms,
-            )
-        )
-    return reports
+    return [run_instance(config, *entry)[0] for entry in config.instances]
 
 
 def emit_report(reports, path, fmt: str = "json") -> None:

@@ -34,8 +34,8 @@ def gen_uniform(
     In integer mode positions are integers and servers are shifted so that
     s_1 = 1 (requests shift with them). ``request_range`` optionally draws the
     requests from a different interval, interpreted after the shift; pass
-    ``"span"`` to keep requests inside [1, N-1], the range the DIVIDE_k advice
-    words can encode exactly.
+    ``"span"`` to keep requests inside the servers' span ([1, N-1] in integer
+    mode).
     """
     if n < 1:
         raise GeneratorError("n must be at least 1")

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .model import FLOAT_TOL, Instance, Matching, costs_equal, make_matching
+from .model import FLOAT_TOL, Instance, Matching, make_matching
 
 BRUTE_FORCE_MAX_N = 12
 

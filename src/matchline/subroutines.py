@@ -8,9 +8,9 @@ it exists to make DIVIDE_k's block decomposition exactly checkable.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
-from .model import FLOAT_TOL
 from .offline import monotone_assignment
 
 SUBROUTINE_NAMES = ("greedy", "permutation", "clairvoyant")
@@ -73,13 +73,13 @@ class Permutation(_PoolSubroutine):
         positions = sorted(self.pool[i][0] for i in pool_indices)
         return sum(abs(r - s) for r, s in zip(sorted(requests), positions))
 
-    def _opt_cost(self, requests) -> float:
+    def _opt_cost(self, requests) -> int | float:
         # min-cost order-preserving matching of the sorted requests into the
         # sorted pool, server subset free (O(t * pool) DP)
         reqs = sorted(requests)
         t, p = len(reqs), len(self.pool)
         inf = float("inf")
-        row = [0.0] * (p + 1)  # zero requests
+        row = [0] * (p + 1)  # zero requests; int, so integer sums stay exact
         for i in range(t - 1, -1, -1):
             new = [inf] * (p + 1)
             for j in range(p - 1, -1, -1):
@@ -92,7 +92,9 @@ class Permutation(_PoolSubroutine):
     def serve(self, request) -> int:
         self.history.append(request)
         opt = self._opt_cost(self.history)
-        tol = 0 if self.exact else FLOAT_TOL
+        # float sums of t terms, summed in two orders, differ by at most
+        # 2 t eps opt
+        tol = 0 if self.exact else 2 * len(self.history) * sys.float_info.epsilon * opt
         for idx in range(len(self.pool)):
             if idx in self.used:
                 continue

@@ -44,17 +44,19 @@ def brute_cost(instance):
 
 @pytest.fixture(scope="module")
 def divide_suite():
-    """All divide runs for the exactness grid: 200 seeds per (n, k)."""
+    """All divide runs for the exactness grid: 200 seeds per (n, k), each
+    with requests inside the servers' span and far outside it."""
     records = []
     for n in range(2, 11):
         for seed in range(200):
-            instance = gen_uniform(
-                n, (0, 3 * n), seed, integer_mode=True, request_range="span"
-            )
-            opt = brute_cost(instance)
-            for k in range(1, n + 1):
-                result = divide_run(instance, k, "clairvoyant")
-                records.append((instance, k, result, opt))
+            for request_range in ("span", (-3 * n, 6 * n)):
+                instance = gen_uniform(
+                    n, (0, 3 * n), seed, integer_mode=True, request_range=request_range
+                )
+                opt = brute_cost(instance)
+                for k in range(1, n + 1):
+                    result = divide_run(instance, k, "clairvoyant")
+                    records.append((instance, k, result, opt))
     return records
 
 
@@ -111,7 +113,11 @@ def test_03_family_structure():
 
 def test_04_divide_exactness(divide_suite):
     ok = all(result.matching.cost == opt for _, _, result, opt in divide_suite)
-    report("4 DIVIDE_k exact with clairvoyant A (200 seeds per n=2..10, k=1..n)", ok)
+    report(
+        "4 DIVIDE_k exact with clairvoyant A (200 seeds per n=2..10, k=1..n; "
+        "requests in and out of span)",
+        ok,
+    )
     assert ok
 
 
@@ -170,20 +176,28 @@ def test_08_rescale_consistency():
     for n in range(2, 9):
         slack = n * n**-3
         for seed in range(15):
-            instance = gen_uniform(n, (0.0, 10.0), seed, request_range="span")
-            for k in (1, 2, n):
-                result = rescale_run(instance, k, "clairvoyant")
-                if result.cost > brute_cost(instance) + slack + 1e-9:
-                    ok = False
+            for request_range in ("span", (-10.0, 20.0)):
+                instance = gen_uniform(n, (0.0, 10.0), seed, request_range=request_range)
+                for k in (1, 2, n):
+                    result = rescale_run(instance, k, "clairvoyant")
+                    if result.cost > brute_cost(instance) + slack + 1e-9:
+                        ok = False
     for seed in range(25):
-        instance = gen_uniform(6, (0, 18), seed, integer_mode=True, request_range="span")
-        for k in (1, 3, 6):
-            if (
-                rescale_run(instance, k, "clairvoyant").cost
-                != divide_run(instance, k, "clairvoyant").matching.cost
-            ):
-                ok = False
-    report("8 RESCALE within n^-2 slack on reals; exact match on integers", ok)
+        for request_range in ("span", (-18, 36)):
+            instance = gen_uniform(
+                6, (0, 18), seed, integer_mode=True, request_range=request_range
+            )
+            for k in (1, 3, 6):
+                if (
+                    rescale_run(instance, k, "clairvoyant").cost
+                    != divide_run(instance, k, "clairvoyant").matching.cost
+                ):
+                    ok = False
+    report(
+        "8 RESCALE within n^-2 slack on reals; exact match on integers "
+        "(requests in and out of span)",
+        ok,
+    )
     assert ok
 
 

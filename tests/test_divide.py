@@ -1,4 +1,4 @@
-import math
+import dataclasses
 
 import pytest
 
@@ -61,7 +61,7 @@ WORKED = validate_instance([1, 2, 3, 4], [3, 3, 1, 4])
 
 def test_worked_example_advice_words():
     plan = plan_blocks(WORKED.servers, 2)
-    advice = compute_advice(WORKED, plan, WORKED.span_bound)
+    advice = compute_advice(WORKED, plan)
     assert advice.q_left == (None, 3)
     assert advice.q_right == (None, None)
     assert advice.d_left[1] == 1 and advice.m_left[1] == 1
@@ -100,10 +100,31 @@ def test_advice_round_trip_random():
         inst = gen_uniform(6, (0, 20), seed, integer_mode=True, request_range="span")
         for k in (2, 3, 6):
             plan = plan_blocks(inst.servers, k)
-            advice = compute_advice(inst, plan, inst.span_bound)
+            advice = compute_advice(inst, plan)
             tape = encode_divide_advice(advice, inst.span_bound, inst.n)
             decoded = decode_divide_advice(tape, k, inst.span_bound, inst.n)
             assert decoded == advice
+
+
+def test_writer_rejects_q_word_outside_the_span():
+    plan = plan_blocks(WORKED.servers, 2)
+    advice = compute_advice(WORKED, plan)
+    N = WORKED.span_bound
+    for q in (0, N, -3, N + 4):
+        bad = dataclasses.replace(advice, q_left=(None, q))
+        with pytest.raises(DivideError):
+            encode_divide_advice(bad, N, WORKED.n)
+
+
+def test_spent_marking_budget_raises():
+    # the second request at q[2,L] = 3 must be marked left, but the left
+    # budget of block 2 is now empty
+    plan = plan_blocks(WORKED.servers, 2)
+    advice = compute_advice(WORKED, plan)
+    assert classify_requests(WORKED, plan, advice)[1] == ("mark_left", 1)
+    spent = dataclasses.replace(advice, m_left=(0, 0))
+    with pytest.raises(DivideError):
+        classify_requests(WORKED, plan, spent)
 
 
 def test_k1_reads_nothing_and_uses_subroutine_only():
@@ -120,7 +141,7 @@ def test_marks_are_disjoint_and_counted():
         inst = gen_uniform(7, (0, 21), seed, integer_mode=True, request_range="span")
         for k in (2, 3, 7):
             plan = plan_blocks(inst.servers, k)
-            advice = compute_advice(inst, plan, inst.span_bound)
+            advice = compute_advice(inst, plan)
             marks = mark_servers(plan, advice, inst.n)
             assert not (marks.marked_left & marks.marked_right)
             assert len(marks.marked_right) == sum(advice.m_right)
@@ -133,7 +154,7 @@ def test_block_conservation():
         inst = gen_uniform(6, (0, 18), seed, integer_mode=True, request_range="span")
         for k in range(1, 7):
             plan = plan_blocks(inst.servers, k)
-            advice = compute_advice(inst, plan, inst.span_bound)
+            advice = compute_advice(inst, plan)
             marks = mark_servers(plan, advice, inst.n)
             verdicts = classify_requests(inst, plan, advice)
             for b, (start, stop) in enumerate(plan.groups):
@@ -192,19 +213,18 @@ def test_advice_budget_bound():
             assert result.oracle_bits_read <= advice_budget(8, inst.span_bound, k)
 
 
-def test_out_of_span_requests_stay_total_but_lossy():
-    # crossing requests outside [1, N-1] clamp to the sentinel words, so the
-    # serving can mark the wrong equal-range requests; the run still completes
-    # with conserved counts but may exceed the optimum
+def test_out_of_span_requests_are_exact():
+    # requests outside [1, N-1] are clamped into the servers' span, which
+    # adds one constant to the cost of every matching, so the run stays exact
     inst = validate_instance([1, 6, 7], [0, -2, 3])
     opt = brute_force_optimal(inst).cost
     result = divide_run(inst, 3, "clairvoyant")
     assert opt == 13
-    assert result.matching.cost == 17  # lossy, but a complete valid matching
+    assert result.matching.cost == 13
     for seed in range(60):
         inst = gen_uniform(5, (0, 15), seed, integer_mode=True)
         result = divide_run(inst, 3, "clairvoyant")
-        assert result.matching.cost >= brute_force_optimal(inst).cost
+        assert result.matching.cost == brute_force_optimal(inst).cost
 
 
 def test_rescale_matches_divide_on_integer_instances():

@@ -1,0 +1,120 @@
+"""Differential test: DIVIDE_k and RESCALE against the sentinel-word version
+they replaced (``reference_divide``).
+
+On requests inside the servers' span nothing is clamped, so both give
+bit-identical tapes, marks, verdicts, matchings and costs. Outside the span
+the reference can miss the optimum; the clamped version must not.
+"""
+
+import dataclasses
+import random
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import reference_divide as ref
+from matchline import divide
+from matchline.model import validate_instance
+from matchline.offline import brute_force_optimal
+from matchline.subroutines import SUBROUTINE_NAMES
+
+IN_SPAN_SHAPES = ("in-span", "duplicates", "float")
+
+
+def make_instance(shape: str, n: int, rng: random.Random):
+    """Integer instances have s_1 = 1; "float" ones are for RESCALE."""
+    if shape in ("float", "out-of-span-float"):
+        servers = [rng.uniform(0.0, 10.0) for _ in range(n)]
+        if shape == "float":
+            requests = [rng.uniform(min(servers), max(servers)) for _ in range(n)]
+        else:
+            requests = [rng.uniform(-20.0, 30.0) for _ in range(n)]
+        return validate_instance(servers, requests)
+    top = max(1, n // 3) if shape == "duplicates" else 4 * n
+    servers = [rng.randint(0, top) for _ in range(n)]
+    shift = 1 - min(servers)
+    servers = [s + shift for s in servers]
+    if shape == "out-of-span":
+        requests = [rng.randint(-6 * n, 10 * n) for _ in range(n)]
+    else:
+        requests = [rng.randint(1, max(servers)) for _ in range(n)]
+    return validate_instance(servers, requests)
+
+
+def outputs(result):
+    """Everything a DIVIDE_k run reports, as plain comparable values."""
+    return (
+        result.tape_dump,
+        result.oracle_bits_read,
+        dataclasses.astuple(result.advice),
+        result.marks.marked_left,
+        result.marks.marked_right,
+        result.verdicts,
+        result.aux_bits_written,
+        result.matching,
+        result.lr_cost,
+        result.block_costs,
+    )
+
+
+def assert_same(shape: str, instance, k: int, sub: str):
+    if shape == "float":
+        new = divide.rescale_run(instance, k, sub)
+        old = ref.rescale_run(instance, k, sub)
+        assert (new.matching, new.scaled_cost, new.cost) == (
+            old.matching,
+            old.scaled_cost,
+            old.cost,
+        )
+        new, old = new.scaled, old.scaled
+    else:
+        new = divide.divide_run(instance, k, sub)
+        old = ref.divide_run(instance, k, sub)
+    assert outputs(new) == outputs(old)
+
+
+def test_in_span_runs_are_bit_identical():
+    rng = random.Random(2025)
+    for n in range(1, 13):
+        for shape in IN_SPAN_SHAPES:
+            for _ in range(6):
+                instance = make_instance(shape, n, rng)
+                for k in range(1, n + 1):
+                    for sub in SUBROUTINE_NAMES:
+                        assert_same(shape, instance, k, sub)
+
+
+@given(
+    st.sampled_from(IN_SPAN_SHAPES),
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from(SUBROUTINE_NAMES),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_in_span_runs_are_bit_identical_property(shape, n, k_share, sub, seed):
+    k = 1 + round(k_share * (n - 1))
+    assert_same(shape, make_instance(shape, n, random.Random(seed)), k, sub)
+
+
+def test_out_of_span_clairvoyant_runs_are_exact():
+    rng = random.Random(7)
+    for n in range(1, 9):
+        for _ in range(12):
+            instance = make_instance("out-of-span", n, rng)
+            opt = brute_force_optimal(instance).cost
+            for k in range(1, n + 1):
+                result = divide.divide_run(instance, k, "clairvoyant")
+                assert result.matching.cost == opt
+                assert result.lr_cost + sum(result.block_costs) == opt
+
+
+def test_out_of_span_rescale_within_rounding_slack():
+    rng = random.Random(8)
+    for n in range(1, 9):
+        slack = n * n**-3
+        for _ in range(8):
+            instance = make_instance("out-of-span-float", n, rng)
+            opt = brute_force_optimal(instance).cost
+            for k in range(1, n + 1):
+                result = divide.rescale_run(instance, k, "clairvoyant")
+                assert opt - 1e-9 <= result.cost <= opt + slack + 1e-9

@@ -163,6 +163,36 @@ def test_cli_run_divide_verbose_tape(tmp_path, capsys):
     assert "q[2,L]" in out
 
 
+def test_cli_verbose_tape_runs_the_algorithm_once(tmp_path, capsys, monkeypatch):
+    from matchline import experiment
+
+    calls = []
+    divide_run = experiment.divide_run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return divide_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "divide_run", counted)
+    inst_path = tmp_path / "i.json"
+    save_instance(validate_instance([1, 2, 3, 4], [3, 3, 1, 4]), inst_path)
+    code = main(
+        ["run", "--algo", "divide", "--k", "2", "--sub", "clairvoyant",
+         "--input", str(inst_path), "--verbose-tape"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(calls) == 1
+    # q words first (absent q[1,R] written as N = 5), then the d/m pair of
+    # the one present q word
+    assert [(line.split()[0], line.split()[-1]) for line in lines[2:]] == [
+        ("q[2,L]", "value=3"),
+        ("q[1,R]", "value=5"),
+        ("d[2,L]", "value=1"),
+        ("m[2,L]", "value=1"),
+    ]
+
+
 def test_cli_run_csv_report(tmp_path):
     inst_path = tmp_path / "i.json"
     save_instance(gen_uniform(4, (0, 12), 2, integer_mode=True), inst_path)

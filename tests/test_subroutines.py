@@ -120,3 +120,25 @@ def test_every_serve_returns_a_fresh_pool_member(name, servers, data):
     sub = make_subroutine(name, servers, sealed=requests)
     served = [sub.serve(r) for r in requests]
     assert sorted(served) == sorted(range(n))  # injective, within the pool
+
+
+def test_permutation_exact_on_integers_beyond_float_precision():
+    # sums past 2**53 (RESCALE's n^3 scaling lifts 10**15 there); the
+    # running optimum must stay an exact integer
+    from matchline.divide import rescale_run
+    from matchline.experiment import run_algorithm
+    from matchline.generators import gen_uniform
+
+    inst = gen_uniform(3, (0, 10**15), 0, integer_mode=True)
+    assert rescale_run(inst, 1, "permutation").cost >= monotone_optimal(inst).cost
+    inst = gen_uniform(3, (0, 10**17), 0, integer_mode=True)
+    assert run_algorithm(inst, "permutation")["cost"] >= monotone_optimal(inst).cost
+
+
+def test_permutation_on_large_float_coordinates():
+    from matchline.experiment import run_algorithm
+    from matchline.generators import gen_uniform
+
+    inst = gen_uniform(4, (0.0, 1e15), 7)
+    outcome = run_algorithm(inst, "permutation")
+    assert outcome["cost"] >= monotone_optimal(inst).cost
