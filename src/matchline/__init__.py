@@ -5,33 +5,14 @@ from .model import (
     InstanceError,
     Matching,
     load_instance,
-    make_matching,
     save_instance,
-    total_cost,
     validate_instance,
 )
-from .offline import (
-    LRPartition,
-    apply_switch,
-    brute_force_optimal,
-    classify_lr,
-    monotone_cost,
-    monotone_optimal,
-)
-from .tape import AdviceTape, AuxTape, TapeUnderflow, word_width
-from .lr import LRResult, LRState, lr_oracle, lr_run, lr_serve
-from .divide import (
-    BlockPlan,
-    DivideAdvice,
-    DivideResult,
-    MarkSets,
-    RescaleResult,
-    divide_run,
-    plan_blocks,
-    rescale_run,
-)
+from .offline import brute_force_optimal, monotone_optimal
+from .lr import LRResult, lr_oracle, lr_run
+from .divide import DivideResult, RescaleResult, divide_run, rescale_run
 from .subroutines import make_subroutine
-from .generators import FamilyMember, gen_family, gen_uniform, rho_zero, verify_family
+from .generators import gen_family, gen_uniform
 from .experiment import (
     ExperimentConfig,
     RunReport,
@@ -41,26 +22,15 @@ from .experiment import (
 )
 
 __all__ = [
-    "AdviceTape",
-    "AuxTape",
-    "BlockPlan",
-    "DivideAdvice",
     "DivideResult",
     "ExperimentConfig",
-    "FamilyMember",
     "Instance",
     "InstanceError",
-    "LRPartition",
     "LRResult",
-    "LRState",
-    "MarkSets",
     "Matching",
     "RescaleResult",
     "RunReport",
-    "TapeUnderflow",
-    "apply_switch",
     "brute_force_optimal",
-    "classify_lr",
     "divide_run",
     "emit_report",
     "gen_family",
@@ -68,19 +38,11 @@ __all__ = [
     "load_instance",
     "lr_oracle",
     "lr_run",
-    "lr_serve",
-    "make_matching",
     "make_subroutine",
-    "monotone_cost",
     "monotone_optimal",
-    "plan_blocks",
     "rescale_run",
-    "rho_zero",
     "run_algorithm",
     "run_experiment",
     "save_instance",
-    "total_cost",
     "validate_instance",
-    "verify_family",
-    "word_width",
 ]

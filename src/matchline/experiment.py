@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 from .divide import divide_run, rescale_run
 from .generators import gen_family, gen_uniform
 from .lr import lr_oracle, lr_run
-from .model import Instance
+from .model import Instance, costs_equal
 from .offline import brute_force_optimal, monotone_optimal
 from .subroutines import make_subroutine
 
@@ -88,7 +88,7 @@ def run_algorithm(
             "rescale": result,
         }
     if algo in ("greedy", "permutation"):
-        sub = make_subroutine(algo, instance.servers, exact=instance.integer_mode)
+        sub = make_subroutine(algo, instance.servers)
         assignment = [sub.serve(r) for r in instance.requests]
         from .model import make_matching
 
@@ -108,7 +108,6 @@ class ExperimentConfig:
     k: int | None = None
     subroutine: str = "greedy"
     instances: list = field(default_factory=list)  # (instance_id, seed, Instance)
-    cross_check_brute: bool = True
 
     @classmethod
     def uniform(
@@ -154,9 +153,9 @@ def run_instance(config: ExperimentConfig, instance_id: str, seed, instance: Ins
     outcome = run_algorithm(instance, config.algo, config.k, config.subroutine)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     opt = monotone_optimal(instance).cost
-    if config.cross_check_brute and instance.n <= 10:
+    if instance.n <= 10:
         brute = brute_force_optimal(instance).cost
-        if abs(brute - opt) > 1e-9:
+        if not costs_equal(brute, opt, instance.n):
             raise ExperimentError(f"{instance_id}: oracle disagreement {brute} vs {opt}")
     report = RunReport(
         instance_id=instance_id,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .model import Instance, validate_instance
+from .model import Instance, costs_equal, validate_instance
 from .offline import monotone_cost
 
 FAMILY_MAX_N = 20
@@ -107,13 +107,14 @@ class FamilyCheck:
     opt_cost: float
 
 
-def verify_family(n: int, tol: float = 1e-9) -> list[FamilyCheck]:
+def verify_family(n: int) -> list[FamilyCheck]:
     """Check that every optimum of every member sends s_n to r_{n-k}.
 
     Enumerates the candidate partner of the top server: for request i, the
     best cost using s_n -> r_i is |r_i - n| plus the exact offline optimum of
     the rest (servers 1..n-1). Every optimal matching realizes exactly one
-    candidate, so the claim holds iff index n-k is the unique minimizer.
+    candidate, so the claim holds iff index n-k is the unique minimizer
+    (costs compare under ``costs_equal``).
     """
     if n > 8:
         raise GeneratorError("verify_family capped at n=8")
@@ -129,7 +130,7 @@ def verify_family(n: int, tol: float = 1e-9) -> list[FamilyCheck]:
         opt = min(costs)
         expected = n - member.branch_depth  # 1-based
         unique_hit = all(
-            (abs(c - opt) > tol) == (i != expected - 1) for i, c in enumerate(costs)
+            costs_equal(c, opt, n) == (i == expected - 1) for i, c in enumerate(costs)
         )
         checks.append(FamilyCheck(member, expected, unique_hit, opt))
     return checks

@@ -19,17 +19,15 @@ in the monotone matching of what remains lies at or below pool rank lo-1.
 Both counts live in one Fenwick tree over the merged server/request
 coordinates (+1 per unmatched server, -1 per unserved request), so the oracle
 runs in O(n log n). Its run is checked once at the end against
-``monotone_cost``: exactly on integer coordinates, and on floats within the
-rounding of two sums of n distances, relative to the optimum's size.
+``monotone_cost`` under ``costs_equal``.
 """
 
 from __future__ import annotations
 
 import bisect
-import sys
 from dataclasses import dataclass, field
 
-from .model import Instance, Matching, make_matching
+from .model import Instance, Matching, costs_equal, make_matching
 from .offline import monotone_cost
 from .tape import AdviceTape
 
@@ -157,11 +155,7 @@ def lr_oracle(instance: Instance) -> AdviceTape:
         cost += abs(r - s)
         rule.move(rule.key, key[s])
     opt = monotone_cost(servers, requests)
-    # on floats the two sums of the same distances, taken in different
-    # orders, may differ by n roundings each, relative to their size
-    exact = isinstance(cost, int) and isinstance(opt, int)
-    slack = 0 if exact else 2 * instance.n * sys.float_info.epsilon * max(cost, opt)
-    if abs(cost - opt) > slack:
+    if not costs_equal(cost, opt, instance.n):
         raise LRError(f"oracle advice missed the optimum: cost {cost!r} vs {opt!r}")
     return AdviceTape(rule.bits)
 

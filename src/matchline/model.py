@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
-
-#: absolute tolerance for cost comparisons on float-valued instances
-FLOAT_TOL = 1e-9
 
 
 class InstanceError(ValueError):
@@ -103,10 +101,13 @@ def make_matching(instance: Instance, assignment: Sequence[int]) -> Matching:
     return Matching(tuple(assignment), total_cost(instance, assignment))
 
 
-def costs_equal(a, b, *, exact: bool) -> bool:
-    if exact:
+def costs_equal(a, b, terms: int) -> bool:
+    """Whether two costs, each a sum of up to ``terms`` distances, are equal:
+    exactly on ints; on floats within 2 * terms * eps of the larger, the
+    rounding of two such sums taken in different orders, at every scale."""
+    if isinstance(a, int) and isinstance(b, int):
         return a == b
-    return abs(a - b) <= FLOAT_TOL
+    return abs(a - b) <= 2 * terms * sys.float_info.epsilon * max(abs(a), abs(b))
 
 
 def save_instance(instance: Instance, path) -> None:

@@ -14,10 +14,9 @@ Tests assert the two agree; production callers use the monotone route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .model import FLOAT_TOL, Instance, Matching, make_matching
+from .model import Instance, Matching, costs_equal, make_matching, total_cost
 
 BRUTE_FORCE_MAX_N = 12
 
@@ -26,23 +25,19 @@ class OracleError(ValueError):
     pass
 
 
-def _tol(instance: Instance):
-    return 0 if instance.integer_mode else FLOAT_TOL
-
-
 def brute_force_optimal(instance: Instance) -> Matching:
     """Minimum-cost matching over all permutations.
 
-    Cost ties are broken toward the lexicographically smallest permutation so
-    the output is deterministic. The subset DP explores exactly the space of
-    all bijections; ``enumerate_assignments`` is the literal factorial loop
-    used to validate it on small inputs.
+    Cost ties (equal under ``costs_equal``) are broken toward the
+    lexicographically smallest permutation so the output is deterministic.
+    The subset DP explores exactly the space of all bijections;
+    ``enumerate_assignments`` is the literal factorial loop used to validate
+    it on small inputs.
     """
     n = instance.n
     if n > BRUTE_FORCE_MAX_N:
         raise OracleError(f"n={n} too large for exhaustive optimum")
     servers, requests = instance.servers, instance.requests
-    tol = _tol(instance)
 
     full = (1 << n) - 1
     # best[mask] = optimal cost of matching requests[popcount(mask):] to the
@@ -69,7 +64,7 @@ def brute_force_optimal(instance: Instance) -> Matching:
             if mask >> j & 1:
                 continue
             c = abs(r - servers[j]) + best[mask | 1 << j]
-            if abs(c - target) <= tol:
+            if costs_equal(c, target, n):
                 assignment.append(j)
                 mask |= 1 << j
                 break
@@ -85,19 +80,10 @@ def enumerate_assignments(instance: Instance) -> Iterator[tuple]:
 
 def all_optimal_assignments(instance: Instance) -> list[tuple]:
     """Every minimum-cost assignment, by literal enumeration."""
-    from .model import total_cost
-
-    tol = _tol(instance)
-    opt = None
-    hits: list[tuple] = []
-    for perm in enumerate_assignments(instance):
-        c = total_cost(instance, perm)
-        if opt is None or c < opt - tol:
-            opt = c
-            hits = [perm]
-        elif abs(c - opt) <= tol:
-            hits.append(perm)
-    return hits
+    perms = enumerate_assignments(instance)
+    costs = [(total_cost(instance, perm), perm) for perm in perms]
+    opt = min(c for c, _ in costs)
+    return [perm for c, perm in costs if costs_equal(c, opt, instance.n)]
 
 
 def monotone_assignment(requests: Sequence) -> list[int]:
@@ -125,33 +111,20 @@ def monotone_optimal(instance: Instance) -> Matching:
     return make_matching(instance, monotone_assignment(instance.requests))
 
 
-@dataclass(frozen=True)
-class LRPartition:
-    """Requests matched at-or-left vs strictly-right of their position."""
-
-    left_set: frozenset
-    right_set: frozenset
-
-
-def classify_lr(instance: Instance, matching: Matching) -> LRPartition:
-    left, right = set(), set()
-    for i, j in enumerate(matching.assignment):
-        if instance.servers[j] <= instance.requests[i]:
-            left.add(i)
-        else:
-            right.add(i)
-    return LRPartition(frozenset(left), frozenset(right))
+def switch_allowed(instance: Instance, matching: Matching, i: int, j: int) -> bool:
+    """Whether requests i and j lie on the same side of both their servers
+    (both weakly left of both servers, or both weakly right)."""
+    ri, rj = instance.requests[i], instance.requests[j]
+    si, sj = instance.servers[matching.assignment[i]], instance.servers[matching.assignment[j]]
+    return max(ri, rj) <= min(si, sj) or min(ri, rj) >= max(si, sj)
 
 
 def apply_switch(instance: Instance, matching: Matching, i: int, j: int) -> Matching:
     """Swap the servers of requests i and j; cost-preserving by construction.
 
-    Allowed only when both requests lie on the same side of both servers
-    (both weakly left of both servers, or both weakly right).
+    Allowed only where ``switch_allowed`` holds.
     """
-    ri, rj = instance.requests[i], instance.requests[j]
-    si, sj = instance.servers[matching.assignment[i]], instance.servers[matching.assignment[j]]
-    if not (max(ri, rj) <= min(si, sj) or min(ri, rj) >= max(si, sj)):
+    if not switch_allowed(instance, matching, i, j):
         raise OracleError(
             "switch precondition violated: requests straddle the servers"
         )

@@ -8,9 +8,9 @@ it exists to make DIVIDE_k's block decomposition exactly checkable.
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
+from .model import costs_equal
 from .offline import monotone_assignment
 
 SUBROUTINE_NAMES = ("greedy", "permutation", "clairvoyant")
@@ -63,9 +63,8 @@ class Permutation(_PoolSubroutine):
     which realizes the lexicographic tie rule.
     """
 
-    def __init__(self, servers, ids=None, exact: bool = True):
+    def __init__(self, servers, ids=None):
         super().__init__(servers, ids)
-        self.exact = exact
         self.history: list = []
         self.used: list[int] = []  # pool indices used by the running optimum
 
@@ -92,13 +91,12 @@ class Permutation(_PoolSubroutine):
     def serve(self, request) -> int:
         self.history.append(request)
         opt = self._opt_cost(self.history)
-        # float sums of t terms, summed in two orders, differ by at most
-        # 2 t eps opt
-        tol = 0 if self.exact else 2 * len(self.history) * sys.float_info.epsilon * opt
+        t = len(self.history)
         for idx in range(len(self.pool)):
             if idx in self.used:
                 continue
-            if self._subset_cost(self.used + [idx], self.history) <= opt + tol:
+            c = self._subset_cost(self.used + [idx], self.history)
+            if c <= opt or costs_equal(c, opt, t):
                 self.used.append(idx)
                 return self._claim(idx)
         raise SubroutineError("no server extends the running optimum")
@@ -127,11 +125,11 @@ class Clairvoyant(_PoolSubroutine):
         return self._claim(rank)
 
 
-def make_subroutine(name: str, servers, ids=None, sealed=None, exact: bool = True):
+def make_subroutine(name: str, servers, ids=None, sealed=None):
     if name == "greedy":
         return Greedy(servers, ids)
     if name == "permutation":
-        return Permutation(servers, ids, exact=exact)
+        return Permutation(servers, ids)
     if name == "clairvoyant":
         if sealed is None:
             raise SubroutineError("clairvoyant needs the sealed request sequence")

@@ -1,26 +1,84 @@
-"""Verification suites behind ``matchline verify``.
+"""The checkable properties, and the suites behind ``matchline verify``.
 
-Each suite returns the number of failed checks (0 = pass). The same
-predicates back the pytest acceptance module; here they are sized by the
-caller for quick command line runs.
+Each property is one predicate on a run or an instance. The suites run them
+over seeded grids and return the number of failed checks (0 = pass); the
+CLI sizes the grids for quick runs, and the pytest acceptance module calls
+the same predicates and suites at its larger sizes.
 """
 
 from __future__ import annotations
 
-from .divide import divide_run
+from collections import Counter
+
+from .divide import _SERVE_BLOCK, DivideResult, divide_run
 from .generators import gen_family, gen_uniform, verify_family
-from .lr import lr_oracle, lr_run
-from .model import total_cost
+from .lr import LRResult, lr_oracle, lr_run
+from .model import Instance, costs_equal
 from .offline import (
     all_optimal_assignments,
+    apply_switch,
     brute_force_optimal,
     monotone_optimal,
     order_condition_violations,
+    switch_allowed,
 )
+from .tape import word_width
 
 
 def _noop(*_args, **_kwargs):
     pass
+
+
+def lr_is_optimal(result: LRResult, opt) -> bool:
+    """LR's matching costs the optimum and it read at most n - 1 bits."""
+    n = len(result.matching.assignment)
+    return costs_equal(result.matching.cost, opt, n) and result.bits_read <= n - 1
+
+
+def divide_is_exact(result: DivideResult, opt) -> bool:
+    """DIVIDE_k's matching costs the optimum."""
+    return costs_equal(result.matching.cost, opt, len(result.matching.assignment))
+
+
+def advice_within_budget(result: DivideResult) -> bool:
+    """DIVIDE_k read at most 2(k-1)w(N) + 4(k-1)w(n) bits, none at k = 1."""
+    k, n = result.plan.k, len(result.matching.assignment)
+    budget = 2 * (k - 1) * word_width(result.span_bound) + 4 * (k - 1) * word_width(n)
+    return result.oracle_bits_read <= budget
+
+
+def marking_is_consistent(result: DivideResult) -> bool:
+    """The two marked sets are disjoint, and each block's subroutine got as
+    many requests as its group has unmarked servers."""
+    marks = result.marks
+    if marks.marked_left & marks.marked_right:
+        return False
+    marked = marks.marked
+    sealed = Counter(b for verdict, b in result.verdicts if verdict == _SERVE_BLOCK)
+    return all(
+        sum(1 for j in range(start, stop) if j not in marked) == sealed[b]
+        for b, (start, stop) in enumerate(result.plan.groups)
+    )
+
+
+def optima_are_ordered(instance: Instance) -> bool:
+    """No optimal matching violates the order condition."""
+    return not any(
+        order_condition_violations(instance, perm)
+        for perm in all_optimal_assignments(instance)
+    )
+
+
+def switches_preserve_cost(instance: Instance) -> bool:
+    """Every allowed switch of the monotone optimum keeps its cost."""
+    matching = monotone_optimal(instance)
+    n = instance.n
+    return all(
+        costs_equal(apply_switch(instance, matching, i, j).cost, matching.cost, n)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if switch_allowed(instance, matching, i, j)
+    )
 
 
 def verify_lr_optimal(n_max: int = 8, seeds: int = 50, log=_noop) -> int:
@@ -31,7 +89,7 @@ def verify_lr_optimal(n_max: int = 8, seeds: int = 50, log=_noop) -> int:
             instance = gen_uniform(n, (0, 4 * n), seed, integer_mode=True)
             result = lr_run(instance, lr_oracle(instance))
             opt = brute_force_optimal(instance).cost
-            if result.matching.cost != opt or result.bits_read > n - 1:
+            if not lr_is_optimal(result, opt):
                 failures += 1
                 log(f"  FAIL n={n} seed={seed}: cost={result.matching.cost} opt={opt}")
         log(f"  lr-optimal n={n}: {seeds} instances checked")
@@ -39,22 +97,28 @@ def verify_lr_optimal(n_max: int = 8, seeds: int = 50, log=_noop) -> int:
 
 
 def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
-    """DIVIDE_k with the clairvoyant subroutine matches the exact optimum."""
+    """DIVIDE_k with the clairvoyant subroutine matches the exact optimum,
+    within its advice budget, with consistent marking."""
     failures = 0
     for n in range(2, n_max + 1):
-        for k in range(1, n + 1):
-            for seed in range(seeds):
-                instance = gen_uniform(
-                    n, (0, 4 * n), seed, integer_mode=True, request_range="span"
-                )
+        for seed in range(seeds):
+            instance = gen_uniform(
+                n, (0, 4 * n), seed, integer_mode=True, request_range="span"
+            )
+            opt = brute_force_optimal(instance).cost
+            for k in range(1, n + 1):
                 result = divide_run(instance, k, "clairvoyant")
-                opt = brute_force_optimal(instance).cost
-                if result.matching.cost != opt:
-                    failures += 1
-                    log(
-                        f"  FAIL n={n} k={k} seed={seed}: "
-                        f"cost={result.matching.cost} opt={opt}"
-                    )
+                for name, ok in (
+                    ("cost", divide_is_exact(result, opt)),
+                    ("budget", advice_within_budget(result)),
+                    ("marking", marking_is_consistent(result)),
+                ):
+                    if not ok:
+                        failures += 1
+                        log(
+                            f"  FAIL {name} n={n} k={k} seed={seed}: "
+                            f"cost={result.matching.cost} opt={opt}"
+                        )
         log(f"  divide-exact n={n}: all k, {seeds} instances each")
     return failures
 
@@ -80,21 +144,12 @@ def verify_order_properties(n_max: int = 6, seeds: int = 30, log=_noop) -> int:
     for n in range(2, min(n_max, 7) + 1):
         for seed in range(seeds):
             instance = gen_uniform(n, (0, 3 * n), seed, integer_mode=True)
-            for perm in all_optimal_assignments(instance):
-                if order_condition_violations(instance, perm):
+            for name, ok in (
+                ("order", optima_are_ordered(instance)),
+                ("switch", switches_preserve_cost(instance)),
+            ):
+                if not ok:
                     failures += 1
-                    log(f"  FAIL order property n={n} seed={seed} perm={perm}")
-            matching = monotone_optimal(instance)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    ri, rj = instance.requests[i], instance.requests[j]
-                    si = instance.servers[matching.assignment[i]]
-                    sj = instance.servers[matching.assignment[j]]
-                    if max(ri, rj) <= min(si, sj) or min(ri, rj) >= max(si, sj):
-                        swapped = list(matching.assignment)
-                        swapped[i], swapped[j] = swapped[j], swapped[i]
-                        if total_cost(instance, swapped) != matching.cost:
-                            failures += 1
-                            log(f"  FAIL switch property n={n} seed={seed} ({i},{j})")
+                    log(f"  FAIL {name} property n={n} seed={seed}")
         log(f"  props n={n}: {seeds} instances checked")
     return failures

@@ -3,7 +3,8 @@ servers' span: q words clamped to +-infinity sentinels, a tape layout written
 out once for the writer and once for the reader, and a marking fallback that
 lets the other side's budget absorb a request. Kept verbatim as the
 differential reference for ``matchline.divide``; nothing in the package uses
-it.
+it. Its ``make_subroutine`` call no longer passes ``exact=``, which the
+package's subroutines dropped (they compare costs by their types).
 """
 
 from __future__ import annotations
@@ -395,7 +396,6 @@ def _run_divide(
                 [instance.servers[j] for j in ids],
                 ids=ids,
                 sealed=sealed if subroutine == "clairvoyant" else None,
-                exact=instance.integer_mode,
             )
         )
 

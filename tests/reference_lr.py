@@ -2,6 +2,8 @@
 union-find pool: suffix lookahead with three ``monotone_cost`` re-sorts per
 request, and a sorted list pool shrunk by ``list.pop``. Kept verbatim as the
 differential reference for ``matchline.lr``; nothing in the package uses it.
+The absolute float tolerance it used, since removed from the package, is
+defined here.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ import bisect
 from dataclasses import dataclass, field
 
 from matchline.lr import LRError
-from matchline.model import FLOAT_TOL, Instance
+from matchline.model import Instance
 from matchline.offline import monotone_cost
 from matchline.tape import AdviceTape
+
+FLOAT_TOL = 1e-9
 
 
 @dataclass

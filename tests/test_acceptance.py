@@ -1,8 +1,10 @@
 """Acceptance suite: one check per headline property, one summary line each.
 
 Each test records a single PASS/FAIL line (echoed in the terminal summary,
-and immediately under -s) and then asserts. Heavier shared suites are built
-once per session.
+and immediately under -s) and then asserts. The properties themselves are
+the predicates and suites of ``matchline.verification``, run here at larger
+sizes than ``matchline verify`` uses. Heavier shared suites are built once
+per session.
 """
 
 import math
@@ -12,18 +14,12 @@ import pytest
 
 import conftest
 
+from matchline import verification
 from matchline.divide import divide_run, rescale_run
-from matchline.generators import gen_family, gen_uniform, rho_zero, verify_family
+from matchline.generators import gen_family, gen_uniform, rho_zero
 from matchline.lr import lr_oracle, lr_run
-from matchline.model import validate_instance
-from matchline.offline import (
-    all_optimal_assignments,
-    apply_switch,
-    brute_force_optimal,
-    monotone_optimal,
-    order_condition_violations,
-)
-from matchline.tape import word_width
+from matchline.model import costs_equal, validate_instance
+from matchline.offline import brute_force_optimal, monotone_optimal
 
 
 def report(name: str, ok: bool) -> None:
@@ -75,14 +71,22 @@ def decomposition_suite():
     return records
 
 
-def test_01_lr_optimality():
-    ok = True
-    for n in range(2, 11):
-        for seed in range(500):
-            instance = gen_uniform(n, (0, 4 * n), seed, integer_mode=True)
-            result = lr_run(instance, lr_oracle(instance))
-            if result.matching.cost != brute_cost(instance) or result.bits_read > n - 1:
-                ok = False
+def drawn_sizes_and_seeds(monkeypatch) -> list:
+    """Record the (n, seed) of every instance the verification suites draw."""
+    drawn = []
+
+    def recording(n, position_range, seed, *args, **kwargs):
+        drawn.append((n, seed))
+        return gen_uniform(n, position_range, seed, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "gen_uniform", recording)
+    return drawn
+
+
+def test_01_lr_optimality(monkeypatch):
+    drawn = drawn_sizes_and_seeds(monkeypatch)
+    ok = verification.verify_lr_optimal(n_max=10, seeds=500) == 0
+    assert drawn == [(n, seed) for n in range(2, 11) for seed in range(500)]
     report("1 LR optimality and bit budget (500 seeds, n=2..10)", ok)
     assert ok
 
@@ -93,7 +97,7 @@ def test_02_lr_bit_tightness_on_family():
         for member in gen_family(n):
             instance = member.instance()
             result = lr_run(instance, lr_oracle(instance))
-            if result.matching.cost != pytest.approx(brute_cost(instance), abs=1e-9):
+            if not verification.lr_is_optimal(result, brute_cost(instance)):
                 ok = False
         rho = validate_instance(list(range(1, n + 1)), rho_zero(n))
         if lr_run(rho, lr_oracle(rho)).bits_read != n - 1:
@@ -103,16 +107,16 @@ def test_02_lr_bit_tightness_on_family():
 
 
 def test_03_family_structure():
-    ok = all(len(gen_family(n)) == 2 ** (n - 1) for n in range(1, 13))
-    for n in range(2, 9):
-        if not all(check.ok for check in verify_family(n)):
-            ok = False
+    # cardinality for n = 1..12, the forced top-server assignment for n = 2..8
+    ok = verification.verify_family_suite(n_max=12) == 0
     report("3 family cardinality 2^(n-1) and forced top-server assignment", ok)
     assert ok
 
 
 def test_04_divide_exactness(divide_suite):
-    ok = all(result.matching.cost == opt for _, _, result, opt in divide_suite)
+    ok = all(
+        verification.divide_is_exact(result, opt) for _, _, result, opt in divide_suite
+    )
     report(
         "4 DIVIDE_k exact with clairvoyant A (200 seeds per n=2..10, k=1..n; "
         "requests in and out of span)",
@@ -122,15 +126,9 @@ def test_04_divide_exactness(divide_suite):
 
 
 def test_05_advice_budget(divide_suite):
-    ok = True
-    for instance, k, result, _ in divide_suite:
-        budget = 2 * (k - 1) * word_width(instance.span_bound) + 4 * (
-            k - 1
-        ) * word_width(instance.n)
-        if result.oracle_bits_read > budget:
-            ok = False
-        if k == 1 and result.oracle_bits_read != 0:
-            ok = False
+    ok = all(
+        verification.advice_within_budget(result) for _, _, result, _ in divide_suite
+    )
     report("5 advice budget <= 2(k-1)w(N) + 4(k-1)w(n); k=1 reads 0", ok)
     assert ok
 
@@ -144,28 +142,12 @@ def test_06_decomposition_identity(decomposition_suite):
     assert ok
 
 
-def _marking_invariants_hold(instance, result):
-    if result.marks.marked_left & result.marks.marked_right:
-        return False
-    for b, (start, stop) in enumerate(result.plan.groups):
-        unmarked_servers = sum(
-            1 for j in range(start, stop) if j not in result.marks.marked
-        )
-        unmarked_requests = sum(
-            1 for verdict, blk in result.verdicts if verdict == "block" and blk == b
-        )
-        if unmarked_requests != unmarked_servers:
-            return False
-    return True
-
-
 def test_07_marking_invariants(divide_suite, decomposition_suite):
     ok = all(
-        _marking_invariants_hold(instance, result)
-        for instance, _, result, _ in divide_suite
+        verification.marking_is_consistent(result) for _, _, result, _ in divide_suite
     ) and all(
-        _marking_invariants_hold(instance, result)
-        for instance, _, result in decomposition_suite
+        verification.marking_is_consistent(result)
+        for _, _, result in decomposition_suite
     )
     report("7 marked sets disjoint; per-block unmarked counts conserved", ok)
     assert ok
@@ -179,8 +161,9 @@ def test_08_rescale_consistency():
             for request_range in ("span", (-10.0, 20.0)):
                 instance = gen_uniform(n, (0.0, 10.0), seed, request_range=request_range)
                 for k in (1, 2, n):
-                    result = rescale_run(instance, k, "clairvoyant")
-                    if result.cost > brute_cost(instance) + slack + 1e-9:
+                    cost = rescale_run(instance, k, "clairvoyant").cost
+                    bound = brute_cost(instance) + slack
+                    if cost > bound and not costs_equal(cost, bound, n):
                         ok = False
     for seed in range(25):
         for request_range in ("span", (-18, 36)):
@@ -209,33 +192,18 @@ def test_09_oracle_equivalence():
             if monotone_optimal(instance).cost != brute_cost(instance):
                 ok = False
             real = gen_uniform(n, (0.0, 20.0), seed)
-            if monotone_optimal(real).cost != pytest.approx(
-                brute_force_optimal(real).cost, abs=1e-9
+            if not costs_equal(
+                monotone_optimal(real).cost, brute_force_optimal(real).cost, n
             ):
                 ok = False
     report("9 monotone optimum equals brute force (1000+ instances, n=2..8)", ok)
     assert ok
 
 
-def test_10_order_structure_of_optima():
-    ok = True
-    count = 0
-    for n in range(2, 8):
-        for seed in range(34):
-            count += 1
-            instance = gen_uniform(n, (0, 3 * n), seed, integer_mode=True)
-            for perm in all_optimal_assignments(instance):
-                if order_condition_violations(instance, perm):
-                    ok = False
-            matching = monotone_optimal(instance)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    ri, rj = instance.requests[i], instance.requests[j]
-                    si = instance.servers[matching.assignment[i]]
-                    sj = instance.servers[matching.assignment[j]]
-                    if max(ri, rj) <= min(si, sj) or min(ri, rj) >= max(si, sj):
-                        if apply_switch(instance, matching, i, j).cost != matching.cost:
-                            ok = False
-    assert count == 204
+def test_10_order_structure_of_optima(monkeypatch):
+    drawn = drawn_sizes_and_seeds(monkeypatch)
+    ok = verification.verify_order_properties(n_max=7, seeds=34) == 0
+    assert len(drawn) == 204
+    assert drawn == [(n, seed) for n in range(2, 8) for seed in range(34)]
     report("10 order structure of optima; switches preserve cost", ok)
     assert ok

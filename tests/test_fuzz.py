@@ -1,0 +1,96 @@
+"""Differential fuzz: every algorithm against ``monotone_optimal`` on the
+adversarial shapes (duplicates, n = 1, k = n, coordinates near 10^15,
+requests far outside the servers' span), plus the CLI's exit codes on the
+same instances and on malformed files."""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matchline.cli import main
+from matchline.experiment import run_algorithm
+from matchline.model import costs_equal, save_instance, validate_instance
+from matchline.offline import monotone_optimal
+from matchline.subroutines import SUBROUTINE_NAMES
+
+BIG = 10**15
+
+#: shape -> (server coordinates, request coordinates) for n positions each
+SHAPES = {
+    "duplicates": lambda n: (st.integers(0, max(1, n // 3)),) * 2,
+    "out-of-span": lambda n: (st.integers(0, 4 * n), st.integers(-50 * n, 50 * n)),
+    "big-int": lambda n: (st.integers(0, BIG),) * 2,
+    "big-float": lambda n: (st.floats(1e14, 1e15),) * 2,
+    "float": lambda n: (st.floats(0.0, 10.0),) * 2,
+}
+
+
+@st.composite
+def instances(draw):
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    n = draw(st.integers(1, 6))
+    server_coords, request_coords = SHAPES[shape](n)
+    servers = draw(st.lists(server_coords, min_size=n, max_size=n))
+    requests = draw(st.lists(request_coords, min_size=n, max_size=n))
+    if all(isinstance(x, int) for x in servers + requests):
+        # integer mode: servers start at 1, requests move with them
+        shift = 1 - min(servers)
+        servers = [s + shift for s in servers]
+        requests = [r + shift for r in requests]
+    return validate_instance(servers, requests)
+
+
+def configs(instance):
+    """(algo, k, subroutine, exact) for every run the instance admits."""
+    n = instance.n
+    runs = [("lr", None, "greedy", True), ("greedy", None, "greedy", False),
+            ("permutation", None, "greedy", False)]
+    algos = ("divide", "rescale") if instance.integer_mode else ("rescale",)
+    for algo in algos:
+        for k in sorted({1, min(2, n), n}):
+            runs += [(algo, k, sub, sub == "clairvoyant") for sub in SUBROUTINE_NAMES]
+    return runs
+
+
+@settings(max_examples=150)
+@given(instances())
+def test_every_algorithm_against_the_monotone_optimum(instance):
+    n = instance.n
+    opt = monotone_optimal(instance).cost
+    for algo, k, sub, exact in configs(instance):
+        cost = run_algorithm(instance, algo, k, sub)["cost"]
+        label = f"{algo} k={k} {sub}"
+        assert cost >= opt or costs_equal(cost, opt, n), label
+        if exact:
+            # RESCALE loses at most n * n^-3 to the rounding of the requests
+            target = opt + (n * n**-3 if algo == "rescale" else 0)
+            assert cost <= target or costs_equal(cost, target, n), label
+
+
+@settings(max_examples=30)
+@given(instances())
+def test_cli_run_exits_zero_on_every_saved_instance(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        save_instance(instance, path)
+        for algo, k, sub, _exact in configs(instance):
+            argv = ["run", "--algo", algo, "--sub", sub, "--input", str(path)]
+            if k is not None:
+                argv += ["--k", str(k)]
+            assert main(argv) == 0, argv
+
+
+def test_cli_run_exits_two_on_malformed_files(tmp_path, capsys):
+    contents = {
+        "truncated.json": '{"servers": [1, 2], "requests": [1',
+        "sizes.json": '{"servers": [1, 2], "requests": [1]}',
+        "nan.json": '{"servers": [1, NaN], "requests": [1, 2]}',
+        "list.json": "[1, 2]",
+    }
+    for name, text in contents.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["run", "--algo", "lr", "--input", str(path)]) == 2, name
+    assert capsys.readouterr().err.count("error: ") == len(contents)

@@ -270,3 +270,29 @@ def test_cli_internal_error_exits_two(tmp_path, monkeypatch, capsys, error):
     monkeypatch.setattr(experiment, "run_algorithm", broken)
     assert main(["run", "--algo", "lr", "--input", str(inst_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_run_lr_on_large_float_coordinates(tmp_path, capsys):
+    # the two offline optima agree only up to rounding at 1e15; an absolute
+    # tolerance read that as an oracle disagreement and exited 2
+    inst_path = tmp_path / "big.json"
+    save_instance(gen_uniform(6, (0.0, 1e15), 11), inst_path)
+    assert main(["run", "--algo", "lr", "--input", str(inst_path)]) == 0
+    assert "ratio=1" in capsys.readouterr().out
+
+
+def test_experiment_cross_check_on_large_float_coordinates():
+    config = ExperimentConfig.uniform(
+        "lr", 6, range(30), position_range=(0.0, 1e15), integer_mode=False
+    )
+    reports = run_experiment(config)
+    assert len(reports) == 30
+    assert all(r.oracle_bits_read <= 5 for r in reports)
+
+
+def test_public_names_resolve():
+    import matchline
+
+    assert len(set(matchline.__all__)) == len(matchline.__all__)
+    for name in matchline.__all__:
+        assert getattr(matchline, name) is not None

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matchline.model import (
-    FLOAT_TOL,
     Instance,
     InstanceError,
     Matching,
@@ -77,7 +76,7 @@ def test_total_cost_symmetric_instance():
 
 def test_total_cost_hand_sum():
     inst = validate_instance([1, 2, 3], [2.5, 2.75, 2.875])
-    assert total_cost(inst, [0, 1, 2]) == pytest.approx(2.375, abs=FLOAT_TOL)
+    assert costs_equal(total_cost(inst, [0, 1, 2]), 2.375, 3)
 
 
 def test_total_cost_rejects_non_bijection():
@@ -98,9 +97,18 @@ def test_make_matching_computes_cost():
 
 
 def test_costs_equal_modes():
-    assert costs_equal(3, 3, exact=True)
-    assert not costs_equal(3, 3 + 1e-12, exact=True)
-    assert costs_equal(3.0, 3.0 + 1e-12, exact=False)
+    # ints compare exactly, also beyond float precision
+    assert costs_equal(3, 3, 1)
+    assert not costs_equal(3, 4, 100)
+    assert not costs_equal(10**17, 10**17 + 1, 100)
+    # floats within 2 * terms * eps of the larger are equal, at any scale
+    assert costs_equal(3.0, 3, 1)
+    assert costs_equal(1e15, 1e15 + 0.125, 1)  # one ulp at 1e15
+    assert costs_equal(0.1 + 0.2, 0.3, 2)
+    # and unequal beyond that bound
+    assert not costs_equal(3.0, 3.0 + 1e-12, 3)
+    assert not costs_equal(1e15, 1e15 + 1.0, 1)
+    assert not costs_equal(0.0, 1e-300, 1)
 
 
 def test_save_load_round_trip(tmp_path):

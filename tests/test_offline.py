@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lr_partition import classify_lr
 from matchline.generators import gen_uniform
 from matchline.model import total_cost, validate_instance
 from matchline.offline import (
@@ -9,7 +10,6 @@ from matchline.offline import (
     all_optimal_assignments,
     apply_switch,
     brute_force_optimal,
-    classify_lr,
     enumerate_assignments,
     monotone_assignment,
     monotone_cost,
@@ -50,6 +50,18 @@ def test_brute_force_matches_literal_enumeration():
 def test_brute_force_prefers_lexicographic_ties():
     inst = validate_instance([0, 10], [5, 5])
     assert brute_force_optimal(inst).assignment == (0, 1)
+
+
+def test_brute_force_ties_split_by_rounding_resolve_lexicographically():
+    # both requests lie right of both servers, so both assignments cost the
+    # same in exact arithmetic; at 1e15 their float sums round 1/16 apart
+    inst = validate_instance(
+        [112957170176163.03, 130852166903432.48],
+        [597260890246121, 178045423525621.03],
+    )
+    assert total_cost(inst, [0, 1]) != total_cost(inst, [1, 0])
+    assert brute_force_optimal(inst).assignment == (0, 1)
+    assert all_optimal_assignments(inst) == [(0, 1), (1, 0)]
 
 
 def test_monotone_duplicate_requests():
