@@ -23,8 +23,11 @@ oracle-tape bits count as advice.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from .model import Instance, InstanceError, Matching, make_matching
 from .offline import monotone_optimal
@@ -47,20 +50,13 @@ class BlockPlan:
 
     def block_of(self, position) -> int:
         """0-based block index; block b is (p_{b-1}, p_b]."""
-        lo, hi = 0, len(self.boundaries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if position <= self.boundaries[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect.bisect_left(self.boundaries, position)
 
     def group_of(self, server_index: int) -> int:
-        for g, (start, stop) in enumerate(self.groups):
-            if start <= server_index < stop:
-                return g
-        raise DivideError(f"server index {server_index} outside all groups")
+        g = bisect.bisect_right(self.groups, server_index, key=itemgetter(0)) - 1
+        if g < 0 or server_index >= self.groups[g][1]:
+            raise DivideError(f"server index {server_index} outside all groups")
+        return g
 
 
 def plan_blocks(servers, k: int) -> BlockPlan:
@@ -169,21 +165,20 @@ def compute_advice(instance: Instance, plan: BlockPlan) -> DivideAdvice:
             m_right[b] += 1
             if q_right[b] is None or r < q_right[b]:
                 q_right[b] = r
+    left_share = [0] * k  # left crossers at the value q_left
     for r, b, g in zip(instance.requests, blocks, pair_groups):
         if g == b:
             if r == q_left[b]:
                 d_left[b] += 1
             if r == q_right[b]:
                 d_right[b] += 1
+        elif g < b and r == q_left[b]:
+            left_share[b] += 1
     for b in range(k):
         if q_left[b] is not None and q_left[b] == q_right[b]:
             # q collision: d_left would duplicate d_right, so it carries the
             # left share of the q-valued crossers instead
-            d_left[b] = sum(
-                1
-                for r, blk, g in zip(instance.requests, blocks, pair_groups)
-                if blk == b and g < b and r == q_left[b]
-            )
+            d_left[b] = left_share[b]
     return DivideAdvice(k, *map(tuple, columns))
 
 
@@ -208,7 +203,7 @@ class MarkSets:
     marked_right: frozenset
     marked_left: frozenset
 
-    @property
+    @cached_property
     def marked(self) -> frozenset:
         return self.marked_right | self.marked_left
 
@@ -219,33 +214,35 @@ def mark_servers(plan: BlockPlan, advice: DivideAdvice, n: int) -> MarkSets:
     Crossing-right requests of boundary b take the lowest-index unmarked
     servers right of it (ascending b); crossing-left take the highest-index
     unmarked servers left of it (descending b).
+
+    Boundaries are visited moving away from the side's first server, so the
+    servers marked so far on a side include every server from the current
+    boundary up to that side's cursor, and none beyond it: the next m marks
+    are the m servers past the boundary or the cursor, whichever is farther.
     """
+    groups, end = plan.groups, plan.groups[-1][1]
     marked_right: set[int] = set()
+    cursor = 0  # one past the highest server marked right
     for b in range(plan.k - 1):
         m = advice.m_right[b]
         if m == 0:
             continue
-        eligible = [
-            j
-            for j in range(plan.groups[b + 1][0], plan.groups[-1][1])
-            if j not in marked_right
-        ]
-        if len(eligible) < m:
+        start = max(cursor, groups[b + 1][0])
+        if end - start < m:
             raise DivideError("corrupt advice: not enough servers to mark right")
-        marked_right.update(eligible[:m])
+        cursor = start + m
+        marked_right.update(range(start, cursor))
     marked_left: set[int] = set()
+    cursor = end  # the lowest server marked left
     for b in range(plan.k - 1, 0, -1):
         m = advice.m_left[b]
         if m == 0:
             continue
-        eligible = [
-            j
-            for j in range(plan.groups[b][0] - 1, -1, -1)
-            if j not in marked_left
-        ]
-        if len(eligible) < m:
+        start = min(cursor, groups[b][0])
+        if start < m:
             raise DivideError("corrupt advice: not enough servers to mark left")
-        marked_left.update(eligible[:m])
+        cursor = start - m
+        marked_left.update(range(cursor, start))
     if marked_left & marked_right:
         raise DivideError("corrupt advice: a server marked from both sides")
     return MarkSets(frozenset(marked_right), frozenset(marked_left))
@@ -352,14 +349,14 @@ def _run_divide(
     verdicts = classify_requests(clamped, plan, decoded)
 
     # block subroutines over the unmarked servers of each group
+    marked = marks.marked
+    sealed_by_block = [[] for _ in range(k)]
+    for c, (verdict, b) in zip(clamped.requests, verdicts):
+        if verdict == _SERVE_BLOCK:
+            sealed_by_block[b].append(c)
     subs = []
-    for b, (start, stop) in enumerate(plan.groups):
-        ids = [j for j in range(start, stop) if j not in marks.marked]
-        sealed = [
-            c
-            for c, (verdict, blk) in zip(clamped.requests, verdicts)
-            if verdict == _SERVE_BLOCK and blk == b
-        ]
+    for b, ((start, stop), sealed) in enumerate(zip(plan.groups, sealed_by_block)):
+        ids = [j for j in range(start, stop) if j not in marked]
         if len(ids) != len(sealed):
             raise DivideError(
                 f"block {b}: {len(sealed)} unmarked requests vs {len(ids)} unmarked servers"
@@ -373,7 +370,7 @@ def _run_divide(
             )
         )
 
-    marked_ids = sorted(marks.marked)
+    marked_ids = sorted(marked)
     lr_state = LRState.for_servers(
         [instance.servers[j] for j in marked_ids], indices=marked_ids
     )
@@ -383,7 +380,6 @@ def _run_divide(
     assignment = [None] * n
     lr_cost = 0
     block_costs = [0] * k
-    allowed = [set(range(start, stop)) for start, stop in plan.groups]
     # zero-bits actually consumed by requests at a collision value; d_left
     # carries their left share there (see DivideAdvice). Marked requests at
     # the collision value may owe their direction to either side: marked
@@ -394,7 +390,8 @@ def _run_divide(
     for t, (r, c, (verdict, b)) in enumerate(zip(requests, clamped.requests, verdicts)):
         if verdict == _SERVE_BLOCK:
             j = subs[b].serve(c)
-            if j not in allowed[b] or j in marks.marked:
+            start, stop = plan.groups[b]
+            if not start <= j < stop or j in marked:
                 raise DivideError(f"subroutine left its block: server {j}")
             block_costs[b] += abs(r - instance.servers[j])
         else:
@@ -416,7 +413,7 @@ def _run_divide(
                 aux_bits_written -= 1
             elif collision_value and bit == 0:
                 zeros_read[b] += 1
-            if j not in marks.marked:
+            if j not in marked:
                 raise DivideError("LR used an unmarked server")
             lr_cost += abs(r - instance.servers[j])
         assignment[t] = j

@@ -59,6 +59,29 @@ class LRState:
         order = sorted(range(len(servers)), key=lambda i: (servers[i], indices[i]))
         return cls([servers[i] for i in order], [indices[i] for i in order])
 
+    # lr_serve inlines the next three for speed; the greedy subroutine
+    # calls them
+
+    def next_free(self, i: int) -> int:
+        """Least free slot >= i; len(positions) when there is none."""
+        right_of = self._right
+        while right_of[i] != i:  # path halving
+            right_of[i] = i = right_of[right_of[i]]
+        return i
+
+    def prev_free(self, i: int) -> int:
+        """Greatest free slot < i; -1 when there is none."""
+        left_of = self._left
+        while left_of[i] != i:
+            left_of[i] = i = left_of[left_of[i]]
+        return i - 1
+
+    def take(self, j: int) -> int:
+        """Match the server in slot j; returns its original index."""
+        self._right[j] = j + 1
+        self._left[j + 1] = j
+        return self.indices[j]
+
 
 def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
     """Match one request; returns the chosen server's original index."""

@@ -88,17 +88,31 @@ class Matching:
             raise InstanceError("assignment is not a permutation")
 
 
-def total_cost(instance: Instance, assignment: Sequence[int]) -> int | float:
-    """Sum of |r_i - s_{pi(i)}| over all requests."""
-    if sorted(assignment) != list(range(instance.n)):
-        raise InstanceError("assignment is not a bijection on the servers")
+def _cost(instance: Instance, assignment: Sequence[int]) -> int | float:
     return sum(
         abs(r - instance.servers[j]) for r, j in zip(instance.requests, assignment)
     )
 
 
+def total_cost(instance: Instance, assignment: Sequence[int]) -> int | float:
+    """Sum of |r_i - s_{pi(i)}| over all requests."""
+    if sorted(assignment) != list(range(instance.n)):
+        raise InstanceError("assignment is not a bijection on the servers")
+    return _cost(instance, assignment)
+
+
 def make_matching(instance: Instance, assignment: Sequence[int]) -> Matching:
-    return Matching(tuple(assignment), total_cost(instance, assignment))
+    """The matching and its cost. The permutation is checked once, by
+    ``Matching``; with the length checked here it is a bijection on the
+    servers."""
+    assignment = tuple(assignment)
+    if len(assignment) != instance.n:
+        raise InstanceError("assignment is not a bijection on the servers")
+    try:
+        cost = _cost(instance, assignment)
+    except (IndexError, TypeError) as exc:  # an index no server has
+        raise InstanceError("assignment is not a bijection on the servers") from exc
+    return Matching(assignment, cost)
 
 
 def costs_equal(a, b, terms: int) -> bool:

@@ -8,8 +8,10 @@ it exists to make DIVIDE_k's block decomposition exactly checkable.
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
+from .lr import LRState
 from .model import costs_equal
 from .offline import monotone_assignment
 
@@ -38,20 +40,38 @@ class _PoolSubroutine:
         raise NotImplementedError
 
 
-class Greedy(_PoolSubroutine):
-    """Nearest available server; ties toward smaller position, then id."""
+class Greedy:
+    """Nearest available server; ties toward smaller position, then id.
+
+    Runs on LR's server pool (``LRState``): one bisect splits the servers at
+    the request and the "next free" pointers give the nearest free server on
+    each side, O(log n) amortised per request.
+    """
+
+    def __init__(self, servers: Sequence, ids: Sequence[int] | None = None):
+        self.pool = LRState.for_servers(servers, ids)
 
     def serve(self, request) -> int:
-        best = None
-        for idx, ((pos, _sid), free) in enumerate(zip(self.pool, self.available)):
-            if not free:
-                continue
-            key = (abs(request - pos), pos)
-            if best is None or key < best[0]:
-                best = (key, idx)
-        if best is None:
+        pool = self.pool
+        positions, end = pool.positions, len(pool.positions)
+        i = bisect.bisect_left(positions, request)
+        j = pool.next_free(i)  # least position >= request, smallest id there
+        left = pool.prev_free(i)
+        if left >= 0:
+            # distances are compared as computed: where rounding makes a free
+            # position farther below no farther away, the smaller one wins
+            dist = abs(request - positions[left])
+            while True:
+                first = bisect.bisect_left(positions, positions[left], 0, left)
+                below = pool.prev_free(first)
+                if below < 0 or abs(request - positions[below]) > dist:
+                    break
+                left, dist = below, abs(request - positions[below])
+            if j == end or dist <= abs(request - positions[j]):
+                j = pool.next_free(first)  # smallest free id at that position
+        elif j == end:
             raise SubroutineError("no available server")
-        return self._claim(best[1])
+        return pool.take(j)
 
 
 class Permutation(_PoolSubroutine):

@@ -17,6 +17,10 @@ class TapeError(ValueError):
     pass
 
 
+# bit values 0/1 to the ASCII digits "0"/"1"
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def word_width(max_value: int) -> int:
     """Minimal fixed width encoding every value in 0..max_value."""
     if max_value < 0:
@@ -67,17 +71,19 @@ class AdviceTape:
         return b
 
     def read_word(self, width: int) -> int:
+        end = self.cursor + width
+        if end > len(self._bits):
+            raise TapeUnderflow("tape underflow: no unread bits left")
         value = 0
-        for _ in range(width):
-            value = value << 1 | self.read_bit()
+        for b in self._bits[self.cursor : end]:
+            value = value << 1 | b
+        self.cursor = end
         return value
 
     def dump(self) -> dict:
         """Hex form plus bit length, for debug reports."""
         n = len(self._bits)
-        value = 0
-        for b in self._bits:
-            value = value << 1 | b
+        value = int(bytes(self._bits).translate(_DIGITS) or b"0", 2)
         nibbles = max(1, (n + 3) // 4)
         return {"hex": format(value << (nibbles * 4 - n), f"0{nibbles}x"), "bit_length": n}
 

@@ -1,8 +1,11 @@
 import dataclasses
+import random
 
 import pytest
 
+import reference_divide
 from matchline.divide import (
+    DivideAdvice,
     DivideError,
     classify_requests,
     compute_advice,
@@ -16,7 +19,7 @@ from matchline.divide import (
 from matchline.generators import gen_uniform
 from matchline.model import InstanceError, validate_instance
 from matchline.offline import brute_force_optimal
-from matchline.tape import word_width
+from matchline.tape import AdviceTape, TapeUnderflow, word_width
 
 
 def advice_budget(n, N, k):
@@ -106,6 +109,14 @@ def test_advice_round_trip_random():
             assert decoded == advice
 
 
+def test_tape_one_bit_short_underflows():
+    plan = plan_blocks(WORKED.servers, 2)
+    tape = encode_divide_advice(compute_advice(WORKED, plan), WORKED.span_bound, WORKED.n)
+    short = AdviceTape(tape.bits[:-1])
+    with pytest.raises(TapeUnderflow):
+        decode_divide_advice(short, 2, WORKED.span_bound, WORKED.n)
+
+
 def test_writer_rejects_q_word_outside_the_span():
     plan = plan_blocks(WORKED.servers, 2)
     advice = compute_advice(WORKED, plan)
@@ -146,6 +157,31 @@ def test_marks_are_disjoint_and_counted():
             assert not (marks.marked_left & marks.marked_right)
             assert len(marks.marked_right) == sum(advice.m_right)
             assert len(marks.marked_left) == sum(advice.m_left)
+
+
+def test_mark_servers_matches_the_reference():
+    def outcome(mark, plan, m_left, m_right, n):
+        none, zeros = (None,) * plan.k, (0,) * plan.k
+        advice = DivideAdvice(plan.k, none, none, zeros, m_left, zeros, m_right)
+        try:
+            marks = mark(plan, advice, n)
+        except (DivideError, reference_divide.DivideError) as exc:
+            return str(exc)
+        return marks.marked_right, marks.marked_left
+
+    rng = random.Random(11)
+    raised = 0
+    for _ in range(4000):
+        n = rng.randint(1, 14)
+        plan = plan_blocks(sorted(rng.randint(1, 3 * n) for _ in range(n)), rng.randint(1, n))
+        m_left, m_right = (
+            tuple(rng.choice((0, 0, 1, rng.randint(0, n))) for _ in range(plan.k))
+            for _side in "LR"
+        )
+        new = outcome(mark_servers, plan, m_left, m_right, n)
+        assert new == outcome(reference_divide.mark_servers, plan, m_left, m_right, n)
+        raised += isinstance(new, str)
+    assert 1000 < raised < 3000  # both results and raises are covered
 
 
 def test_block_conservation():

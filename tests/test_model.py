@@ -90,6 +90,13 @@ def test_matching_rejects_non_permutation():
         Matching((0, 0), 1)
 
 
+def test_make_matching_rejects_non_bijection():
+    inst = validate_instance([1, 2, 3], [1, 2, 3])
+    for assignment in ([0, 1], [0, 1, 1], [0, 1, 3], [0, 1, -1], [0, 1, 2, 0]):
+        with pytest.raises(InstanceError):
+            make_matching(inst, assignment)
+
+
 def test_make_matching_computes_cost():
     inst = validate_instance([1, 2], [2, 1])
     m = make_matching(inst, [1, 0])
