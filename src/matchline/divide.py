@@ -23,14 +23,12 @@ oracle-tape bits count as advice.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 from .model import Instance, InstanceError, Matching, make_matching
-from .offline import monotone_optimal
 from .lr import LRState, lr_serve
 from .subroutines import make_subroutine
 from .tape import AdviceTape, AuxTape, word_width
@@ -50,13 +48,12 @@ class BlockPlan:
 
     def block_of(self, position) -> int:
         """0-based block index; block b is (p_{b-1}, p_b]."""
-        return bisect.bisect_left(self.boundaries, position)
+        return bisect_left(self.boundaries, position)
 
-    def group_of(self, server_index: int) -> int:
-        g = bisect.bisect_right(self.groups, server_index, key=itemgetter(0)) - 1
-        if g < 0 or server_index >= self.groups[g][1]:
-            raise DivideError(f"server index {server_index} outside all groups")
-        return g
+    def blocks_of(self, positions) -> list:
+        """``block_of`` of every position, in one pass."""
+        boundaries = self.boundaries
+        return [bisect_left(boundaries, p) for p in positions]
 
 
 def plan_blocks(servers, k: int) -> BlockPlan:
@@ -149,43 +146,48 @@ def advice_words(advice: DivideAdvice, span_bound: int, n: int):
 
 
 def compute_advice(instance: Instance, plan: BlockPlan) -> DivideAdvice:
-    """Derive q/d/m against the monotone reference optimum."""
+    """Derive q/d/m against the monotone reference optimum.
+
+    That optimum pairs the request of rank i (sorted by position, ties by
+    arrival) with server i, so the requests need only be sorted: block b's
+    requests are one run of ranks, found by bisecting its boundaries, and
+    group b's servers the ranks start..stop-1. Within the block's run, the
+    ranks below start cross left, those from stop on cross right, and each
+    q, d and m is an end of one of these runs or a count of equal values at
+    one, found by bisection. After the sort, no step visits single requests.
+    """
     k = plan.k
-    reference = monotone_optimal(instance)
+    ranked = sorted(instance.requests)
+    if len(ranked) != instance.n:
+        raise InstanceError(f"{instance.n} servers vs {len(ranked)} requests")
     columns = ([None] * k, [None] * k, [0] * k, [0] * k, [0] * k, [0] * k)
     q_left, q_right, d_left, m_left, d_right, m_right = columns
-    blocks = [plan.block_of(r) for r in instance.requests]
-    pair_groups = [plan.group_of(j) for j in reference.assignment]
-    for r, b, g in zip(instance.requests, blocks, pair_groups):
-        if g < b:
-            m_left[b] += 1
-            if q_left[b] is None or r > q_left[b]:
-                q_left[b] = r
-        elif g > b:
-            m_right[b] += 1
-            if q_right[b] is None or r < q_right[b]:
-                q_right[b] = r
-    left_share = [0] * k  # left crossers at the value q_left
-    for r, b, g in zip(instance.requests, blocks, pair_groups):
-        if g == b:
-            if r == q_left[b]:
-                d_left[b] += 1
-            if r == q_right[b]:
-                d_right[b] += 1
-        elif g < b and r == q_left[b]:
-            left_share[b] += 1
-    for b in range(k):
-        if q_left[b] is not None and q_left[b] == q_right[b]:
-            # q collision: d_left would duplicate d_right, so it carries the
-            # left share of the q-valued crossers instead
-            d_left[b] = left_share[b]
+    lo = 0
+    for b, (start, stop) in enumerate(plan.groups):
+        hi = bisect_right(ranked, plan.boundaries[b]) if b < k - 1 else len(ranked)
+        # ranks lo..left-1 cross left, left..right-1 stay, right..hi-1 cross right
+        left, right = min(max(start, lo), hi), min(max(stop, lo), hi)
+        if lo < left:
+            q = q_left[b] = ranked[left - 1]
+            m_left[b] = left - lo
+            d_left[b] = bisect_right(ranked, q, left, right) - left
+        if right < hi:
+            q = q_right[b] = ranked[right]
+            m_right[b] = hi - right
+            d_right[b] = right - bisect_left(ranked, q, left, right)
+            if q == q_left[b]:
+                # q collision: d_left would duplicate d_right, so it carries
+                # the left share of the q-valued crossers instead
+                d_left[b] = left - bisect_left(ranked, q, lo, left)
+        lo = hi
     return DivideAdvice(k, *map(tuple, columns))
 
 
 def encode_divide_advice(advice: DivideAdvice, span_bound: int, n: int) -> AdviceTape:
     tape = AdviceTape()
-    for _f, _b, value, width in advice_words(advice, span_bound, n):
-        tape.write_word(value, width)
+    tape.write_words(
+        (value, width) for _f, _b, value, width in advice_words(advice, span_bound, n)
+    )
     return tape
 
 
@@ -261,51 +263,55 @@ def classify_requests(instance: Instance, plan: BlockPlan, advice: DivideAdvice)
     one (verdict, block) per request in arrival order.
     """
     k = plan.k
-    # unmarked requests seen per block keyed by position; the d guards compare
-    # against the value of q, so when q_left == q_right one unmarked request
-    # counts toward both sides
-    seen_unmarked: list[dict] = [dict() for _ in range(k)]
-    budgets = (advice.m_left, advice.m_right)
-    spent = ([0] * k, [0] * k)  # marked so far per block, left and right
+    # block 0 has no left q word and block k-1 no right one
+    q_left = (None,) + advice.q_left[1:]
+    q_right = advice.q_right[:-1] + (None,)
+    d_left, d_right = advice.d_left, advice.d_right
+    # marking budgets left per block; they conserve the marked totals
+    budget_left, budget_right = list(advice.m_left), list(advice.m_right)
+    # unmarked requests seen per block at the value of q_left and of q_right,
+    # the values the d guards count; when q_left == q_right one unmarked
+    # request counts toward both sides. A request crossing neither side lies
+    # strictly between the two values, so it is not counted.
+    seen_left, seen_right = [0] * k, [0] * k
     eq_marked_left = [0] * k
+    serve_block, mark_left, mark_right = (
+        [(verdict, b) for b in range(k)]
+        for verdict in (_SERVE_BLOCK, _SERVE_MARK_LEFT, _SERVE_MARK_RIGHT)
+    )
     verdicts = []
-
-    def serve_unmarked(b, r):
-        seen_unmarked[b][r] = seen_unmarked[b].get(r, 0) + 1
-        verdicts.append((_SERVE_BLOCK, b))
-
-    def mark(b, right: bool):
-        # per-block budgets conserve the marked totals
-        if spent[right][b] >= budgets[right][b]:
-            raise DivideError(f"corrupt advice: block {b} marking budget spent")
-        spent[right][b] += 1
-        verdicts.append((_SERVE_MARK_RIGHT if right else _SERVE_MARK_LEFT, b))
-
-    for r in instance.requests:
-        b = plan.block_of(r)
-        in_left = b >= 1 and advice.q_left[b] is not None and r <= advice.q_left[b]
-        in_right = b <= k - 2 and advice.q_right[b] is not None and r >= advice.q_right[b]
-        eq_right = in_right and r == advice.q_right[b]
-        eq_left = in_left and r == advice.q_left[b]
-        seen = seen_unmarked[b].get(r, 0)
-        if not in_left and not in_right:
-            serve_unmarked(b, r)
-        elif eq_left and eq_right:
-            # q collision: d_right is the stay-inside count and d_left the
-            # left share of the crossers (see DivideAdvice)
-            if seen < advice.d_right[b]:
-                serve_unmarked(b, r)
+    append = verdicts.append
+    requests = instance.requests
+    for r, b in zip(requests, plan.blocks_of(requests)):
+        ql, qr = q_left[b], q_right[b]
+        in_left = ql is not None and r <= ql
+        in_right = qr is not None and r >= qr
+        if not (in_left or in_right):
+            append(serve_block[b])
+            continue
+        right = in_right  # the side a marked request crosses
+        eq_left, eq_right = r == ql, r == qr
+        if eq_left or eq_right:
+            if eq_right:
+                # at a q collision d_right is the stay-inside count and
+                # d_left the left share of the crossers (see DivideAdvice)
+                unmarked = seen_right[b] < d_right[b]
+                if not unmarked and eq_left:
+                    right = eq_marked_left[b] >= d_left[b]
+                    if not right:
+                        eq_marked_left[b] += 1
             else:
-                right = eq_marked_left[b] >= advice.d_left[b]
-                mark(b, right)
-                if not right:
-                    eq_marked_left[b] += 1
-        elif (eq_right and seen < advice.d_right[b]) or (
-            eq_left and seen < advice.d_left[b]
-        ):
-            serve_unmarked(b, r)
-        else:
-            mark(b, in_right)
+                unmarked = seen_left[b] < d_left[b]
+            if unmarked:
+                seen_left[b] += eq_left
+                seen_right[b] += eq_right
+                append(serve_block[b])
+                continue
+        budget = budget_right if right else budget_left
+        if budget[b] <= 0:
+            raise DivideError(f"corrupt advice: block {b} marking budget spent")
+        budget[b] -= 1
+        append((mark_right if right else mark_left)[b])
     return verdicts
 
 
@@ -320,8 +326,13 @@ class DivideResult:
     aux_bits_written: int
     lr_cost: int | float
     block_costs: list
+    tape: AdviceTape = field(repr=False, compare=False)  # the oracle tape
     verdicts: list = field(repr=False, default_factory=list)
-    tape_dump: dict | None = None
+
+    @cached_property
+    def tape_dump(self) -> dict:
+        """``tape.dump()`` of the oracle tape, made on first access."""
+        return self.tape.dump()
 
 
 def _run_divide(
@@ -330,18 +341,17 @@ def _run_divide(
     subroutine: str,
     span_bound: int,
 ) -> DivideResult:
-    n = instance.n
+    n, servers, requests = instance.n, instance.servers, instance.requests
     # clamp into [1, N-1] (see the module docstring); only the costs below
     # see the original positions
     top = span_bound - 1
-    requests = instance.requests
     clamped = instance
     if min(requests) < 1 or max(requests) > top:
         clamped = Instance(
-            instance.servers,
+            servers,
             tuple([1 if r < 1 else top if r > top else r for r in requests]),
         )
-    plan = plan_blocks(instance.servers, k)
+    plan = plan_blocks(servers, k)
     advice = compute_advice(clamped, plan)
     tape = encode_divide_advice(advice, span_bound, n)
     decoded = decode_divide_advice(tape, k, span_bound, n)
@@ -354,8 +364,9 @@ def _run_divide(
     for c, (verdict, b) in zip(clamped.requests, verdicts):
         if verdict == _SERVE_BLOCK:
             sealed_by_block[b].append(c)
+    groups = plan.groups
     subs = []
-    for b, ((start, stop), sealed) in enumerate(zip(plan.groups, sealed_by_block)):
+    for b, ((start, stop), sealed) in enumerate(zip(groups, sealed_by_block)):
         ids = [j for j in range(start, stop) if j not in marked]
         if len(ids) != len(sealed):
             raise DivideError(
@@ -364,19 +375,24 @@ def _run_divide(
         subs.append(
             make_subroutine(
                 subroutine,
-                [instance.servers[j] for j in ids],
+                [servers[j] for j in ids],
                 ids=ids,
                 sealed=sealed if subroutine == "clairvoyant" else None,
             )
         )
 
     marked_ids = sorted(marked)
-    lr_state = LRState.for_servers(
-        [instance.servers[j] for j in marked_ids], indices=marked_ids
-    )
+    lr_state = LRState.for_servers([servers[j] for j in marked_ids], indices=marked_ids)
     aux = AuxTape()
     aux_bits_written = 0
 
+    serves = [sub.serve for sub in subs]
+    # the q value that both sides of a block share, None without a collision
+    collisions = [
+        ql if ql is not None and ql == qr else None
+        for ql, qr in zip(decoded.q_left, decoded.q_right)
+    ]
+    d_left = decoded.d_left
     assignment = [None] * n
     lr_cost = 0
     block_costs = [0] * k
@@ -389,33 +405,29 @@ def _run_divide(
     zeros_read = [0] * k
     for t, (r, c, (verdict, b)) in enumerate(zip(requests, clamped.requests, verdicts)):
         if verdict == _SERVE_BLOCK:
-            j = subs[b].serve(c)
-            start, stop = plan.groups[b]
+            j = serves[b](c)
+            start, stop = groups[b]
             if not start <= j < stop or j in marked:
                 raise DivideError(f"subroutine left its block: server {j}")
-            block_costs[b] += abs(r - instance.servers[j])
+            block_costs[b] += abs(r - servers[j])
         else:
-            collision_value = (
-                decoded.q_left[b] is not None
-                and decoded.q_left[b] == decoded.q_right[b]
-                and c == decoded.q_left[b]
-            )
+            collision_value = c == collisions[b]
             if collision_value:
-                bit = 0 if zeros_read[b] < decoded.d_left[b] else 1
+                bit = 0 if zeros_read[b] < d_left[b] else 1
             else:
                 bit = 1 if verdict == _SERVE_MARK_RIGHT else 0
             aux.write_bit(bit)
             aux_bits_written += 1
-            before = aux.bits_read
+            before = aux.cursor
             j = lr_serve(lr_state, c, aux)
-            if aux.bits_read == before:
+            if aux.cursor == before:
                 aux.remove_last()
                 aux_bits_written -= 1
             elif collision_value and bit == 0:
                 zeros_read[b] += 1
             if j not in marked:
                 raise DivideError("LR used an unmarked server")
-            lr_cost += abs(r - instance.servers[j])
+            lr_cost += abs(r - servers[j])
         assignment[t] = j
     if aux.unread:
         raise DivideError("stray unread bits on the auxiliary tape")
@@ -431,7 +443,7 @@ def _run_divide(
         lr_cost=lr_cost,
         block_costs=block_costs,
         verdicts=verdicts,
-        tape_dump=tape.dump(),
+        tape=tape,
     )
 
 

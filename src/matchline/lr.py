@@ -55,9 +55,8 @@ class LRState:
 
     @classmethod
     def for_servers(cls, servers, indices=None) -> "LRState":
-        indices = list(range(len(servers))) if indices is None else list(indices)
-        order = sorted(range(len(servers)), key=lambda i: (servers[i], indices[i]))
-        return cls([servers[i] for i in order], [indices[i] for i in order])
+        pool = sorted(zip(servers, range(len(servers)) if indices is None else indices))
+        return cls([s for s, _ in pool], [i for _, i in pool])
 
     # lr_serve inlines the next three for speed; the greedy subroutine
     # calls them

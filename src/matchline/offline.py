@@ -93,7 +93,7 @@ def monotone_assignment(requests: Sequence) -> list[int]:
     arrival receives the smaller server index. Servers are the sorted server
     list of the instance, addressed by rank.
     """
-    order = sorted(range(len(requests)), key=lambda i: (requests[i], i))
+    order = sorted(range(len(requests)), key=requests.__getitem__)  # stable
     assignment = [0] * len(requests)
     for rank, i in enumerate(order):
         assignment[i] = rank

@@ -4,6 +4,10 @@ An :class:`AdviceTape` is written once by the oracle and read sequentially by
 the algorithm; ``bits_read`` is the advice complexity. The :class:`AuxTape`
 additionally supports removing the last written bit while it is still unread,
 which DIVIDE_k uses when its internal LR move turned out to be forced.
+
+A tape keeps its bits as the bytes 0 and 1 of one ``bytearray``, so writing
+and reading a word, checking a written sequence and dumping the tape each
+cost a few C-level calls, whatever the word's width.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ class TapeError(ValueError):
     pass
 
 
-# bit values 0/1 to the ASCII digits "0"/"1"
+# bit values 0/1 to the ASCII digits "0"/"1" and back
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def word_width(max_value: int) -> int:
@@ -30,14 +35,14 @@ def word_width(max_value: int) -> int:
 
 class AdviceTape:
     def __init__(self, bits=()):
-        self._bits: list[int] = [self._check_bit(b) for b in bits]
+        """A tape holding ``bits``, each the int 0 or 1 (or a bool)."""
+        try:  # iter() keeps an int n from standing for n zero bytes
+            self._bits = bytearray(iter(bits))
+        except (TypeError, ValueError) as exc:  # not an int in 0..255
+            raise TapeError("tape bits must be the ints 0 and 1") from exc
+        if self._bits.translate(None, b"\x00\x01"):
+            raise TapeError("tape bits must be the ints 0 and 1")
         self.cursor = 0
-
-    @staticmethod
-    def _check_bit(b) -> int:
-        if b not in (0, 1):
-            raise TapeError(f"not a bit: {b!r}")
-        return int(b)
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -55,13 +60,28 @@ class AdviceTape:
         return len(self._bits) - self.cursor
 
     def write_bit(self, bit) -> None:
-        self._bits.append(self._check_bit(bit))
+        if bit not in (0, 1):
+            raise TapeError(f"not a bit: {bit!r}")
+        try:
+            self._bits.append(bit)
+        except TypeError as exc:  # 1.0 equals 1 but is no int
+            raise TapeError(f"not a bit: {bit!r}") from exc
+
+    def write_words(self, words) -> None:
+        """Append each (value, width) word, most significant bit first.
+
+        Every word is checked before any bit is written.
+        """
+        digits = []
+        for value, width in words:
+            if value < 0 or value >> width:
+                raise TapeError(f"value {value} does not fit in {width} bits")
+            # the leading 1 zero-pads the word, and a width-0 word to ""
+            digits.append(bin(value | 1 << width)[3:])
+        self._bits += "".join(digits).encode().translate(_BITS)
 
     def write_word(self, value: int, width: int) -> None:
-        if value < 0 or value >= 1 << width:
-            raise TapeError(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self._bits.append(value >> shift & 1)
+        self.write_words(((value, width),))
 
     def read_bit(self) -> int:
         if self.cursor >= len(self._bits):
@@ -71,19 +91,19 @@ class AdviceTape:
         return b
 
     def read_word(self, width: int) -> int:
+        """The next ``width`` bits as an unsigned integer, most significant
+        first; a short tape raises and consumes nothing."""
         end = self.cursor + width
         if end > len(self._bits):
             raise TapeUnderflow("tape underflow: no unread bits left")
-        value = 0
-        for b in self._bits[self.cursor : end]:
-            value = value << 1 | b
+        value = int(self._bits[self.cursor : end].translate(_DIGITS) or b"0", 2)
         self.cursor = end
         return value
 
     def dump(self) -> dict:
         """Hex form plus bit length, for debug reports."""
         n = len(self._bits)
-        value = int(bytes(self._bits).translate(_DIGITS) or b"0", 2)
+        value = int(self._bits.translate(_DIGITS) or b"0", 2)
         nibbles = max(1, (n + 3) // 4)
         return {"hex": format(value << (nibbles * 4 - n), f"0{nibbles}x"), "bit_length": n}
 

@@ -138,6 +138,15 @@ def test_spent_marking_budget_raises():
         classify_requests(WORKED, plan, spent)
 
 
+def test_classification_ignores_outer_q_words():
+    # block 0 has no left boundary and block k-1 no right one, so q words
+    # there, which no tape carries, change nothing
+    plan = plan_blocks(WORKED.servers, 2)
+    advice = compute_advice(WORKED, plan)
+    outer = dataclasses.replace(advice, q_left=(1, 3), q_right=(None, 4))
+    assert classify_requests(WORKED, plan, outer) == classify_requests(WORKED, plan, advice)
+
+
 def test_k1_reads_nothing_and_uses_subroutine_only():
     inst = gen_uniform(5, (0, 15), 3, integer_mode=True, request_range="span")
     result = divide_run(inst, 1, "clairvoyant")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import reference_divide as ref
 from matchline import divide
+from matchline.generators import gen_uniform
 from matchline.model import validate_instance
 from matchline.offline import brute_force_optimal
 from matchline.subroutines import SUBROUTINE_NAMES
@@ -94,6 +95,16 @@ def test_in_span_runs_are_bit_identical():
 def test_in_span_runs_are_bit_identical_property(shape, n, k_share, sub, seed):
     k = 1 + round(k_share * (n - 1))
     assert_same(shape, make_instance(shape, n, random.Random(seed)), k, sub)
+
+
+def test_workload_scale_runs_are_bit_identical():
+    # the benchmark's shapes, inside the span: hundreds of blocks and 45-bit
+    # q words (RESCALE maps (0, 1000) onto about n^3 * 1000 integers)
+    for seed in (101, 102):
+        instance = gen_uniform(3000, (0, 30000), seed, integer_mode=True, request_range="span")
+        assert_same("in-span", instance, 4, "greedy")
+        instance = gen_uniform(3000, (0.0, 1000.0), seed, request_range="span")
+        assert_same("float", instance, 300, "clairvoyant")
 
 
 def test_out_of_span_clairvoyant_runs_are_exact():

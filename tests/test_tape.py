@@ -132,3 +132,61 @@ def test_aux_operation_sequences_preserve_read_prefix(ops):
         elif op == "remove" and aux.cursor < len(aux.bits):
             aux.remove_last()
         assert tuple(seen) == aux.bits[: len(seen)]
+
+
+def test_bits_are_stored_as_ints():
+    assert AdviceTape([True, False, 1]).bits == (1, 0, 1)
+    assert all(type(b) is int for b in AdviceTape([True, 0]).bits)
+    for bad in (["1x"], [1, -1], [1.0], 3):
+        with pytest.raises(TapeError):
+            AdviceTape(bad)
+    with pytest.raises(TapeError):
+        AdviceTape().write_bit(1.0)
+
+
+WORDS = st.lists(
+    st.integers(min_value=0, max_value=64).flatmap(
+        lambda w: st.tuples(st.integers(min_value=0, max_value=(1 << w) - 1), st.just(w))
+    ),
+    max_size=40,
+)
+
+
+@given(WORDS)
+def test_bulk_writer_matches_per_bit_expansion(words):
+    tape = AdviceTape()
+    tape.write_words(words)
+    assert tape.bits == tuple(
+        value >> shift & 1 for value, width in words for shift in range(width - 1, -1, -1)
+    )
+    assert [tape.read_word(width) for _, width in words] == [value for value, _ in words]
+    assert tape.unread == 0
+
+
+@given(WORDS, st.integers(min_value=0, max_value=64), st.data())
+def test_bulk_writer_rejects_overflow_and_writes_nothing(words, width, data):
+    value = data.draw(
+        st.one_of(st.integers(min_value=1 << width), st.integers(max_value=-1))
+    )
+    tape = AdviceTape()
+    tape.write_words(words)
+    before = tape.bits
+    with pytest.raises(TapeError):
+        tape.write_words(words + [(value, width)] + words)
+    with pytest.raises(TapeError):
+        tape.write_word(value, width)
+    assert tape.bits == before
+
+
+@given(WORDS, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=64))
+def test_short_read_raises_and_consumes_nothing(words, read, short):
+    tape = AdviceTape()
+    tape.write_words(words)
+    read = min(read, len(words))
+    for value, width in words[:read]:
+        assert tape.read_word(width) == value
+    cursor = tape.cursor
+    with pytest.raises(TapeUnderflow):
+        tape.read_word(tape.unread + short)
+    assert tape.cursor == cursor
+    assert [tape.read_word(width) for _, width in words[read:]] == [v for v, _ in words[read:]]
