@@ -30,7 +30,7 @@ from functools import cached_property
 
 from .model import Instance, InstanceError, Matching, make_matching
 from .lr import LRState, lr_serve
-from .subroutines import make_subroutine
+from .subroutines import SUBROUTINE_NAMES, SubroutineError, make_subroutine
 from .tape import AdviceTape, AuxTape, word_width
 
 
@@ -341,6 +341,8 @@ def _run_divide(
     subroutine: str,
     span_bound: int,
 ) -> DivideResult:
+    if subroutine not in SUBROUTINE_NAMES:
+        raise SubroutineError(f"unknown subroutine {subroutine!r}")
     n, servers, requests = instance.n, instance.servers, instance.requests
     # clamp into [1, N-1] (see the module docstring); only the costs below
     # see the original positions
@@ -358,35 +360,34 @@ def _run_divide(
     marks = mark_servers(plan, decoded, n)
     verdicts = classify_requests(clamped, plan, decoded)
 
-    # block subroutines over the unmarked servers of each group
+    # block subroutines over the unmarked servers of each group; a block that
+    # receives no request needs none
     marked = marks.marked
     sealed_by_block = [[] for _ in range(k)]
     for c, (verdict, b) in zip(clamped.requests, verdicts):
         if verdict == _SERVE_BLOCK:
             sealed_by_block[b].append(c)
     groups = plan.groups
-    subs = []
+    serves = [None] * k
     for b, ((start, stop), sealed) in enumerate(zip(groups, sealed_by_block)):
         ids = [j for j in range(start, stop) if j not in marked]
         if len(ids) != len(sealed):
             raise DivideError(
                 f"block {b}: {len(sealed)} unmarked requests vs {len(ids)} unmarked servers"
             )
-        subs.append(
-            make_subroutine(
+        if sealed:
+            serves[b] = make_subroutine(
                 subroutine,
                 [servers[j] for j in ids],
                 ids=ids,
                 sealed=sealed if subroutine == "clairvoyant" else None,
-            )
-        )
+            ).serve
 
     marked_ids = sorted(marked)
     lr_state = LRState.for_servers([servers[j] for j in marked_ids], indices=marked_ids)
     aux = AuxTape()
     aux_bits_written = 0
 
-    serves = [sub.serve for sub in subs]
     # the q value that both sides of a block share, None without a collision
     collisions = [
         ql if ql is not None and ql == qr else None

@@ -76,6 +76,11 @@ def validate_instance(servers: Sequence, requests: Sequence) -> Instance:
     return Instance(tuple(srv), tuple(req))
 
 
+def _is_permutation(assignment: Sequence, n: int) -> bool:
+    """Whether ``assignment`` lists each of 0..n-1 exactly once."""
+    return len(assignment) == n and set(assignment) == set(range(n))
+
+
 @dataclass(frozen=True)
 class Matching:
     """A permutation assigning request i to server assignment[i] (0-based)."""
@@ -84,7 +89,7 @@ class Matching:
     cost: int | float
 
     def __post_init__(self):
-        if sorted(self.assignment) != list(range(len(self.assignment))):
+        if not _is_permutation(self.assignment, len(self.assignment)):
             raise InstanceError("assignment is not a permutation")
 
 
@@ -96,7 +101,7 @@ def _cost(instance: Instance, assignment: Sequence[int]) -> int | float:
 
 def total_cost(instance: Instance, assignment: Sequence[int]) -> int | float:
     """Sum of |r_i - s_{pi(i)}| over all requests."""
-    if sorted(assignment) != list(range(instance.n)):
+    if not _is_permutation(assignment, instance.n):
         raise InstanceError("assignment is not a bijection on the servers")
     return _cost(instance, assignment)
 

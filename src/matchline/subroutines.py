@@ -22,24 +22,6 @@ class SubroutineError(RuntimeError):
     pass
 
 
-class _PoolSubroutine:
-    """Common bookkeeping: pool of (position, server id), availability."""
-
-    def __init__(self, servers: Sequence, ids: Sequence[int] | None = None):
-        ids = range(len(servers)) if ids is None else ids
-        self.pool = sorted(zip(servers, ids))
-        self.available = [True] * len(self.pool)
-
-    def _claim(self, pool_index: int) -> int:
-        if not self.available[pool_index]:
-            raise SubroutineError("server already used")
-        self.available[pool_index] = False
-        return self.pool[pool_index][1]
-
-    def serve(self, request) -> int:
-        raise NotImplementedError
-
-
 class Greedy:
     """Nearest available server; ties toward smaller position, then id.
 
@@ -74,63 +56,91 @@ class Greedy:
         return pool.take(j)
 
 
-class Permutation(_PoolSubroutine):
-    """Classical Permutation algorithm.
+class Permutation:
+    """Classical Permutation algorithm (Khuller, Mitchell and Vazirani 1994;
+    Kalyanasundaram and Pruhs 1993), (2m - 1)-competitive on m servers.
 
-    Maintains the offline optimum over the requests seen so far against the
-    full pool and serves each request with the one server the new optimum
-    uses beyond the previous one. Candidate servers are tried in pool order,
-    which realizes the lexicographic tie rule.
+    The servers U it has used form an optimal server set for the requests
+    seen so far. For a new request it serves a free server s for which
+    U + {s} is optimal for the extended history R. Such an s exists: given
+    an optimal server set for t - 1 requests, some optimal set for t
+    requests adds one server to it (the lemma behind Permutation). So the
+    minimum over the free servers of cost(R, U + {s}) is the running
+    optimum, and no separate optimum is computed. Ties go to the first pool
+    index (position, then id) whose cost is at or within ``costs_equal`` of
+    that minimum.
+
+    On the line an optimal matching of a fixed server set pairs the sorted
+    requests with the sorted positions. With g the number of used positions
+    strictly below s, that order pairs R[i] with U[i] for i < g, R[g] with
+    s, and R[i] with U[i - 1] for i > g, so
+
+        cost(R, U + {s}) = A[g] + |R[g] - s| + B[g],
+        A[g] = sum_{i<g} |R[i] - U[i]|,  B[g] = sum_{i>g} |R[i] - U[i-1]|.
+
+    One pass up and one down the sorted history give every A and B, and one
+    pass over the pool prices every free server: O(t + m) for the t-th
+    request on m servers, O(n^2) per run. Integer positions keep every sum
+    an exact int.
+
+    The chosen server is not always one of the two free servers nearest the
+    request: where float rounding ties the costs of farther servers, the
+    first pool index wins. So pricing only those two would change the ids
+    served, and the full scan stays.
     """
 
     def __init__(self, servers, ids=None):
-        super().__init__(servers, ids)
-        self.history: list = []
-        self.used: list[int] = []  # pool indices used by the running optimum
-
-    def _subset_cost(self, pool_indices, requests) -> float:
-        positions = sorted(self.pool[i][0] for i in pool_indices)
-        return sum(abs(r - s) for r, s in zip(sorted(requests), positions))
-
-    def _opt_cost(self, requests) -> int | float:
-        # min-cost order-preserving matching of the sorted requests into the
-        # sorted pool, server subset free (O(t * pool) DP)
-        reqs = sorted(requests)
-        t, p = len(reqs), len(self.pool)
-        inf = float("inf")
-        row = [0] * (p + 1)  # zero requests; int, so integer sums stay exact
-        for i in range(t - 1, -1, -1):
-            new = [inf] * (p + 1)
-            for j in range(p - 1, -1, -1):
-                take = abs(reqs[i] - self.pool[j][0]) + row[j + 1]
-                skip = new[j + 1]
-                new[j] = take if take < skip else skip
-            row = new
-        return row[0]
+        ids = range(len(servers)) if ids is None else ids
+        self.pool = sorted(zip(servers, ids))
+        self.free = [True] * len(self.pool)
+        self.history: list = []  # the requests seen so far, sorted
+        self.used: list = []  # positions of the servers served so far, sorted
 
     def serve(self, request) -> int:
-        self.history.append(request)
-        opt = self._opt_cost(self.history)
-        t = len(self.history)
-        for idx in range(len(self.pool)):
-            if idx in self.used:
-                continue
-            c = self._subset_cost(self.used + [idx], self.history)
-            if c <= opt or costs_equal(c, opt, t):
-                self.used.append(idx)
-                return self._claim(idx)
-        raise SubroutineError("no server extends the running optimum")
+        history, used = self.history, self.used
+        bisect.insort(history, request)
+        t = len(history)
+        below = [0] * t  # A[g]
+        acc = 0
+        for g in range(1, t):
+            acc += abs(history[g - 1] - used[g - 1])
+            below[g] = acc
+        above = [0] * t  # B[g]
+        acc = 0
+        for g in range(t - 2, -1, -1):
+            acc += abs(history[g + 1] - used[g])
+            above[g] = acc
+        candidates, costs = [], []
+        g = 0
+        for idx, ((s, _sid), free) in enumerate(zip(self.pool, self.free)):
+            if free:
+                while g < t - 1 and used[g] < s:
+                    g += 1
+                candidates.append(idx)
+                costs.append(below[g] + abs(history[g] - s) + above[g])
+        if not costs:
+            raise SubroutineError("no available server")
+        best = min(costs)
+        for idx, c in zip(candidates, costs):
+            if c <= best or costs_equal(c, best, t):
+                break
+        self.free[idx] = False
+        s, sid = self.pool[idx]
+        bisect.insort(used, s)
+        return sid
 
 
-class Clairvoyant(_PoolSubroutine):
+class Clairvoyant:
     """Replays monotone_optimal on the sealed request sequence (test-only)."""
 
     def __init__(self, servers, ids=None, sealed: Sequence = ()):
-        super().__init__(servers, ids)
+        ids = range(len(servers)) if ids is None else ids
+        self.ids = [sid for _pos, sid in sorted(zip(servers, ids))]
         self.sealed = list(sealed)
-        if len(self.sealed) > len(self.pool):
+        if len(self.sealed) > len(self.ids):
             raise SubroutineError("sealed sequence longer than the pool")
-        self.plan = monotone_assignment(self.sealed)  # request t -> pool rank
+        # request t -> pool rank; a permutation, so no rank is served twice
+        self.plan = monotone_assignment(self.sealed)
         self.step = 0
 
     def serve(self, request) -> int:
@@ -142,7 +152,7 @@ class Clairvoyant(_PoolSubroutine):
             )
         rank = self.plan[self.step]
         self.step += 1
-        return self._claim(rank)
+        return self.ids[rank]
 
 
 def make_subroutine(name: str, servers, ids=None, sealed=None):

@@ -19,6 +19,7 @@ from matchline.divide import (
 from matchline.generators import gen_uniform
 from matchline.model import InstanceError, validate_instance
 from matchline.offline import brute_force_optimal
+from matchline.subroutines import SubroutineError
 from matchline.tape import AdviceTape, TapeUnderflow, word_width
 
 
@@ -51,6 +52,16 @@ def test_k_out_of_range_rejected():
         plan_blocks([1, 2, 3], 0)
     with pytest.raises(DivideError):
         plan_blocks([1, 2, 3], 4)
+
+
+def test_unknown_subroutine_rejected_before_any_work():
+    # with k = n, blocks 0..2 receive no request and build no subroutine;
+    # the name is checked once, up front, even before k
+    inst = validate_instance([1, 2, 3, 4], [4, 4, 4, 4])
+    for run in (divide_run, rescale_run):
+        for k in (4, 0):
+            with pytest.raises(SubroutineError):
+                run(inst, k, "oracle")
 
 
 def test_non_integer_instance_rejected():

@@ -1,5 +1,7 @@
-"""Differential test: the greedy subroutine on LR's server pool against the
-full-scan version it replaced (``reference_subroutines``)."""
+"""Differential tests: the greedy subroutine on LR's server pool and the
+per-gap ``Permutation`` against the versions they replaced
+(``reference_subroutines``), plus the two-candidate property of
+``Permutation``."""
 
 import random
 
@@ -7,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_subroutines as ref
-from matchline.subroutines import Greedy
+from matchline.generators import gen_uniform
+from matchline.model import costs_equal
+from matchline.subroutines import Greedy, Permutation
 
 # "rounding": servers near 0, requests near 10**16, where a float distance
 # rounds many positions below the request to the same value
@@ -29,12 +33,16 @@ def make_case(shape: str, n: int, rng: random.Random):
     return servers, [rng.randint(min(servers), max(servers)) for _ in range(n)]
 
 
-def assert_same(servers, requests, rng: random.Random):
+def assert_same(servers, requests, rng: random.Random, new_cls=Greedy, old_cls=ref.Greedy):
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
-        new, old = Greedy(servers, ids), ref.Greedy(servers, ids)
+        new, old = new_cls(servers, ids), old_cls(servers, ids)
         for r in requests:
             assert new.serve(r) == old.serve(r)
+
+
+def assert_same_permutation(servers, requests, rng: random.Random):
+    assert_same(servers, requests, rng, Permutation, ref.Permutation)
 
 
 def test_same_servers_on_every_shape():
@@ -53,3 +61,76 @@ def test_same_servers_on_every_shape():
 def test_same_servers_property(shape, n, seed):
     rng = random.Random(seed)
     assert_same(*make_case(shape, n, rng), rng)
+
+
+def test_permutation_same_servers_on_every_shape():
+    rng = random.Random(2027)
+    for n in range(1, 26):
+        for shape in SHAPES:
+            for _ in range(6):
+                assert_same_permutation(*make_case(shape, n, rng), rng)
+
+
+@given(
+    st.sampled_from(SHAPES),
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_permutation_same_servers_property(shape, n, seed):
+    rng = random.Random(seed)
+    assert_same_permutation(*make_case(shape, n, rng), rng)
+
+
+def test_permutation_same_servers_beyond_float_precision():
+    # the shapes of test_permutation_exact_on_integers_beyond_float_precision:
+    # integers up to 10**15 lifted by RESCALE's n^3 scaling, and up to 10**17
+    rng = random.Random(2028)
+    for n in range(1, 11):
+        for seed in range(6):
+            inst = gen_uniform(n, (0, 10**15), seed, integer_mode=True)
+            s1 = inst.servers[0]
+            scaled = [n**3 * (p - s1) + 1 for p in inst.servers]
+            requests = [n**3 * (r - s1) + 1 for r in inst.requests]
+            assert_same_permutation(scaled, requests, rng)
+            inst = gen_uniform(n, (0, 10**17), seed, integer_mode=True)
+            assert_same_permutation(inst.servers, inst.requests, rng)
+
+
+def test_permutation_same_servers_at_n_120():
+    rng = random.Random(2029)
+    assert_same_permutation(*make_case("out-of-span", 120, rng), rng)
+
+
+def _subset_cost(history, positions):
+    return sum(abs(r - s) for r, s in zip(sorted(history), sorted(positions)))
+
+
+@given(
+    st.sampled_from(SHAPES),
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_permutation_serves_a_nearest_free_server(shape, n, seed):
+    # the chosen server is the nearest free one at or below the request or
+    # the nearest at or above it; on "rounding", float rounding ties farther
+    # servers' costs and the first pool index wins, so there the chosen cost
+    # only ties one of the two
+    servers, requests = make_case(shape, n, random.Random(seed))
+    sub = Permutation(servers)
+    free, used, history = list(servers), [], []
+    for r in requests:
+        history.append(r)
+        nearest = [max((p for p in free if p <= r), default=None),
+                   min((p for p in free if p >= r), default=None)]
+        nearest = [p for p in nearest if p is not None]
+        s = servers[sub.serve(r)]
+        if shape == "rounding":
+            c = _subset_cost(history, used + [s])
+            assert any(
+                costs_equal(c, _subset_cost(history, used + [p]), len(history))
+                for p in nearest
+            )
+        else:
+            assert s in nearest
+        free.remove(s)
+        used.append(s)
