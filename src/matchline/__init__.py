@@ -10,7 +10,7 @@ from .model import (
 )
 from .offline import brute_force_optimal, monotone_optimal
 from .lr import LRResult, lr_oracle, lr_run
-from .divide import DivideResult, RescaleResult, divide_run, rescale_run
+from .divide import DivideResult, divide_run, rescale_run
 from .subroutines import make_subroutine
 from .generators import gen_family, gen_uniform
 from .experiment import (
@@ -28,7 +28,6 @@ __all__ = [
     "InstanceError",
     "LRResult",
     "Matching",
-    "RescaleResult",
     "RunReport",
     "brute_force_optimal",
     "divide_run",

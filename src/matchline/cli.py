@@ -117,8 +117,8 @@ def _cmd_run(args) -> int:
         f"{r.algo}: cost={r.cost} opt={r.opt_cost} ratio={r.ratio:.6g} "
         f"advice_bits={r.oracle_bits_read} aux_bits={r.aux_bits}"
     )
-    if args.verbose_tape and args.algo in ("divide", "rescale"):
-        divide = outcome.get("divide") or outcome["rescale"].scaled
+    if args.verbose_tape and "divide" in outcome:
+        divide = outcome["divide"]
         print(f"advice tape: {divide.tape_dump}")
         for f, b, value, width in advice_words(divide.advice, divide.span_bound, instance.n):
             print(f"  {WORD_LABELS[f].format(b + 1):10s} width={width:2d} value={value}")

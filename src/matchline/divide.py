@@ -8,7 +8,9 @@ block go to the plug-in subroutine A; crossing requests are marked and served
 by LR over the marked servers, fed direction bits through a self-written
 auxiliary tape.
 
-Every request is first clamped into [1, N-1]: the servers' span [s_1, s_n]
+A run plans on one set of coordinates and prices on the caller's: divide_run
+plans on the instance itself, RESCALE on its n^3-scaled integer image. Every
+planning request is first clamped into [1, N-1]: the servers' span [s_1, s_n]
 for divide_run, [1, ceil(s'_n)] for RESCALE. A request r < s_1 costs
 (s_1 - r) + (s_j - s_1) against every server s_j, so moving it to s_1 adds
 the same constant to every matching (likewise above s_n) and keeps every
@@ -145,8 +147,8 @@ def advice_words(advice: DivideAdvice, span_bound: int, n: int):
         yield f, b, value, width
 
 
-def compute_advice(instance: Instance, plan: BlockPlan) -> DivideAdvice:
-    """Derive q/d/m against the monotone reference optimum.
+def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
+    """Derive q/d/m of ``requests`` against the monotone reference optimum.
 
     That optimum pairs the request of rank i (sorted by position, ties by
     arrival) with server i, so the requests need only be sorted: block b's
@@ -157,9 +159,10 @@ def compute_advice(instance: Instance, plan: BlockPlan) -> DivideAdvice:
     one, found by bisection. After the sort, no step visits single requests.
     """
     k = plan.k
-    ranked = sorted(instance.requests)
-    if len(ranked) != instance.n:
-        raise InstanceError(f"{instance.n} servers vs {len(ranked)} requests")
+    ranked = sorted(requests)
+    n = plan.groups[-1][1]
+    if len(ranked) != n:
+        raise InstanceError(f"{n} servers vs {len(ranked)} requests")
     columns = ([None] * k, [None] * k, [0] * k, [0] * k, [0] * k, [0] * k)
     q_left, q_right, d_left, m_left, d_right, m_right = columns
     lo = 0
@@ -255,7 +258,7 @@ _SERVE_MARK_RIGHT = "mark_right"
 _SERVE_MARK_LEFT = "mark_left"
 
 
-def classify_requests(instance: Instance, plan: BlockPlan, advice: DivideAdvice):
+def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     """Replay the serving case analysis without any subroutine.
 
     The case guards depend only on positions and running counters, so the
@@ -281,7 +284,6 @@ def classify_requests(instance: Instance, plan: BlockPlan, advice: DivideAdvice)
     )
     verdicts = []
     append = verdicts.append
-    requests = instance.requests
     for r, b in zip(requests, plan.blocks_of(requests)):
         ql, qr = q_left[b], q_right[b]
         in_left = ql is not None and r <= ql
@@ -317,6 +319,11 @@ def classify_requests(instance: Instance, plan: BlockPlan, advice: DivideAdvice)
 
 @dataclass
 class DivideResult:
+    """A DIVIDE_k run. ``matching``, ``lr_cost`` and ``block_costs`` are in the
+    caller's coordinates; ``plan``, ``advice``, ``span_bound``, the tape and
+    the verdicts are in the planning coordinates (RESCALE's scaled ones);
+    ``marks`` are server indices, the same in both."""
+
     matching: Matching
     plan: BlockPlan
     advice: DivideAdvice
@@ -340,31 +347,30 @@ def _run_divide(
     k: int,
     subroutine: str,
     span_bound: int,
+    servers,
+    requests,
 ) -> DivideResult:
+    """Plan, mark and serve on the planning coordinates ``servers`` and
+    ``requests``; price every request on ``instance``."""
     if subroutine not in SUBROUTINE_NAMES:
         raise SubroutineError(f"unknown subroutine {subroutine!r}")
-    n, servers, requests = instance.n, instance.servers, instance.requests
-    # clamp into [1, N-1] (see the module docstring); only the costs below
-    # see the original positions
+    n = instance.n
+    # clamp into [1, N-1] (see the module docstring)
     top = span_bound - 1
-    clamped = instance
     if min(requests) < 1 or max(requests) > top:
-        clamped = Instance(
-            servers,
-            tuple([1 if r < 1 else top if r > top else r for r in requests]),
-        )
+        requests = [1 if r < 1 else top if r > top else r for r in requests]
     plan = plan_blocks(servers, k)
-    advice = compute_advice(clamped, plan)
+    advice = compute_advice(requests, plan)
     tape = encode_divide_advice(advice, span_bound, n)
     decoded = decode_divide_advice(tape, k, span_bound, n)
     marks = mark_servers(plan, decoded, n)
-    verdicts = classify_requests(clamped, plan, decoded)
+    verdicts = classify_requests(requests, plan, decoded)
 
     # block subroutines over the unmarked servers of each group; a block that
     # receives no request needs none
     marked = marks.marked
     sealed_by_block = [[] for _ in range(k)]
-    for c, (verdict, b) in zip(clamped.requests, verdicts):
+    for c, (verdict, b) in zip(requests, verdicts):
         if verdict == _SERVE_BLOCK:
             sealed_by_block[b].append(c)
     groups = plan.groups
@@ -404,13 +410,15 @@ def _run_divide(
     # rule, and the rest must split by the left share, not by which marking
     # budget admitted them.
     zeros_read = [0] * k
-    for t, (r, c, (verdict, b)) in enumerate(zip(requests, clamped.requests, verdicts)):
+    # r is the caller's request, priced against its servers; c is r planned
+    priced = instance.servers
+    for t, (r, c, (verdict, b)) in enumerate(zip(instance.requests, requests, verdicts)):
         if verdict == _SERVE_BLOCK:
             j = serves[b](c)
             start, stop = groups[b]
             if not start <= j < stop or j in marked:
                 raise DivideError(f"subroutine left its block: server {j}")
-            block_costs[b] += abs(r - servers[j])
+            block_costs[b] += abs(r - priced[j])
         else:
             collision_value = c == collisions[b]
             if collision_value:
@@ -428,7 +436,7 @@ def _run_divide(
                 zeros_read[b] += 1
             if j not in marked:
                 raise DivideError("LR used an unmarked server")
-            lr_cost += abs(r - servers[j])
+            lr_cost += abs(r - priced[j])
         assignment[t] = j
     if aux.unread:
         raise DivideError("stray unread bits on the auxiliary tape")
@@ -449,47 +457,31 @@ def _run_divide(
 
 
 def divide_run(instance: Instance, k: int, subroutine: str = "greedy") -> DivideResult:
-    """Full DIVIDE_k run on an integer-mode instance."""
+    """Full DIVIDE_k run on an integer-mode instance, planned on its own
+    coordinates."""
     if not instance.integer_mode:
         raise InstanceError("DIVIDE_k requires an integer-mode instance (s_1 = 1)")
-    return _run_divide(instance, k, subroutine, instance.span_bound)
+    return _run_divide(
+        instance, k, subroutine, instance.span_bound, instance.servers, instance.requests
+    )
 
 
-@dataclass
-class RescaleResult:
-    matching: Matching  # original coordinates
-    scaled: DivideResult
-    scaled_cost: int | float
-    cost: int | float
+def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> DivideResult:
+    """DIVIDE_k on arbitrary real input, planned on the n^3 integer rescaling.
 
-
-def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> RescaleResult:
-    """DIVIDE_k on arbitrary real input via the n^3 integer rescaling.
-
-    Servers scale to s' = n^3 (s - s_1) + 1 (kept exact, possibly
-    non-integral); requests round down to integers. N = ceil(s'_n + 1), so
+    The planning servers are s' = n^3 (s - s_1) + 1 (kept exact, possibly
+    non-integral; integral floats become ints, so sums past 2^53 stay exact)
+    and the planning requests floor(n^3 (r - s_1)) + 1. N = ceil(s'_n + 1), so
     s'_n = N - 1 when s'_n is integral and s'_n lies in (N - 2, N - 1)
     otherwise; requests are then clamped into [1, ceil(s'_n)] = [1, N - 1].
+    The result's plan, advice, span_bound, tape and verdicts are in these
+    scaled coordinates; its matching, lr_cost and block_costs are priced on
+    the caller's instance.
     """
-    n = instance.n
-    scale = n**3
+    scale = instance.n**3
     s1 = instance.servers[0]
     servers = [scale * (s - s1) + 1 for s in instance.servers]
+    span_bound = math.ceil(servers[-1] + 1)
+    servers = [int(s) if isinstance(s, float) and s.is_integer() else s for s in servers]
     requests = [math.floor(scale * (r - s1)) + 1 for r in instance.requests]
-    span_bound = servers[-1] + 1
-    if isinstance(span_bound, float) and span_bound.is_integer():
-        span_bound = int(span_bound)
-    scaled_instance = Instance(
-        tuple(int(s) if isinstance(s, float) and s.is_integer() else s for s in servers),
-        tuple(requests),
-    )
-    result = _run_divide(
-        scaled_instance, k, subroutine, math.ceil(span_bound)
-    )
-    matching = make_matching(instance, result.matching.assignment)
-    return RescaleResult(
-        matching=matching,
-        scaled=result,
-        scaled_cost=result.matching.cost,
-        cost=matching.cost,
-    )
+    return _run_divide(instance, k, subroutine, span_bound, servers, requests)

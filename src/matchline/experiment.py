@@ -5,27 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .divide import divide_run, rescale_run
 from .generators import gen_family, gen_uniform
 from .lr import lr_oracle, lr_run
-from .model import Instance, costs_equal
+from .model import Instance, costs_equal, make_matching
 from .offline import brute_force_optimal, monotone_optimal
 from .subroutines import make_subroutine
-
-REPORT_COLUMNS = (
-    "instance_id",
-    "algo",
-    "k",
-    "cost",
-    "opt_cost",
-    "ratio",
-    "oracle_bits_read",
-    "aux_bits",
-    "seed",
-    "wall_time_ms",
-)
 
 ALGORITHMS = ("lr", "divide", "rescale", "greedy", "permutation")
 
@@ -46,6 +33,9 @@ class RunReport:
     aux_bits: int
     seed: int | None
     wall_time_ms: float
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
 
 
 def _ratio(cost, opt_cost) -> float:
@@ -69,8 +59,9 @@ def run_algorithm(
             "oracle_bits_read": result.bits_read,
             "aux_bits": 0,
         }
-    if algo == "divide":
-        result = divide_run(instance, k if k is not None else 1, subroutine)
+    if algo in ("divide", "rescale"):
+        run = divide_run if algo == "divide" else rescale_run
+        result = run(instance, k if k is not None else 1, subroutine)
         return {
             "matching": result.matching,
             "cost": result.matching.cost,
@@ -78,20 +69,9 @@ def run_algorithm(
             "aux_bits": result.aux_bits_written,
             "divide": result,
         }
-    if algo == "rescale":
-        result = rescale_run(instance, k if k is not None else 1, subroutine)
-        return {
-            "matching": result.matching,
-            "cost": result.cost,
-            "oracle_bits_read": result.scaled.oracle_bits_read,
-            "aux_bits": result.scaled.aux_bits_written,
-            "rescale": result,
-        }
     if algo in ("greedy", "permutation"):
         sub = make_subroutine(algo, instance.servers)
         assignment = [sub.serve(r) for r in instance.requests]
-        from .model import make_matching
-
         matching = make_matching(instance, assignment)
         return {
             "matching": matching,

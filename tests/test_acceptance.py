@@ -161,7 +161,7 @@ def test_08_rescale_consistency():
             for request_range in ("span", (-10.0, 20.0)):
                 instance = gen_uniform(n, (0.0, 10.0), seed, request_range=request_range)
                 for k in (1, 2, n):
-                    cost = rescale_run(instance, k, "clairvoyant").cost
+                    cost = rescale_run(instance, k, "clairvoyant").matching.cost
                     bound = brute_cost(instance) + slack
                     if cost > bound and not costs_equal(cost, bound, n):
                         ok = False
@@ -172,7 +172,7 @@ def test_08_rescale_consistency():
             )
             for k in (1, 3, 6):
                 if (
-                    rescale_run(instance, k, "clairvoyant").cost
+                    rescale_run(instance, k, "clairvoyant").matching.cost
                     != divide_run(instance, k, "clairvoyant").matching.cost
                 ):
                     ok = False

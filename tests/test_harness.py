@@ -84,6 +84,19 @@ def test_emit_csv_schema(tmp_path):
     out = tmp_path / "r.csv"
     emit_report(reports, out, "csv")
     rows = list(csv.reader(out.open()))
+    # the column order is part of the report format
+    assert rows[0] == [
+        "instance_id",
+        "algo",
+        "k",
+        "cost",
+        "opt_cost",
+        "ratio",
+        "oracle_bits_read",
+        "aux_bits",
+        "seed",
+        "wall_time_ms",
+    ]
     assert rows[0] == list(REPORT_COLUMNS)
     assert len(rows) == 2
 
@@ -189,6 +202,36 @@ def test_cli_verbose_tape_runs_the_algorithm_once(tmp_path, capsys, monkeypatch)
         ("q[2,L]", "value=3"),
         ("q[1,R]", "value=5"),
         ("d[2,L]", "value=1"),
+        ("m[2,L]", "value=1"),
+    ]
+
+
+def test_cli_rescale_verbose_tape_lists_scaled_words(tmp_path, capsys, monkeypatch):
+    from matchline import experiment
+
+    calls = []
+    rescale_run = experiment.rescale_run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rescale_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "rescale_run", counted)
+    inst_path = tmp_path / "i.json"
+    save_instance(validate_instance([0.5, 2.5], [2.0, 2.25]), inst_path)
+    code = main(
+        ["run", "--algo", "rescale", "--k", "2", "--input", str(inst_path), "--verbose-tape"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(calls) == 1
+    assert lines[0].startswith("rescale: cost=1.75 opt=1.75")
+    # words in the n^3-scaled coordinates: the request at 2.0 plans at
+    # 8 * 1.5 + 1 = 13 and crosses left; the absent q[1,R] is N = 18
+    assert [(line.split()[0], line.split()[-1]) for line in lines[2:]] == [
+        ("q[2,L]", "value=13"),
+        ("q[1,R]", "value=18"),
+        ("d[2,L]", "value=0"),
         ("m[2,L]", "value=1"),
     ]
 

@@ -130,7 +130,7 @@ def test_permutation_exact_on_integers_beyond_float_precision():
     from matchline.generators import gen_uniform
 
     inst = gen_uniform(3, (0, 10**15), 0, integer_mode=True)
-    assert rescale_run(inst, 1, "permutation").cost >= monotone_optimal(inst).cost
+    assert rescale_run(inst, 1, "permutation").matching.cost >= monotone_optimal(inst).cost
     inst = gen_uniform(3, (0, 10**17), 0, integer_mode=True)
     assert run_algorithm(inst, "permutation")["cost"] >= monotone_optimal(inst).cost
 
