@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
     if args.verbose_tape and "divide" in outcome:
         divide = outcome["divide"]
         print(f"advice tape: {divide.tape_dump}")
-        for f, b, value, width in advice_words(divide.advice, divide.span_bound, instance.n):
+        for f, b, value, width in advice_words(divide.advice, divide.plan):
             print(f"  {WORD_LABELS[f].format(b + 1):10s} width={width:2d} value={value}")
     if args.report:
         emit_report([r], args.report, args.format)
@@ -153,6 +153,8 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and (args.n < 2 or args.seeds < 1):
+        parser.error("verify needs --n >= 2 and --seeds >= 1: a smaller grid checks nothing")
     handlers = {
         "gen": _cmd_gen,
         "run": _cmd_run,

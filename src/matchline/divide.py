@@ -1,12 +1,13 @@
 """DIVIDE_k: block partition, advice tape layout, marking, serving, RESCALE.
 
-The oracle splits the sorted servers into k contiguous groups, publishes per
-boundary the extremal positions of requests whose optimal pair lies across it
-(words q), plus two counts per boundary (d: requests equal to q that stay
-inside; m: requests matched across). Requests whose pair is inside their own
-block go to the plug-in subroutine A; crossing requests are marked and served
-by LR over the marked servers, fed direction bits through a self-written
-auxiliary tape.
+One ``BlockPlan`` holds a run's k groups of the n sorted servers, the
+integer boundaries between them and N; every later step reads them there.
+The oracle publishes per boundary the extremal positions of requests whose
+optimal pair lies across it (words q), plus two counts per boundary (d:
+requests equal to q that stay inside; m: requests matched across). Requests
+whose pair is inside their own block go to the plug-in subroutine A;
+crossing requests are marked and served by LR over the marked servers, fed
+direction bits through a self-written auxiliary tape.
 
 A run plans on one set of coordinates and prices on the caller's: divide_run
 plans on the instance itself, RESCALE on its n^3-scaled integer image. Every
@@ -42,11 +43,20 @@ class DivideError(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """k contiguous server groups, their midpoint boundaries, and blocks."""
+    """DIVIDE_k's planning frame: k contiguous groups over n servers, their
+    boundaries and N. Boundary p_i is the floor of the midpoint of the two
+    servers beside it: planning requests are integers, so they split there
+    as at the midpoint, and on integer servers the floor is exact past 2^53,
+    where a float midpoint can round out of its server gap."""
 
     k: int
     groups: tuple  # k ranges (start, stop) of server indices, half-open
-    boundaries: tuple  # k-1 midpoints p_i
+    boundaries: tuple  # k-1 integer boundaries p_i
+    span_bound: int  # N = ceil(s_n + 1)
+
+    @property
+    def n(self) -> int:
+        return self.groups[-1][1]
 
     def block_of(self, position) -> int:
         """0-based block index; block b is (p_{b-1}, p_b]."""
@@ -71,10 +81,11 @@ def plan_blocks(servers, k: int) -> BlockPlan:
         groups.append((start, start + size))
         start += size
     boundaries = tuple(
-        (servers[groups[i][1] - 1] + servers[groups[i + 1][0]]) / 2
+        (servers[groups[i][1] - 1] + servers[groups[i + 1][0]]) // 2
         for i in range(k - 1)
     )
-    return BlockPlan(k, tuple(groups), boundaries)
+    # ceil(s_n) + 1 is ceil(s_n + 1) without rounding the sum
+    return BlockPlan(k, tuple(groups), boundaries, math.ceil(servers[-1]) + 1)
 
 
 @dataclass(frozen=True)
@@ -109,7 +120,7 @@ _Q_LEFT, _Q_RIGHT, _D_LEFT, _M_LEFT, _D_RIGHT, _M_RIGHT = range(6)
 WORD_LABELS = ("q[{},L]", "q[{},R]", "d[{},L]", "m[{},L]", "d[{},R]", "m[{},R]")
 
 
-def _tape_slots(k: int, span_bound: int, n: int, q_left, q_right):
+def _tape_slots(plan: BlockPlan, q_left, q_right):
     """The advice tape layout: (field, block, width, absent) per word.
 
     First a q word for every boundary and side, then a d/m pair for each
@@ -119,26 +130,26 @@ def _tape_slots(k: int, span_bound: int, n: int, q_left, q_right):
     counts. The q lists are first looked at after the last q slot is handed
     out, so a reader can pass the lists it is filling.
     """
-    w_pos, w_cnt = word_width(span_bound), word_width(n)
-    for b in range(1, k):
+    w_pos, w_cnt = word_width(plan.span_bound), word_width(plan.n)
+    for b in range(1, plan.k):
         yield _Q_LEFT, b, w_pos, 0
-    for b in range(k - 1):
-        yield _Q_RIGHT, b, w_pos, span_bound
-    for b in range(k - 1):
+    for b in range(plan.k - 1):
+        yield _Q_RIGHT, b, w_pos, plan.span_bound
+    for b in range(plan.k - 1):
         if q_right[b] is not None:
             yield _D_RIGHT, b, w_cnt, None
             yield _M_RIGHT, b, w_cnt, None
-    for b in range(k - 1, 0, -1):
+    for b in range(plan.k - 1, 0, -1):
         if q_left[b] is not None:
             yield _D_LEFT, b, w_cnt, None
             yield _M_LEFT, b, w_cnt, None
 
 
-def advice_words(advice: DivideAdvice, span_bound: int, n: int):
+def advice_words(advice: DivideAdvice, plan: BlockPlan):
     """(field, block, value, width) per advice word, in tape order."""
-    q_left, q_right = advice.q_left, advice.q_right
+    q_left, q_right, span_bound = advice.q_left, advice.q_right, plan.span_bound
     columns = (q_left, q_right, advice.d_left, advice.m_left, advice.d_right, advice.m_right)
-    for f, b, width, absent in _tape_slots(advice.k, span_bound, n, q_left, q_right):
+    for f, b, width, absent in _tape_slots(plan, q_left, q_right):
         value = columns[f][b]
         if value is None:
             value = absent
@@ -160,7 +171,7 @@ def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
     """
     k = plan.k
     ranked = sorted(requests)
-    n = plan.groups[-1][1]
+    n = plan.n
     if len(ranked) != n:
         raise InstanceError(f"{n} servers vs {len(ranked)} requests")
     columns = ([None] * k, [None] * k, [0] * k, [0] * k, [0] * k, [0] * k)
@@ -186,18 +197,17 @@ def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
     return DivideAdvice(k, *map(tuple, columns))
 
 
-def encode_divide_advice(advice: DivideAdvice, span_bound: int, n: int) -> AdviceTape:
+def encode_divide_advice(advice: DivideAdvice, plan: BlockPlan) -> AdviceTape:
     tape = AdviceTape()
-    tape.write_words(
-        (value, width) for _f, _b, value, width in advice_words(advice, span_bound, n)
-    )
+    tape.write_words((value, width) for _f, _b, value, width in advice_words(advice, plan))
     return tape
 
 
-def decode_divide_advice(tape: AdviceTape, k: int, span_bound: int, n: int) -> DivideAdvice:
+def decode_divide_advice(tape: AdviceTape, plan: BlockPlan) -> DivideAdvice:
     """Sequential reader of the layout in ``_tape_slots``."""
+    k = plan.k
     columns = ([None] * k, [None] * k, [0] * k, [0] * k, [0] * k, [0] * k)
-    for f, b, width, absent in _tape_slots(k, span_bound, n, columns[0], columns[1]):
+    for f, b, width, absent in _tape_slots(plan, columns[0], columns[1]):
         value = tape.read_word(width)
         columns[f][b] = None if value == absent else value
     return DivideAdvice(k, *map(tuple, columns))
@@ -213,7 +223,7 @@ class MarkSets:
         return self.marked_right | self.marked_left
 
 
-def mark_servers(plan: BlockPlan, advice: DivideAdvice, n: int) -> MarkSets:
+def mark_servers(plan: BlockPlan, advice: DivideAdvice) -> MarkSets:
     """Pick the servers that will absorb the crossing requests.
 
     Crossing-right requests of boundary b take the lowest-index unmarked
@@ -225,7 +235,7 @@ def mark_servers(plan: BlockPlan, advice: DivideAdvice, n: int) -> MarkSets:
     boundary up to that side's cursor, and none beyond it: the next m marks
     are the m servers past the boundary or the cursor, whichever is farther.
     """
-    groups, end = plan.groups, plan.groups[-1][1]
+    groups, end = plan.groups, plan.n
     marked_right: set[int] = set()
     cursor = 0  # one past the highest server marked right
     for b in range(plan.k - 1):
@@ -320,15 +330,14 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
 @dataclass
 class DivideResult:
     """A DIVIDE_k run. ``matching``, ``lr_cost`` and ``block_costs`` are in the
-    caller's coordinates; ``plan``, ``advice``, ``span_bound``, the tape and
-    the verdicts are in the planning coordinates (RESCALE's scaled ones);
+    caller's coordinates; ``plan`` (with its N), ``advice``, the tape and the
+    verdicts are in the planning coordinates (RESCALE's scaled ones);
     ``marks`` are server indices, the same in both."""
 
     matching: Matching
     plan: BlockPlan
     advice: DivideAdvice
     marks: MarkSets
-    span_bound: int
     oracle_bits_read: int
     aux_bits_written: int
     lr_cost: int | float
@@ -342,28 +351,20 @@ class DivideResult:
         return self.tape.dump()
 
 
-def _run_divide(
-    instance: Instance,
-    k: int,
-    subroutine: str,
-    span_bound: int,
-    servers,
-    requests,
-) -> DivideResult:
+def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) -> DivideResult:
     """Plan, mark and serve on the planning coordinates ``servers`` and
     ``requests``; price every request on ``instance``."""
     if subroutine not in SUBROUTINE_NAMES:
         raise SubroutineError(f"unknown subroutine {subroutine!r}")
-    n = instance.n
+    plan = plan_blocks(servers, k)
     # clamp into [1, N-1] (see the module docstring)
-    top = span_bound - 1
+    top = plan.span_bound - 1
     if min(requests) < 1 or max(requests) > top:
         requests = [1 if r < 1 else top if r > top else r for r in requests]
-    plan = plan_blocks(servers, k)
     advice = compute_advice(requests, plan)
-    tape = encode_divide_advice(advice, span_bound, n)
-    decoded = decode_divide_advice(tape, k, span_bound, n)
-    marks = mark_servers(plan, decoded, n)
+    tape = encode_divide_advice(advice, plan)
+    decoded = decode_divide_advice(tape, plan)
+    marks = mark_servers(plan, decoded)
     verdicts = classify_requests(requests, plan, decoded)
 
     # block subroutines over the unmarked servers of each group; a block that
@@ -392,7 +393,6 @@ def _run_divide(
     marked_ids = sorted(marked)
     lr_state = LRState.for_servers([servers[j] for j in marked_ids], indices=marked_ids)
     aux = AuxTape()
-    aux_bits_written = 0
 
     # the q value that both sides of a block share, None without a collision
     collisions = [
@@ -400,7 +400,7 @@ def _run_divide(
         for ql, qr in zip(decoded.q_left, decoded.q_right)
     ]
     d_left = decoded.d_left
-    assignment = [None] * n
+    assignment = [None] * instance.n
     lr_cost = 0
     block_costs = [0] * k
     # zero-bits actually consumed by requests at a collision value; d_left
@@ -426,12 +426,10 @@ def _run_divide(
             else:
                 bit = 1 if verdict == _SERVE_MARK_RIGHT else 0
             aux.write_bit(bit)
-            aux_bits_written += 1
             before = aux.cursor
             j = lr_serve(lr_state, c, aux)
             if aux.cursor == before:
                 aux.remove_last()
-                aux_bits_written -= 1
             elif collision_value and bit == 0:
                 zeros_read[b] += 1
             if j not in marked:
@@ -446,9 +444,8 @@ def _run_divide(
         plan=plan,
         advice=decoded,
         marks=marks,
-        span_bound=span_bound,
         oracle_bits_read=tape.bits_read,
-        aux_bits_written=aux_bits_written,
+        aux_bits_written=len(aux),
         lr_cost=lr_cost,
         block_costs=block_costs,
         verdicts=verdicts,
@@ -461,9 +458,7 @@ def divide_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divide
     coordinates."""
     if not instance.integer_mode:
         raise InstanceError("DIVIDE_k requires an integer-mode instance (s_1 = 1)")
-    return _run_divide(
-        instance, k, subroutine, instance.span_bound, instance.servers, instance.requests
-    )
+    return _run_divide(instance, k, subroutine, instance.servers, instance.requests)
 
 
 def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> DivideResult:
@@ -471,17 +466,16 @@ def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divid
 
     The planning servers are s' = n^3 (s - s_1) + 1 (kept exact, possibly
     non-integral; integral floats become ints, so sums past 2^53 stay exact)
-    and the planning requests floor(n^3 (r - s_1)) + 1. N = ceil(s'_n + 1), so
-    s'_n = N - 1 when s'_n is integral and s'_n lies in (N - 2, N - 1)
-    otherwise; requests are then clamped into [1, ceil(s'_n)] = [1, N - 1].
-    The result's plan, advice, span_bound, tape and verdicts are in these
-    scaled coordinates; its matching, lr_cost and block_costs are priced on
-    the caller's instance.
+    and the planning requests floor(n^3 (r - s_1)) + 1. The plan's
+    N = ceil(s'_n + 1), so s'_n = N - 1 when s'_n is integral and s'_n lies in
+    (N - 2, N - 1) otherwise; requests are then clamped into
+    [1, ceil(s'_n)] = [1, N - 1]. The result's plan, advice, tape and
+    verdicts are in these scaled coordinates; its matching, lr_cost and
+    block_costs are priced on the caller's instance.
     """
     scale = instance.n**3
     s1 = instance.servers[0]
     servers = [scale * (s - s1) + 1 for s in instance.servers]
-    span_bound = math.ceil(servers[-1] + 1)
     servers = [int(s) if isinstance(s, float) and s.is_integer() else s for s in servers]
     requests = [math.floor(scale * (r - s1)) + 1 for r in instance.requests]
-    return _run_divide(instance, k, subroutine, span_bound, servers, requests)
+    return _run_divide(instance, k, subroutine, servers, requests)

@@ -44,6 +44,11 @@ def _ratio(cost, opt_cost) -> float:
     return 1.0 if cost == 0 else float("inf")
 
 
+def _check_k(algo: str, k) -> None:
+    if algo in ("divide", "rescale") and k is None:
+        raise ExperimentError(f"{algo} needs k")
+
+
 def run_algorithm(
     instance: Instance,
     algo: str,
@@ -51,6 +56,7 @@ def run_algorithm(
     subroutine: str = "greedy",
 ) -> dict:
     """One run; returns cost, bit counts, and the matching."""
+    _check_k(algo, k)
     if algo == "lr":
         result = lr_run(instance, lr_oracle(instance))
         return {
@@ -61,7 +67,7 @@ def run_algorithm(
         }
     if algo in ("divide", "rescale"):
         run = divide_run if algo == "divide" else rescale_run
-        result = run(instance, k if k is not None else 1, subroutine)
+        result = run(instance, k, subroutine)
         return {
             "matching": result.matching,
             "cost": result.matching.cost,
@@ -123,8 +129,7 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown algorithm {self.algo!r}")
         if not self.instances:
             raise ExperimentError("no instances configured")
-        if self.algo in ("divide", "rescale") and self.k is None:
-            raise ExperimentError(f"{self.algo} needs k")
+        _check_k(self.algo, self.k)
 
 
 def run_instance(config: ExperimentConfig, instance_id: str, seed, instance: Instance):

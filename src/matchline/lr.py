@@ -43,7 +43,6 @@ class LRState:
 
     positions: list = field(default_factory=list)
     indices: list = field(default_factory=list)
-    bits_read: int = 0
     # _right[i]: towards the least free slot >= i (len(positions): none);
     # _left[i]: towards the greatest free slot < i, shifted by one (0: none)
     _right: list = field(init=False, repr=False)
@@ -106,9 +105,7 @@ def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
             # all unmatched servers are less: largest of them
             j = left
         else:
-            bit = tape.read_bit()
-            state.bits_read += 1
-            j = left if bit == 0 else right
+            j = left if tape.read_bit() == 0 else right
     right_of[j] = j + 1
     left_of[j + 1] = j
     return state.indices[j]
@@ -189,7 +186,9 @@ class LRResult:
 
 
 def lr_run(instance: Instance, tape: AdviceTape) -> LRResult:
-    """Serve the whole request sequence against the given advice tape."""
+    """Serve the whole request sequence against the given advice tape;
+    ``bits_read`` counts the tape reads this run made."""
     state = LRState.for_servers(instance.servers)
+    start = tape.bits_read
     assignment = [lr_serve(state, r, tape) for r in instance.requests]
-    return LRResult(make_matching(instance, assignment), state.bits_read)
+    return LRResult(make_matching(instance, assignment), tape.bits_read - start)

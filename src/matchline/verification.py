@@ -42,8 +42,8 @@ def divide_is_exact(result: DivideResult, opt) -> bool:
 
 def advice_within_budget(result: DivideResult) -> bool:
     """DIVIDE_k read at most 2(k-1)w(N) + 4(k-1)w(n) bits, none at k = 1."""
-    k, n = result.plan.k, len(result.matching.assignment)
-    budget = 2 * (k - 1) * word_width(result.span_bound) + 4 * (k - 1) * word_width(n)
+    k, N, n = result.plan.k, result.plan.span_bound, result.plan.n
+    budget = 2 * (k - 1) * word_width(N) + 4 * (k - 1) * word_width(n)
     return result.oracle_bits_read <= budget
 
 

@@ -30,7 +30,8 @@ def advice_budget(n, N, k):
 def test_group_sizes_remainder_first():
     plan = plan_blocks([1, 2, 11, 14, 14], 4)
     assert plan.groups == ((0, 2), (2, 3), (3, 4), (4, 5))
-    assert plan.boundaries == (6.5, 12.5, 14.0)
+    assert plan.boundaries == (6, 12, 14)
+    assert plan.span_bound == 15
 
 
 def test_group_sizes_even_split():
@@ -40,11 +41,11 @@ def test_group_sizes_even_split():
 
 def test_blocks_are_half_open_left():
     plan = plan_blocks([1, 2, 11, 14, 14], 4)
-    assert plan.block_of(6.5) == 0  # boundary belongs to the lower block
-    assert plan.block_of(6.6) == 1
+    assert plan.block_of(6) == 0  # boundary belongs to the lower block
+    assert plan.block_of(7) == 1
     assert plan.block_of(-100) == 0
     assert plan.block_of(100) == 3
-    assert plan.block_of(14.0) == 2
+    assert plan.block_of(14) == 2
 
 
 def test_k_out_of_range_rejected():
@@ -115,28 +116,28 @@ def test_advice_round_trip_random():
         for k in (2, 3, 6):
             plan = plan_blocks(inst.servers, k)
             advice = compute_advice(inst.requests, plan)
-            tape = encode_divide_advice(advice, inst.span_bound, inst.n)
-            decoded = decode_divide_advice(tape, k, inst.span_bound, inst.n)
+            tape = encode_divide_advice(advice, plan)
+            decoded = decode_divide_advice(tape, plan)
             assert decoded == advice
 
 
 def test_tape_one_bit_short_underflows():
     plan = plan_blocks(WORKED.servers, 2)
     advice = compute_advice(WORKED.requests, plan)
-    tape = encode_divide_advice(advice, WORKED.span_bound, WORKED.n)
+    tape = encode_divide_advice(advice, plan)
     short = AdviceTape(tape.bits[:-1])
     with pytest.raises(TapeUnderflow):
-        decode_divide_advice(short, 2, WORKED.span_bound, WORKED.n)
+        decode_divide_advice(short, plan)
 
 
 def test_writer_rejects_q_word_outside_the_span():
     plan = plan_blocks(WORKED.servers, 2)
     advice = compute_advice(WORKED.requests, plan)
-    N = WORKED.span_bound
+    N = plan.span_bound
     for q in (0, N, -3, N + 4):
         bad = dataclasses.replace(advice, q_left=(None, q))
         with pytest.raises(DivideError):
-            encode_divide_advice(bad, N, WORKED.n)
+            encode_divide_advice(bad, plan)
 
 
 def test_spent_marking_budget_raises():
@@ -176,18 +177,18 @@ def test_marks_are_disjoint_and_counted():
         for k in (2, 3, 7):
             plan = plan_blocks(inst.servers, k)
             advice = compute_advice(inst.requests, plan)
-            marks = mark_servers(plan, advice, inst.n)
+            marks = mark_servers(plan, advice)
             assert not (marks.marked_left & marks.marked_right)
             assert len(marks.marked_right) == sum(advice.m_right)
             assert len(marks.marked_left) == sum(advice.m_left)
 
 
 def test_mark_servers_matches_the_reference():
-    def outcome(mark, plan, m_left, m_right, n):
+    def outcome(mark, plan, m_left, m_right):
         none, zeros = (None,) * plan.k, (0,) * plan.k
         advice = DivideAdvice(plan.k, none, none, zeros, m_left, zeros, m_right)
         try:
-            marks = mark(plan, advice, n)
+            marks = mark(plan, advice)
         except (DivideError, reference_divide.DivideError) as exc:
             return str(exc)
         return marks.marked_right, marks.marked_left
@@ -201,8 +202,9 @@ def test_mark_servers_matches_the_reference():
             tuple(rng.choice((0, 0, 1, rng.randint(0, n))) for _ in range(plan.k))
             for _side in "LR"
         )
-        new = outcome(mark_servers, plan, m_left, m_right, n)
-        assert new == outcome(reference_divide.mark_servers, plan, m_left, m_right, n)
+        new = outcome(mark_servers, plan, m_left, m_right)
+        old_mark = lambda plan, advice: reference_divide.mark_servers(plan, advice, plan.n)
+        assert new == outcome(old_mark, plan, m_left, m_right)
         raised += isinstance(new, str)
     assert 1000 < raised < 3000  # both results and raises are covered
 
@@ -214,7 +216,7 @@ def test_block_conservation():
         for k in range(1, 7):
             plan = plan_blocks(inst.servers, k)
             advice = compute_advice(inst.requests, plan)
-            marks = mark_servers(plan, advice, inst.n)
+            marks = mark_servers(plan, advice)
             verdicts = classify_requests(inst.requests, plan, advice)
             for b, (start, stop) in enumerate(plan.groups):
                 unmarked_servers = sum(
@@ -310,7 +312,7 @@ def test_rescale_scaled_coordinates():
     inst = validate_instance([0.5, 2.5], [1.0, 2.0])
     result = rescale_run(inst, 2, "clairvoyant")
     # s' = n^3 (s - s_1) + 1, so N = n^3 (s_n - s_1) + 2
-    assert result.span_bound == 18
+    assert result.plan.span_bound == 18
 
 
 def test_rescale_pullback_is_same_permutation():
@@ -341,3 +343,29 @@ def test_empty_block_when_boundaries_coincide():
     for k in range(1, 6):
         result = divide_run(inst, k, "clairvoyant")
         assert result.matching.cost == opt
+
+
+BIG = 2**60
+
+
+def test_exact_on_integer_coordinates_past_2_53():
+    # the float midpoint of 2^60 + 323 and 2^60 + 411 rounds to 2^60 + 256,
+    # below both servers of its gap, and the run missed the optimum by 156
+    inst = validate_instance([1, BIG + 323, BIG + 411], [BIG + 310, BIG + 470, BIG + 232])
+    result = divide_run(inst, 3, "clairvoyant")
+    assert result.matching.cost == brute_force_optimal(inst).cost
+
+
+def test_rescale_within_rounding_slack_past_2_53():
+    inst = validate_instance([1, BIG + 37, BIG + 40], [BIG + 43, BIG + 13, BIG + 9])
+    cost = rescale_run(inst, 2, "clairvoyant").matching.cost
+    # integer costs, so the difference is exact where opt + slack would round
+    assert 0 <= cost - brute_force_optimal(inst).cost <= 3 * 3**-3
+
+
+def test_rescale_span_bound_past_2_53():
+    # s'_n is an integral float past 2^53; N = s'_n + 1 must keep the + 1
+    inst = gen_uniform(4, (0.0, 1e15), 0)
+    plan = rescale_run(inst, 2, "clairvoyant").plan
+    top = 4**3 * (inst.servers[-1] - inst.servers[0]) + 1
+    assert plan.span_bound == int(top) + 1 == 37472326478853425

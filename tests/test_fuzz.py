@@ -1,7 +1,7 @@
 """Differential fuzz: every algorithm against ``monotone_optimal`` on the
 adversarial shapes (duplicates, n = 1, k = n, coordinates near 10^15,
-requests far outside the servers' span), plus the CLI's exit codes on the
-same instances and on malformed files."""
+integer coordinates past 2^53, requests far outside the servers' span), plus
+the CLI's exit codes on the same instances and on malformed files."""
 
 import tempfile
 from pathlib import Path
@@ -16,6 +16,7 @@ from matchline.offline import monotone_optimal
 from matchline.subroutines import SUBROUTINE_NAMES
 
 BIG = 10**15
+HUGE = 2**60  # past 2^53, where a float midpoint of two integers can round
 
 #: shape -> (server coordinates, request coordinates) for n positions each
 SHAPES = {
@@ -23,6 +24,10 @@ SHAPES = {
     "out-of-span": lambda n: (st.integers(0, 4 * n), st.integers(-50 * n, 50 * n)),
     "big-int": lambda n: (st.integers(0, BIG),) * 2,
     "big-float": lambda n: (st.floats(1e14, 1e15),) * 2,
+    "huge-int": lambda n: (
+        st.one_of(st.just(0), st.integers(HUGE, HUGE + 8 * n)),
+        st.integers(HUGE - 8 * n, HUGE + 8 * n),
+    ),
     "float": lambda n: (st.floats(0.0, 10.0),) * 2,
 }
 

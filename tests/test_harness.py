@@ -66,6 +66,9 @@ def test_run_algorithm_names():
         assert outcome["cost"] >= 0
     with pytest.raises(ExperimentError):
         run_algorithm(inst, "magic")
+    for algo in ("divide", "rescale"):  # no k: refused, as by the config
+        with pytest.raises(ExperimentError):
+            run_algorithm(inst, algo)
 
 
 def test_config_validation():
@@ -277,6 +280,17 @@ def test_cli_verify_failure_exits_one(monkeypatch, capsys):
     code = main(["verify", "--suite", "family", "--n", "4"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "grid", [["--suite", "lr-optimal", "--n", "1"], ["--suite", "props", "--seeds", "0"]]
+)
+def test_cli_verify_empty_grid_is_a_usage_error(grid, capsys):
+    # such a grid checks nothing, so "all checks passed" would mean nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *grid])
+    assert exc.value.code == 2
+    assert "all checks passed" not in capsys.readouterr().out
 
 
 def test_cli_missing_input_exits_two(tmp_path):

@@ -12,9 +12,9 @@ from matchline.tape import AdviceTape, TapeUnderflow
 
 
 def serve_one(servers, request, bits=()):
-    state = LRState.for_servers(servers)
-    j = lr_serve(state, request, AdviceTape(bits))
-    return servers[j], state.bits_read
+    tape = AdviceTape(bits)
+    j = lr_serve(LRState.for_servers(servers), request, tape)
+    return servers[j], tape.bits_read
 
 
 def test_bit_zero_goes_left():
@@ -105,9 +105,9 @@ def test_last_request_never_reads_a_bit():
         state = LRState.for_servers(inst.servers)
         for r in inst.requests[:-1]:
             lr_serve(state, r, tape)
-        before = state.bits_read
+        before = tape.bits_read
         lr_serve(state, inst.requests[-1], tape)
-        assert state.bits_read == before
+        assert tape.bits_read == before
 
 
 def test_oracle_optimal_on_random_integer_instances():
@@ -147,6 +147,6 @@ def test_pool_of_indexed_servers_returns_their_indices():
     tape = AdviceTape((1,))
     served = [lr_serve(state, r, tape) for r in (3, 8, 3, 5)]
     assert served == [10, 31, 12, 40]
-    assert state.bits_read == 1
+    assert tape.bits_read == 1
     with pytest.raises(LRError):
         lr_serve(state, 0, tape)

@@ -31,7 +31,7 @@ def serve_all(module, instance, bits, indices):
     state = module.LRState.for_servers(instance.servers, indices)
     tape = AdviceTape(bits)
     served = [module.lr_serve(state, r, tape) for r in instance.requests]
-    return served, state.bits_read
+    return served, tape.bits_read
 
 
 def assert_same(instance, rng: random.Random):
