@@ -21,8 +21,15 @@ from .experiment import (
     run_instance,
 )
 from .generators import gen_family, gen_uniform
-from .model import save_instance
+from .model import load_instance, save_instance
 from .subroutines import SUBROUTINE_NAMES
+
+#: the verify suites that read ``--seeds`` (default 50), by name
+SEEDED_SUITES = {
+    "lr-optimal": "verify_lr_optimal",
+    "divide-exact": "verify_divide_exact",
+    "props": "verify_order_properties",
+}
 
 
 def _parse_range(text: str) -> tuple:
@@ -55,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an algorithm on an instance file")
     run.add_argument("--algo", choices=ALGORITHMS, required=True)
-    run.add_argument("--k", type=int, default=None)
+    run.add_argument("--k", type=int, default=None, help="divide and rescale only")
     run.add_argument("--sub", choices=SUBROUTINE_NAMES, default="greedy")
     run.add_argument("--input", required=True)
     run.add_argument("--report", default=None, help="report output file")
@@ -63,13 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verbose-tape", action="store_true")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument(
-        "--suite",
-        choices=("lr-optimal", "divide-exact", "family", "props"),
-        required=True,
-    )
+    verify.add_argument("--suite", choices=(*SEEDED_SUITES, "family"), required=True)
     verify.add_argument("--n", type=int, default=6)
-    verify.add_argument("--seeds", type=int, default=50, help="instances per size")
+    verify.add_argument(
+        "--seeds", type=int, help="instances per size (default 50); not for --suite family"
+    )
 
     report = sub.add_parser("report", help="re-emit a JSON report in another format")
     report.add_argument("--input", required=True)
@@ -102,8 +107,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .model import load_instance
-
     instance = load_instance(args.input)
     config = ExperimentConfig(
         algo=args.algo,
@@ -111,7 +114,6 @@ def _cmd_run(args) -> int:
         subroutine=args.sub,
         instances=[(Path(args.input).stem, None, instance)],
     )
-    config.validate()
     r, outcome = run_instance(config, *config.instances[0])
     print(
         f"{r.algo}: cost={r.cost} opt={r.opt_cost} ratio={r.ratio:.6g} "
@@ -129,13 +131,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = {
-        "lr-optimal": verification.verify_lr_optimal,
-        "divide-exact": verification.verify_divide_exact,
-        "family": verification.verify_family_suite,
-        "props": verification.verify_order_properties,
-    }
-    failures = suites[args.suite](n_max=args.n, seeds=args.seeds, log=print)
+    if args.suite == "family":
+        failures = verification.verify_family_suite(n_max=args.n, log=print)
+    else:
+        suite = getattr(verification, SEEDED_SUITES[args.suite])
+        failures = suite(n_max=args.n, seeds=args.seeds or 50, log=print)
     if failures:
         print(f"FAIL: {failures} check(s) failed")
         return 1
@@ -153,8 +153,11 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and (args.n < 2 or args.seeds < 1):
-        parser.error("verify needs --n >= 2 and --seeds >= 1: a smaller grid checks nothing")
+    if args.command == "verify":
+        if args.suite == "family" and args.seeds is not None:
+            parser.error("the family suite checks every member and takes no --seeds")
+        if args.n < 2 or (args.seeds is not None and args.seeds < 1):
+            parser.error("verify needs --n >= 2 and --seeds >= 1: a smaller grid checks nothing")
     handlers = {
         "gen": _cmd_gen,
         "run": _cmd_run,

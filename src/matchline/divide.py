@@ -58,12 +58,8 @@ class BlockPlan:
     def n(self) -> int:
         return self.groups[-1][1]
 
-    def block_of(self, position) -> int:
-        """0-based block index; block b is (p_{b-1}, p_b]."""
-        return bisect_left(self.boundaries, position)
-
     def blocks_of(self, positions) -> list:
-        """``block_of`` of every position, in one pass."""
+        """The 0-based block index of every position; block b is (p_{b-1}, p_b]."""
         boundaries = self.boundaries
         return [bisect_left(boundaries, p) for p in positions]
 
@@ -343,7 +339,7 @@ class DivideResult:
     lr_cost: int | float
     block_costs: list
     tape: AdviceTape = field(repr=False, compare=False)  # the oracle tape
-    verdicts: list = field(repr=False, default_factory=list)
+    verdicts: list = field(repr=False)
 
     @cached_property
     def tape_dump(self) -> dict:

@@ -45,8 +45,8 @@ def _ratio(cost, opt_cost) -> float:
 
 
 def _check_k(algo: str, k) -> None:
-    if algo in ("divide", "rescale") and k is None:
-        raise ExperimentError(f"{algo} needs k")
+    if (k is None) == (algo in ("divide", "rescale")):
+        raise ExperimentError(f"{algo} needs k" if k is None else f"{algo} takes no k")
 
 
 def run_algorithm(
@@ -88,12 +88,21 @@ def run_algorithm(
     raise ExperimentError(f"unknown algorithm {algo!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One algorithm over a list of instances; valid once constructed."""
+
     algo: str
     k: int | None = None
     subroutine: str = "greedy"
-    instances: list = field(default_factory=list)  # (instance_id, seed, Instance)
+    instances: list = field(kw_only=True)  # (instance_id, seed, Instance)
+
+    def __post_init__(self):
+        if self.algo not in ALGORITHMS:
+            raise ExperimentError(f"unknown algorithm {self.algo!r}")
+        if not self.instances:
+            raise ExperimentError("no instances configured")
+        _check_k(self.algo, self.k)
 
     @classmethod
     def uniform(
@@ -102,7 +111,8 @@ class ExperimentConfig:
         n: int,
         seeds,
         position_range=(0, 100),
-        integer_mode: bool = True,
+        *,
+        integer_mode: bool,
         request_range=None,
         **kwargs,
     ) -> "ExperimentConfig":
@@ -123,13 +133,6 @@ class ExperimentConfig:
             for i, member in enumerate(gen_family(n))
         ]
         return cls(algo=algo, instances=instances, **kwargs)
-
-    def validate(self) -> None:
-        if self.algo not in ALGORITHMS:
-            raise ExperimentError(f"unknown algorithm {self.algo!r}")
-        if not self.instances:
-            raise ExperimentError("no instances configured")
-        _check_k(self.algo, self.k)
 
 
 def run_instance(config: ExperimentConfig, instance_id: str, seed, instance: Instance):
@@ -158,7 +161,6 @@ def run_instance(config: ExperimentConfig, instance_id: str, seed, instance: Ins
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunReport]:
-    config.validate()
     return [run_instance(config, *entry)[0] for entry in config.instances]
 
 

@@ -104,7 +104,6 @@ class FamilyCheck:
     member: FamilyMember
     expected_index: int  # 1-based request index that must take s_n
     ok: bool
-    opt_cost: float
 
 
 def verify_family(n: int) -> list[FamilyCheck]:
@@ -132,5 +131,5 @@ def verify_family(n: int) -> list[FamilyCheck]:
         unique_hit = all(
             costs_equal(c, opt, n) == (i == expected - 1) for i, c in enumerate(costs)
         )
-        checks.append(FamilyCheck(member, expected, unique_hit, opt))
+        checks.append(FamilyCheck(member, expected, unique_hit))
     return checks

@@ -1,9 +1,9 @@
 """Advice-free online matching algorithms usable inside DIVIDE_k blocks.
 
 Each subroutine owns a fixed server pool and serves requests one at a time,
-always returning a still-available server from that pool. ``clairvoyant`` is a
-test double that replays the offline optimum of its sealed request sequence;
-it exists to make DIVIDE_k's block decomposition exactly checkable.
+always returning a still-available server from that pool. ``clairvoyant``
+reads its block's future requests and replays their offline optimum, so it is
+a verification device, not an online algorithm, for DIVIDE_k's exact checks.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class Permutation:
 
 
 class Clairvoyant:
-    """Replays monotone_optimal on the sealed request sequence (test-only)."""
+    """Reads its block's future requests: a verification device, not online."""
 
     def __init__(self, servers, ids=None, sealed: Sequence = ()):
         ids = range(len(servers)) if ids is None else ids

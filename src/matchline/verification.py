@@ -1,9 +1,10 @@
 """The checkable properties, and the suites behind ``matchline verify``.
 
 Each property is one predicate on a run or an instance. The suites run them
-over seeded grids and return the number of failed checks (0 = pass); the
-CLI sizes the grids for quick runs, and the pytest acceptance module calls
-the same predicates and suites at its larger sizes.
+over seeded grids (the family suite over every member, so it takes no seeds)
+and return the number of failed checks (0 = pass); the CLI sizes the grids
+for quick runs, and the pytest acceptance module calls the same predicates
+and suites at its larger sizes.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
     return failures
 
 
-def verify_family_suite(n_max: int = 8, seeds: int = 0, log=_noop) -> int:
-    """Family cardinality and the forced top-server assignment."""
-    del seeds
+def verify_family_suite(n_max: int = 8, log=_noop) -> int:
+    """Family cardinality and the forced top-server assignment, on every member."""
     failures = 0
     for n in range(1, min(n_max, 12) + 1):
         if len(gen_family(n)) != 2 ** (n - 1):

@@ -41,11 +41,8 @@ def test_group_sizes_even_split():
 
 def test_blocks_are_half_open_left():
     plan = plan_blocks([1, 2, 11, 14, 14], 4)
-    assert plan.block_of(6) == 0  # boundary belongs to the lower block
-    assert plan.block_of(7) == 1
-    assert plan.block_of(-100) == 0
-    assert plan.block_of(100) == 3
-    assert plan.block_of(14) == 2
+    # a boundary belongs to the lower block: 6 -> 0, 7 -> 1, 14 -> 2
+    assert plan.blocks_of([6, 7, -100, 100, 14]) == [0, 1, 0, 3, 2]
 
 
 def test_k_out_of_range_rejected():

@@ -59,25 +59,33 @@ def test_ratio_is_one_when_cost_and_opt_are_zero():
     assert report.ratio == 1
 
 
+K_ALGORITHMS = ("divide", "rescale")
+
+
 def test_run_algorithm_names():
     inst = gen_uniform(4, (0, 12), 1, integer_mode=True, request_range="span")
     for algo in ALGORITHMS:
-        outcome = run_algorithm(inst, algo, k=2, subroutine="clairvoyant")
+        k = 2 if algo in K_ALGORITHMS else None
+        outcome = run_algorithm(inst, algo, k=k, subroutine="clairvoyant")
         assert outcome["cost"] >= 0
     with pytest.raises(ExperimentError):
         run_algorithm(inst, "magic")
-    for algo in ("divide", "rescale"):  # no k: refused, as by the config
+    for algo in ALGORITHMS:  # k for DIVIDE_k and RESCALE only, as by the config
         with pytest.raises(ExperimentError):
-            run_algorithm(inst, algo)
+            run_algorithm(inst, algo, k=None if algo in K_ALGORITHMS else 2)
 
 
 def test_config_validation():
+    # a config is checked when it is built
     with pytest.raises(ExperimentError):
-        ExperimentConfig("divide", instances=[("x", None, None)]).validate()
+        ExperimentConfig("divide", instances=[("x", None, None)])
     with pytest.raises(ExperimentError):
-        ExperimentConfig("lr").validate()
+        ExperimentConfig("lr", instances=[])
     with pytest.raises(ExperimentError):
-        ExperimentConfig("magic", instances=[("x", None, None)]).validate()
+        ExperimentConfig("magic", instances=[("x", None, None)])
+    for algo in ("lr", "greedy", "permutation"):
+        with pytest.raises(ExperimentError):
+            ExperimentConfig(algo, k=2, instances=[("x", None, None)])
 
 
 def test_emit_csv_schema(tmp_path):
@@ -239,6 +247,20 @@ def test_cli_rescale_verbose_tape_lists_scaled_words(tmp_path, capsys, monkeypat
     ]
 
 
+@pytest.mark.parametrize("algo", ["lr", "greedy", "permutation"])
+def test_cli_run_refuses_k_for_advice_free_algorithms(tmp_path, capsys, algo):
+    inst_path = tmp_path / "i.json"
+    save_instance(validate_instance([1, 2, 3, 4], [3, 3, 1, 4]), inst_path)
+    report = tmp_path / "r.json"
+    code = main(
+        ["run", "--algo", algo, "--k", "3", "--input", str(inst_path),
+         "--report", str(report)]
+    )
+    assert code == 2
+    assert not report.exists()
+    assert "takes no k" in capsys.readouterr().err
+
+
 def test_cli_run_csv_report(tmp_path):
     inst_path = tmp_path / "i.json"
     save_instance(gen_uniform(4, (0, 12), 2, integer_mode=True), inst_path)
@@ -283,14 +305,35 @@ def test_cli_verify_failure_exits_one(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "grid", [["--suite", "lr-optimal", "--n", "1"], ["--suite", "props", "--seeds", "0"]]
+    "grid",
+    [
+        ["--suite", "lr-optimal", "--n", "1"],
+        ["--suite", "props", "--seeds", "0"],
+        ["--suite", "family", "--seeds", "3"],
+    ],
 )
 def test_cli_verify_empty_grid_is_a_usage_error(grid, capsys):
-    # such a grid checks nothing, so "all checks passed" would mean nothing
+    # such a grid checks nothing, or sets seeds the family suite (which checks
+    # every member) never reads, so "all checks passed" would mean nothing
     with pytest.raises(SystemExit) as exc:
         main(["verify", *grid])
     assert exc.value.code == 2
     assert "all checks passed" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [("lr-optimal", "verify_lr_optimal"), ("divide-exact", "verify_divide_exact"),
+     ("props", "verify_order_properties")],
+)
+def test_cli_verify_seeded_suites_default_to_50_seeds(monkeypatch, suite, name):
+    from matchline import verification
+
+    calls = []
+    monkeypatch.setattr(verification, name, lambda **kwargs: calls.append(kwargs) or 0)
+    assert main(["verify", "--suite", suite, "--n", "3"]) == 0
+    assert main(["verify", "--suite", suite, "--n", "3", "--seeds", "7"]) == 0
+    assert [c["seeds"] for c in calls] == [50, 7]
 
 
 def test_cli_missing_input_exits_two(tmp_path):
