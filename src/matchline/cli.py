@@ -75,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--seeds", type=int, help="instances per size (default 50); not for --suite family"
     )
+    # usage errors name the verify usage line, not the top-level one
+    verify.set_defaults(usage_error=verify.error)
 
     report = sub.add_parser("report", help="re-emit a JSON report in another format")
     report.add_argument("--input", required=True)
@@ -122,8 +124,10 @@ def _cmd_run(args) -> int:
     if args.verbose_tape and "divide" in outcome:
         divide = outcome["divide"]
         print(f"advice tape: {divide.tape_dump}")
+        # one row per boundary (its side, L or R, or - when uncrossed; the
+        # value is q - p_{b-1}), then the d/m rows
         for f, b, value, width in advice_words(divide.advice, divide.plan):
-            print(f"  {WORD_LABELS[f].format(b + 1):10s} width={width:2d} value={value}")
+            print(f"  {WORD_LABELS[f].format(b + 1, b + 2):10s} width={width:2d} value={value}")
     if args.report:
         emit_report([r], args.report, args.format)
         print(f"wrote report to {args.report}")
@@ -155,9 +159,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify":
         if args.suite == "family" and args.seeds is not None:
-            parser.error("the family suite checks every member and takes no --seeds")
+            args.usage_error("the family suite checks every member and takes no --seeds")
         if args.n < 2 or (args.seeds is not None and args.seeds < 1):
-            parser.error("verify needs --n >= 2 and --seeds >= 1: a smaller grid checks nothing")
+            args.usage_error(
+                "verify needs --n >= 2 and --seeds >= 1: a smaller grid checks nothing"
+            )
     handlers = {
         "gen": _cmd_gen,
         "run": _cmd_run,

@@ -16,12 +16,16 @@ for divide_run, [1, ceil(s'_n)] for RESCALE. A request r < s_1 costs
 (s_1 - r) + (s_j - s_1) against every server s_j, so moving it to s_1 adds
 the same constant to every matching (likewise above s_n) and keeps every
 optimum an optimum. The online algorithm knows the servers, so it may clamp;
-DIVIDE_k is then exact on every instance, and a q word always lies in
-[1, N-1], leaving 0 and N free to mark an absent word.
+DIVIDE_k is then exact on every instance, and every q word lies in [1, N-1].
 
-The tape layout (``_tape_slots``) is rigid: q words for every boundary, then
-d/m pairs exactly for the present q words, in the two marking orders. Only
-oracle-tape bits count as advice.
+The tape layout (``_tape_slots``) is rigid: one q word per boundary, then
+d/m pairs exactly for the present q words, in the two marking orders. The
+monotone optimum crosses each boundary one way only (see ``DivideAdvice``),
+so boundary b's one word carries either side: with p_{-1} = 0 and
+p_{k-1} = N - 1, it is q - p_{b-1} at width w(p_{b+1} - p_{b-1}), 0 when
+nothing crosses, and the reader tells a right crossing (q in block b) from a
+left one (q in block b+1) by comparing q with p_b. The oracle tape thus
+holds at most (k-1)(w(N) + 2w(n)) bits; only its bits count as advice.
 """
 
 from __future__ import annotations
@@ -58,6 +62,13 @@ class BlockPlan:
     def n(self) -> int:
         return self.groups[-1][1]
 
+    @cached_property
+    def frames(self) -> tuple:
+        """(p_{b-1}, p_b, p_{b+1}) per boundary b, with p_{-1} = 0 and
+        p_{k-1} = N - 1: blocks b and b+1, where boundary b's q word lies."""
+        p = (0, *self.boundaries, self.span_bound - 1)
+        return tuple(zip(p, p[1:], p[2:]))
+
     def blocks_of(self, positions) -> list:
         """The 0-based block index of every position; block b is (p_{b-1}, p_b]."""
         boundaries = self.boundaries
@@ -76,8 +87,10 @@ def plan_blocks(servers, k: int) -> BlockPlan:
         size = big if i < ell else small
         groups.append((start, start + size))
         start += size
+    # int(): a floor division of floats (RESCALE's non-integral planning
+    # servers) gives an integral float
     boundaries = tuple(
-        (servers[groups[i][1] - 1] + servers[groups[i + 1][0]]) // 2
+        int((servers[groups[i][1] - 1] + servers[groups[i + 1][0]]) // 2)
         for i in range(k - 1)
     )
     # ceil(s_n) + 1 is ceil(s_n + 1) without rounding the sum
@@ -90,9 +103,13 @@ class DivideAdvice:
 
     q_left[b] for blocks 1..k-1: rightmost position of a request crossing
     left out of block b, None when none does. q_right[b] for blocks 0..k-2:
-    leftmost crossing-right position, None when absent. Positions are
-    clamped into [1, N-1], so a present q word is never 0 or N. d/m counts
-    are present exactly where q is not None.
+    leftmost crossing-right position, None when absent. Each lies in its own
+    block. d/m counts are present exactly where q is not None.
+
+    Boundary b is crossed one way at most: q_right[b] and q_left[b+1] are
+    never both present. Block b's requests take the server ranks lo..hi-1 of
+    the monotone optimum; crossing right needs hi > stop_b, the end of group
+    b, and crossing left out of block b+1 needs hi < start_{b+1} = stop_b.
 
     When q_left[b] == q_right[b] (requests at one position cross the block in
     both directions) the two d words would be identical, so the left one is
@@ -111,47 +128,65 @@ class DivideAdvice:
     m_right: tuple
 
 
-# a tape slot names its field by its index among DivideAdvice's per-block fields
-_Q_LEFT, _Q_RIGHT, _D_LEFT, _M_LEFT, _D_RIGHT, _M_RIGHT = range(6)
-WORD_LABELS = ("q[{},L]", "q[{},R]", "d[{},L]", "m[{},L]", "d[{},R]", "m[{},R]")
+# a slot names its field by its index among DivideAdvice's per-block fields;
+# _Q_NONE is a boundary's q word, until the writer finds which side it carries
+_Q_LEFT, _Q_RIGHT, _D_LEFT, _M_LEFT, _D_RIGHT, _M_RIGHT, _Q_NONE = range(7)
+#: row labels, formatted with (block + 1, block + 2); a _Q_NONE word names its
+#: boundary by the two blocks beside it
+WORD_LABELS = (
+    "q[{},L]", "q[{},R]", "d[{},L]", "m[{},L]", "d[{},R]", "m[{},R]", "q[{}|{},-]"
+)
 
 
 def _tape_slots(plan: BlockPlan, q_left, q_right):
-    """The advice tape layout: (field, block, width, absent) per word.
+    """The advice tape layout: (field, block, width) per word.
 
-    First a q word for every boundary and side, then a d/m pair for each
-    present q word: right crossings by ascending block, left crossings by
-    descending block, the two marking orders. ``absent`` is the word that
-    stands for a missing q (0 on the left, N on the right), None for the
-    counts. The q lists are first looked at after the last q slot is handed
-    out, so a reader can pass the lists it is filling.
+    First one q word per boundary b (field _Q_NONE, block b) at width
+    w(p_{b+1} - p_{b-1}), then a d/m pair for each present q word: right
+    crossings by ascending block, left crossings by descending block, the
+    two marking orders. The q lists are first looked at after the last q
+    slot is handed out, so a reader can pass the lists it is filling.
     """
-    w_pos, w_cnt = word_width(plan.span_bound), word_width(plan.n)
-    for b in range(1, plan.k):
-        yield _Q_LEFT, b, w_pos, 0
-    for b in range(plan.k - 1):
-        yield _Q_RIGHT, b, w_pos, plan.span_bound
+    for b, (low, _mid, high) in enumerate(plan.frames):
+        yield _Q_NONE, b, word_width(high - low)
+    w_cnt = word_width(plan.n)
     for b in range(plan.k - 1):
         if q_right[b] is not None:
-            yield _D_RIGHT, b, w_cnt, None
-            yield _M_RIGHT, b, w_cnt, None
+            yield _D_RIGHT, b, w_cnt
+            yield _M_RIGHT, b, w_cnt
     for b in range(plan.k - 1, 0, -1):
         if q_left[b] is not None:
-            yield _D_LEFT, b, w_cnt, None
-            yield _M_LEFT, b, w_cnt, None
+            yield _D_LEFT, b, w_cnt
+            yield _M_LEFT, b, w_cnt
 
 
 def advice_words(advice: DivideAdvice, plan: BlockPlan):
-    """(field, block, value, width) per advice word, in tape order."""
-    q_left, q_right, span_bound = advice.q_left, advice.q_right, plan.span_bound
+    """(field, block, value, width) per advice word, in tape order.
+
+    A q word's value is its offset q - p_{b-1}; its field and block name the
+    side it carries (q_right[b] or q_left[b+1]), or stay (_Q_NONE, b) with
+    value 0 when boundary b is not crossed.
+    """
+    q_left, q_right, frames = advice.q_left, advice.q_right, plan.frames
     columns = (q_left, q_right, advice.d_left, advice.m_left, advice.d_right, advice.m_right)
-    for f, b, width, absent in _tape_slots(plan, q_left, q_right):
-        value = columns[f][b]
-        if value is None:
-            value = absent
-        elif absent is not None and not 0 < value < span_bound:
-            raise DivideError(f"q word {value} outside [1, {span_bound - 1}]")
-        yield f, b, value, width
+    for f, b, width in _tape_slots(plan, q_left, q_right):
+        if f != _Q_NONE:
+            yield f, b, columns[f][b], width
+            continue
+        q_r, q_l = q_right[b], q_left[b + 1]
+        low, mid, high = frames[b]
+        if q_l is None:
+            if q_r is None:
+                yield f, b, 0, width
+                continue
+            f, side, q, lo, hi = _Q_RIGHT, b, q_r, low, mid
+        elif q_r is None:
+            f, side, q, lo, hi = _Q_LEFT, b + 1, q_l, mid, high
+        else:
+            raise DivideError(f"boundary {b + 1}|{b + 2} crossed both ways")
+        if not lo < q <= hi:
+            raise DivideError(f"q word {q} of block {side + 1} outside ({lo}, {hi}]")
+        yield f, side, q - low, width
 
 
 def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
@@ -203,9 +238,20 @@ def decode_divide_advice(tape: AdviceTape, plan: BlockPlan) -> DivideAdvice:
     """Sequential reader of the layout in ``_tape_slots``."""
     k = plan.k
     columns = ([None] * k, [None] * k, [0] * k, [0] * k, [0] * k, [0] * k)
-    for f, b, width, absent in _tape_slots(plan, columns[0], columns[1]):
+    q_left, q_right, frames = columns[0], columns[1], plan.frames
+    for f, b, width in _tape_slots(plan, q_left, q_right):
         value = tape.read_word(width)
-        columns[f][b] = None if value == absent else value
+        if f != _Q_NONE:
+            columns[f][b] = value
+        elif value:
+            low, mid, high = frames[b]
+            q = low + value
+            if q <= mid:
+                q_right[b] = q
+            elif q <= high:
+                q_left[b + 1] = q
+            else:
+                raise DivideError(f"corrupt advice: q word {q} above block {b + 2}")
     return DivideAdvice(k, *map(tuple, columns))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .divide import _SERVE_BLOCK, DivideResult, divide_run
+from .divide import _SERVE_BLOCK, DivideAdvice, DivideResult, divide_run
 from .generators import gen_family, gen_uniform, verify_family
 from .lr import LRResult, lr_oracle, lr_run
 from .model import Instance, costs_equal
@@ -42,10 +42,17 @@ def divide_is_exact(result: DivideResult, opt) -> bool:
 
 
 def advice_within_budget(result: DivideResult) -> bool:
-    """DIVIDE_k read at most 2(k-1)w(N) + 4(k-1)w(n) bits, none at k = 1."""
+    """DIVIDE_k read at most (k-1)(w(N) + 2w(n)) bits, none at k = 1."""
     k, N, n = result.plan.k, result.plan.span_bound, result.plan.n
-    budget = 2 * (k - 1) * word_width(N) + 4 * (k - 1) * word_width(n)
-    return result.oracle_bits_read <= budget
+    return result.oracle_bits_read <= (k - 1) * (word_width(N) + 2 * word_width(n))
+
+
+def boundaries_cross_one_way(advice: DivideAdvice) -> bool:
+    """No boundary b has both q_right[b] and q_left[b+1]."""
+    return not any(
+        q_r is not None and q_l is not None
+        for q_r, q_l in zip(advice.q_right, advice.q_left[1:])
+    )
 
 
 def marking_is_consistent(result: DivideResult) -> bool:
@@ -99,7 +106,8 @@ def verify_lr_optimal(n_max: int = 8, seeds: int = 50, log=_noop) -> int:
 
 def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
     """DIVIDE_k with the clairvoyant subroutine matches the exact optimum,
-    within its advice budget, with consistent marking."""
+    within its advice budget, crossing each boundary one way, with
+    consistent marking."""
     failures = 0
     for n in range(2, n_max + 1):
         for seed in range(seeds):
@@ -112,6 +120,7 @@ def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
                 for name, ok in (
                     ("cost", divide_is_exact(result, opt)),
                     ("budget", advice_within_budget(result)),
+                    ("one-way", boundaries_cross_one_way(result.advice)),
                     ("marking", marking_is_consistent(result)),
                 ):
                     if not ok:

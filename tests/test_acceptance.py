@@ -127,9 +127,14 @@ def test_04_divide_exactness(divide_suite):
 
 def test_05_advice_budget(divide_suite):
     ok = all(
-        verification.advice_within_budget(result) for _, _, result, _ in divide_suite
+        verification.advice_within_budget(result)
+        and verification.boundaries_cross_one_way(result.advice)
+        for _, _, result, _ in divide_suite
     )
-    report("5 advice budget <= 2(k-1)w(N) + 4(k-1)w(n); k=1 reads 0", ok)
+    report(
+        "5 advice budget <= (k-1)(w(N) + 2w(n)), one q word per boundary; k=1 reads 0",
+        ok,
+    )
     assert ok
 
 

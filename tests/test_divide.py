@@ -4,6 +4,7 @@ import random
 import pytest
 
 import reference_divide
+from matchline import verification
 from matchline.divide import (
     DivideAdvice,
     DivideError,
@@ -24,7 +25,7 @@ from matchline.tape import AdviceTape, TapeUnderflow, word_width
 
 
 def advice_budget(n, N, k):
-    return 2 * (k - 1) * word_width(N) + 4 * (k - 1) * word_width(n)
+    return (k - 1) * (word_width(N) + 2 * word_width(n))
 
 
 def test_group_sizes_remainder_first():
@@ -80,11 +81,14 @@ def test_worked_example_advice_words():
 
 
 def test_worked_example_tape_layout():
-    # q[2,L]=3 then absent q[1,R] encoded as N=5, then d/m for the one
-    # present q word: 12 bits total
+    # servers 1..4 at k = 2: p_0 = (2 + 3) // 2 = 2 and N = 5, so the one
+    # boundary's frame is (p_{-1}, p_1] = (0, 4] and its q word is 3 bits
+    # wide. q[2,L] = 3 is written as its offset 3 - 0 = 3 (011; 3 > p_0 says
+    # it crosses left), then d = 1 (001) and m = 1 (001) at w(n = 4) = 3:
+    # 011001001, 9 bits, hex 648 after padding to 12
     result = divide_run(WORKED, 2, "clairvoyant")
-    assert result.tape_dump == {"hex": "749", "bit_length": 12}
-    assert result.oracle_bits_read == 12
+    assert result.tape_dump == {"hex": "648", "bit_length": 9}
+    assert result.oracle_bits_read == 9
 
 
 def test_worked_example_serving_trace():
@@ -135,6 +139,47 @@ def test_writer_rejects_q_word_outside_the_span():
         bad = dataclasses.replace(advice, q_left=(None, q))
         with pytest.raises(DivideError):
             encode_divide_advice(bad, plan)
+
+
+def test_writer_rejects_q_word_outside_its_block():
+    # p_0 = 2: q_right[0] must lie in block 0, (0, 2], and q_left[1] in
+    # block 1, (2, 4]; one word cannot carry a q on the other side
+    plan = plan_blocks(WORKED.servers, 2)
+    advice = compute_advice(WORKED.requests, plan)
+    for bad in (
+        dataclasses.replace(advice, q_left=(None, 2)),
+        dataclasses.replace(advice, q_left=(None, None), q_right=(3, None)),
+    ):
+        with pytest.raises(DivideError, match="outside"):
+            encode_divide_advice(bad, plan)
+
+
+def test_writer_rejects_a_boundary_crossed_both_ways():
+    plan = plan_blocks(WORKED.servers, 2)
+    advice = compute_advice(WORKED.requests, plan)
+    both = dataclasses.replace(advice, q_right=(2, None), d_right=(0, 0), m_right=(1, 0))
+    with pytest.raises(DivideError, match="both ways"):
+        encode_divide_advice(both, plan)
+
+
+def test_reader_rejects_q_word_past_its_frame():
+    # servers 1..4 at k = 2: the frame (p_{-1}, p_1] = (0, 4] is 3 bits
+    # wide, so the offsets 5..7 fit the word but lie past the frame
+    plan = plan_blocks(WORKED.servers, 2)
+    with pytest.raises(DivideError, match="corrupt advice"):
+        decode_divide_advice(AdviceTape([1, 0, 1]), plan)
+
+
+def test_boundaries_are_ints_on_non_integral_planning_servers():
+    # RESCALE plans on the n^3-scaled servers; where they are non-integral
+    # floats, the floor of a midpoint is an integral float, which the q
+    # word offsets cannot use
+    inst = gen_uniform(6, (0, 10), 3)
+    scaled = [6**3 * (s - inst.servers[0]) + 1 for s in inst.servers]
+    assert not all(float(s).is_integer() for s in scaled)
+    plan = rescale_run(inst, 3).plan
+    assert plan.boundaries == (516, 1099)
+    assert all(type(p) is int for p in plan.boundaries)
 
 
 def test_spent_marking_budget_raises():
@@ -269,6 +314,44 @@ def test_advice_budget_bound():
         for k in range(1, 9):
             result = divide_run(inst, k, "clairvoyant")
             assert result.oracle_bits_read <= advice_budget(8, inst.span_bound, k)
+
+
+def test_budget_predicate_holds_at_the_bound_and_fails_past_it():
+    inst = gen_uniform(8, (0, 24), 5, integer_mode=True, request_range="span")
+    for k in (2, 4, 8):
+        result = divide_run(inst, k, "clairvoyant")
+        budget = advice_budget(8, inst.span_bound, k)
+        assert verification.advice_within_budget(
+            dataclasses.replace(result, oracle_bits_read=budget)
+        )
+        assert not verification.advice_within_budget(
+            dataclasses.replace(result, oracle_bits_read=budget + 1)
+        )
+
+
+def test_one_way_predicate_fails_on_a_boundary_crossed_both_ways():
+    advice = compute_advice(WORKED.requests, plan_blocks(WORKED.servers, 2))
+    assert verification.boundaries_cross_one_way(advice)
+    assert not verification.boundaries_cross_one_way(
+        dataclasses.replace(advice, q_right=(2, None))
+    )
+    # the outer words, q_left[0] and q_right[k-1], sit on no boundary
+    assert verification.boundaries_cross_one_way(
+        dataclasses.replace(advice, q_left=(1, 3), q_right=(None, 4))
+    )
+
+
+def test_the_oracle_crosses_every_boundary_one_way():
+    rng = random.Random(5)
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        top = rng.choice((max(1, n // 3), 4 * n))
+        servers = sorted(rng.randint(1, top) for _ in range(n))
+        servers = [s - servers[0] + 1 for s in servers]
+        requests = [rng.randint(1, servers[-1]) for _ in range(n)]
+        for k in range(1, n + 1):
+            advice = compute_advice(requests, plan_blocks(servers, k))
+            assert verification.boundaries_cross_one_way(advice)
 
 
 def test_out_of_span_requests_are_exact():

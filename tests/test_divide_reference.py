@@ -2,8 +2,12 @@
 they replaced (``reference_divide``).
 
 On requests inside the servers' span nothing is clamped, so both give
-bit-identical tapes, marks, verdicts, matchings and costs. Outside the span
-the reference can miss the optimum; the clamped version must not.
+identical decoded advice, marks, verdicts, matchings and costs. The tapes
+differ on purpose: the reference writes a q word for each side of each
+boundary at w(N) bits, the library one per boundary as an offset inside its
+two blocks, so the library's tape is held to its exact size instead
+(``layout_bits``). Outside the span the reference can miss the optimum; the
+clamped version must not.
 """
 
 import dataclasses
@@ -13,11 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_divide as ref
-from matchline import divide
+from matchline import divide, verification
 from matchline.generators import gen_uniform
 from matchline.model import costs_equal, validate_instance
 from matchline.offline import brute_force_optimal
 from matchline.subroutines import SUBROUTINE_NAMES
+from matchline.tape import word_width
 
 IN_SPAN_SHAPES = ("in-span", "duplicates", "float")
 
@@ -42,11 +47,25 @@ def make_instance(shape: str, n: int, rng: random.Random):
     return validate_instance(servers, requests)
 
 
+def layout_bits(result):
+    """The exact size of the library's tape: per boundary b a q word of
+    w(p_{b+1} - p_{b-1}) bits (p_{-1} = 0, p_{k-1} = N - 1), plus a d/m pair
+    of w(n) bits each for every boundary crossed."""
+    plan, advice = result.plan, result.advice
+    p = (0, *plan.boundaries, plan.span_bound - 1)
+    crossed = sum(
+        q_r is not None or q_l is not None
+        for q_r, q_l in zip(advice.q_right, advice.q_left[1:])
+    )
+    return sum(word_width(p[b + 2] - p[b]) for b in range(plan.k - 1)) + (
+        2 * word_width(plan.n) * crossed
+    )
+
+
 def outputs(result):
-    """Everything a DIVIDE_k run reports, as plain comparable values."""
+    """Everything a DIVIDE_k run reports but its tape, as plain comparable
+    values."""
     return (
-        result.tape_dump,
-        result.oracle_bits_read,
         dataclasses.astuple(result.advice),
         result.marks.marked_left,
         result.marks.marked_right,
@@ -88,6 +107,7 @@ def assert_same(shape: str, instance, k: int, sub: str):
         new = divide.divide_run(instance, k, sub)
         old = ref.divide_run(instance, k, sub)
     assert outputs(new) == outputs(old)
+    assert new.oracle_bits_read == layout_bits(new) == len(new.tape)
 
 
 def test_in_span_runs_are_bit_identical():
@@ -121,6 +141,21 @@ def test_workload_scale_runs_are_bit_identical():
         assert_same("in-span", instance, 4, "greedy")
         instance = gen_uniform(3000, (0.0, 1000.0), seed, request_range="span")
         assert_same("float", instance, 300, "clairvoyant")
+
+
+def test_tape_size_is_exact_on_every_shape():
+    # clamped shapes included: oracle_bits_read is the sum of the boundary
+    # frames' widths plus 2 w(n) per crossed boundary, and within the budget
+    rng = random.Random(9)
+    for n in range(1, 11):
+        for shape in (*IN_SPAN_SHAPES, "out-of-span", "out-of-span-float"):
+            instance = make_instance(shape, n, rng)
+            run = divide.rescale_run if "float" in shape else divide.divide_run
+            for k in range(1, n + 1):
+                result = run(instance, k, "clairvoyant")
+                assert result.oracle_bits_read == layout_bits(result), (shape, n, k)
+                assert verification.advice_within_budget(result)
+                assert verification.boundaries_cross_one_way(result.advice)
 
 
 def test_out_of_span_clairvoyant_runs_are_exact():

@@ -9,6 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchline import verification
 from matchline.cli import main
 from matchline.experiment import run_algorithm
 from matchline.model import costs_equal, save_instance, validate_instance
@@ -65,9 +66,14 @@ def test_every_algorithm_against_the_monotone_optimum(instance):
     n = instance.n
     opt = monotone_optimal(instance).cost
     for algo, k, sub, exact in configs(instance):
-        cost = run_algorithm(instance, algo, k, sub)["cost"]
+        outcome = run_algorithm(instance, algo, k, sub)
+        cost = outcome["cost"]
         label = f"{algo} k={k} {sub}"
         assert cost >= opt or costs_equal(cost, opt, n), label
+        if "divide" in outcome:
+            result = outcome["divide"]
+            assert verification.advice_within_budget(result), label
+            assert verification.boundaries_cross_one_way(result.advice), label
         if exact:
             # RESCALE loses at most n * n^-3 to the rounding of the requests
             target = opt + (n * n**-3 if algo == "rescale" else 0)

@@ -183,7 +183,7 @@ def test_cli_run_divide_verbose_tape(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "749" in out  # the 12-bit advice tape in hex
+    assert "648" in out  # the 9-bit advice tape in hex
     assert "q[2,L]" in out
 
 
@@ -207,11 +207,10 @@ def test_cli_verbose_tape_runs_the_algorithm_once(tmp_path, capsys, monkeypatch)
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert len(calls) == 1
-    # q words first (absent q[1,R] written as N = 5), then the d/m pair of
-    # the one present q word
+    # the one boundary's q word (q[2,L] = 3 as its offset from p_{-1} = 0),
+    # then its d/m pair
     assert [(line.split()[0], line.split()[-1]) for line in lines[2:]] == [
         ("q[2,L]", "value=3"),
-        ("q[1,R]", "value=5"),
         ("d[2,L]", "value=1"),
         ("m[2,L]", "value=1"),
     ]
@@ -238,13 +237,33 @@ def test_cli_rescale_verbose_tape_lists_scaled_words(tmp_path, capsys, monkeypat
     assert len(calls) == 1
     assert lines[0].startswith("rescale: cost=1.75 opt=1.75")
     # words in the n^3-scaled coordinates: the request at 2.0 plans at
-    # 8 * 1.5 + 1 = 13 and crosses left; the absent q[1,R] is N = 18
+    # 8 * 1.5 + 1 = 13, above p_0 = 9, and crosses left; its offset from
+    # p_{-1} = 0 is 13
     assert [(line.split()[0], line.split()[-1]) for line in lines[2:]] == [
         ("q[2,L]", "value=13"),
-        ("q[1,R]", "value=18"),
         ("d[2,L]", "value=0"),
         ("m[2,L]", "value=1"),
     ]
+
+
+def test_cli_verbose_tape_widths_sum_to_the_advice_bits(tmp_path, capsys):
+    # one row per boundary, crossed or not (q[4|5,-]), then the d/m rows
+    inst_path = tmp_path / "i.json"
+    save_instance(
+        gen_uniform(12, (0, 50), 4, integer_mode=True, request_range="span"), inst_path
+    )
+    code = main(
+        ["run", "--algo", "divide", "--k", "5", "--sub", "clairvoyant",
+         "--input", str(inst_path), "--verbose-tape"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    bits = int(lines[0].split("advice_bits=")[1].split()[0])
+    rows = [line.split() for line in lines[2:]]
+    q_rows = [row[0] for row in rows if row[0].startswith("q[")]
+    assert len(q_rows) == 4 and "q[4|5,-]" in q_rows
+    widths = [int(line.split("width=")[1].split()[0]) for line in lines[2:]]
+    assert sum(widths) == bits == 43
 
 
 @pytest.mark.parametrize("algo", ["lr", "greedy", "permutation"])
@@ -319,6 +338,15 @@ def test_cli_verify_empty_grid_is_a_usage_error(grid, capsys):
         main(["verify", *grid])
     assert exc.value.code == 2
     assert "all checks passed" not in capsys.readouterr().out
+
+
+def test_cli_verify_usage_error_shows_the_verify_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "family", "--seeds", "3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: matchline verify ")
+    assert "matchline verify: error: the family suite" in err
 
 
 @pytest.mark.parametrize(
