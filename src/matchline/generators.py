@@ -34,8 +34,8 @@ def gen_uniform(
     In integer mode positions are integers and servers are shifted so that
     s_1 = 1 (requests shift with them). ``request_range`` optionally draws the
     requests from a different interval, interpreted after the shift; pass
-    ``"span"`` to keep requests inside the servers' span ([1, N-1] in integer
-    mode).
+    ``"span"`` to keep requests inside the servers' span ([1, s_n - 1] in
+    integer mode, [1, 1] when s_n = 1).
     """
     if n < 1:
         raise GeneratorError("n must be at least 1")

@@ -55,13 +55,6 @@ class Instance:
             and self.servers[0] == 1
         )
 
-    @property
-    def span_bound(self) -> int:
-        """N = s_n + 1 for integer-mode instances."""
-        if not self.integer_mode:
-            raise InstanceError("N is only defined in integer mode")
-        return self.servers[-1] + 1
-
 
 def validate_instance(servers: Sequence, requests: Sequence) -> Instance:
     """Build a validated instance; servers are sorted if they arrive unsorted."""

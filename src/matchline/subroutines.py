@@ -1,14 +1,19 @@
 """Advice-free online matching algorithms usable inside DIVIDE_k blocks.
 
 Each subroutine owns a fixed server pool and serves requests one at a time,
-always returning a still-available server from that pool. ``clairvoyant``
-reads its block's future requests and replays their offline optimum, so it is
-a verification device, not an online algorithm, for DIVIDE_k's exact checks.
+always returning a still-available server from that pool. ``greedy`` and
+``permutation`` run on LR's server pool (``LRState``); ``permutation`` prices
+only the two free neighbours of each request, O(t) for the t-th request and
+O(n^2) per run, and serves the ids of the full scan it replaced except at
+float-rounding ties. ``clairvoyant`` reads its block's future requests and
+replays their offline optimum, so it is a verification device, not an online
+algorithm, for DIVIDE_k's exact checks.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from typing import Sequence
 
 from .lr import LRState
@@ -60,74 +65,68 @@ class Permutation:
     """Classical Permutation algorithm (Khuller, Mitchell and Vazirani 1994;
     Kalyanasundaram and Pruhs 1993), (2m - 1)-competitive on m servers.
 
-    The servers U it has used form an optimal server set for the requests
-    seen so far. For a new request it serves a free server s for which
-    U + {s} is optimal for the extended history R. Such an s exists: given
-    an optimal server set for t - 1 requests, some optimal set for t
-    requests adds one server to it (the lemma behind Permutation). So the
-    minimum over the free servers of cost(R, U + {s}) is the running
-    optimum, and no separate optimum is computed. Ties go to the first pool
-    index (position, then id) whose cost is at or within ``costs_equal`` of
-    that minimum.
+    The servers U it has used form an optimal server set for the requests R'
+    seen so far, and a new request r is served by a free server s for which
+    U + {s} is optimal for R = R' + {r}: some optimal set for t requests adds
+    one server to any optimal set for t - 1 (the lemma behind Permutation).
+    So the least cost(R, U + {s}) over the free s is the running optimum.
 
-    On the line an optimal matching of a fixed server set pairs the sorted
-    requests with the sorted positions. With g the number of used positions
-    strictly below s, that order pairs R[i] with U[i] for i < g, R[g] with
-    s, and R[i] with U[i - 1] for i > g, so
+    Neighbour lemma: let L and H be the nearest free servers at or below r
+    and at or above r. On exact costs every free s <= L costs at least as
+    much as L, and every free s >= H at least as much as H.
 
-        cost(R, U + {s}) = A[g] + |R[g] - s| + B[g],
-        A[g] = sum_{i<g} |R[i] - U[i]|,  B[g] = sum_{i>g} |R[i] - U[i-1]|.
+    Proof. Two equal-size multisets on the line match optimally at the cost
+    of the integral of |A(x) - B(x)|, where A(x) and B(x) count their points
+    at or below x. Let D = R'(x) - U(x) and phi = |D - 1| - |D|: +1 where
+    D <= 0, -1 where D >= 1. For a free s <= r, cost(R, U + {s}) exceeds
+    cost(R', U) by the integral of phi over [s, r), so for s < L the cost of
+    s exceeds that of L by the integral over [s, L). Optimality of U gives:
+    (a) swapping a used u > s for s changes cost(R', U) by the integral of
+        phi over [s, u), so that integral is >= 0;
+    (b) D(L) <= 0: else U(L) < R'(L) <= |U|, so a least used u > L exists,
+        D >= D(L) >= 1 on [L, u) as U(x) = U(L) there, and swapping u for
+        L would save u - L.
+    Let a be the greatest used position in (s, L], or s if there is none.
+    If a < L, no used server lies in (a, L], so D <= D(L) <= 0 and phi = +1
+    on [a, L). The integral over [s, L) is then the one over [s, a), >= 0
+    by (a), plus L - a. The upper side is the mirror image.
 
-    One pass up and one down the sorted history give every A and B, and one
-    pass over the pool prices every free server: O(t + m) for the t-th
-    request on m servers, O(n^2) per run. Integer positions keep every sum
-    an exact int.
-
-    The chosen server is not always one of the two free servers nearest the
-    request: where float rounding ties the costs of farther servers, the
-    first pool index wins. So pricing only those two would change the ids
-    served, and the full scan stays.
+    So only L (the smallest free id at its position) and H are priced, each
+    as one sum of the sorted history against the sorted used positions plus
+    it: O(t) for the t-th request, O(n^2) per run, exact on integers. L is
+    served when its cost is <= H's or ``costs_equal`` to it.
     """
 
     def __init__(self, servers, ids=None):
-        ids = range(len(servers)) if ids is None else ids
-        self.pool = sorted(zip(servers, ids))
-        self.free = [True] * len(self.pool)
+        self.pool = LRState.for_servers(servers, ids)
         self.history: list = []  # the requests seen so far, sorted
         self.used: list = []  # positions of the servers served so far, sorted
 
+    def _lower_wins(self, low, high) -> bool:
+        """Whether cost(history, used + {low}) is <= the cost with high, or
+        ``costs_equal`` to it; each pairs the two sorted lists in order."""
+        used, costs = self.used, []
+        for s in (low, high):
+            g = bisect.bisect_left(used, s)
+            used.insert(g, s)
+            costs.append(sum(map(abs, map(operator.sub, self.history, used))))
+            del used[g]
+        return costs[0] <= costs[1] or costs_equal(*costs, len(self.history))
+
     def serve(self, request) -> int:
-        history, used = self.history, self.used
-        bisect.insort(history, request)
-        t = len(history)
-        below = [0] * t  # A[g]
-        acc = 0
-        for g in range(1, t):
-            acc += abs(history[g - 1] - used[g - 1])
-            below[g] = acc
-        above = [0] * t  # B[g]
-        acc = 0
-        for g in range(t - 2, -1, -1):
-            acc += abs(history[g + 1] - used[g])
-            above[g] = acc
-        candidates, costs = [], []
-        g = 0
-        for idx, ((s, _sid), free) in enumerate(zip(self.pool, self.free)):
-            if free:
-                while g < t - 1 and used[g] < s:
-                    g += 1
-                candidates.append(idx)
-                costs.append(below[g] + abs(history[g] - s) + above[g])
-        if not costs:
+        pool = self.pool
+        positions, end = pool.positions, len(pool.positions)
+        bisect.insort(self.history, request)
+        j = pool.next_free(bisect.bisect_left(positions, request))  # H
+        low = pool.prev_free(bisect.bisect_right(positions, request))
+        if low >= 0:  # L: the smallest free id at that position
+            low = pool.next_free(bisect.bisect_left(positions, positions[low], 0, low))
+            if j in (low, end) or self._lower_wins(positions[low], positions[j]):
+                j = low
+        elif j == end:
             raise SubroutineError("no available server")
-        best = min(costs)
-        for idx, c in zip(candidates, costs):
-            if c <= best or costs_equal(c, best, t):
-                break
-        self.free[idx] = False
-        s, sid = self.pool[idx]
-        bisect.insort(used, s)
-        return sid
+        bisect.insort(self.used, positions[j])
+        return pool.take(j)
 
 
 class Clairvoyant:

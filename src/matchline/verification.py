@@ -16,6 +16,8 @@ from .generators import gen_family, gen_uniform, verify_family
 from .lr import LRResult, lr_oracle, lr_run
 from .model import Instance, costs_equal
 from .offline import (
+    BRUTE_FORCE_MAX_N,
+    OracleError,
     all_optimal_assignments,
     apply_switch,
     brute_force_optimal,
@@ -26,8 +28,18 @@ from .offline import (
 from .tape import word_width
 
 
+#: the largest n the props suite checks: it enumerates all n! assignments
+PROPS_MAX_N = 7
+
+
 def _noop(*_args, **_kwargs):
     pass
+
+
+def _check_n_max(n_max: int, cap: int) -> None:
+    """Reject a grid past the suite's cap before any work."""
+    if n_max > cap:
+        raise OracleError(f"n_max={n_max} too large: this suite checks n <= {cap}")
 
 
 def lr_is_optimal(result: LRResult, opt) -> bool:
@@ -91,6 +103,7 @@ def switches_preserve_cost(instance: Instance) -> bool:
 
 def verify_lr_optimal(n_max: int = 8, seeds: int = 50, log=_noop) -> int:
     """LR with oracle advice is exactly optimal and reads <= n-1 bits."""
+    _check_n_max(n_max, BRUTE_FORCE_MAX_N)
     failures = 0
     for n in range(2, n_max + 1):
         for seed in range(seeds):
@@ -108,6 +121,7 @@ def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
     """DIVIDE_k with the clairvoyant subroutine matches the exact optimum,
     within its advice budget, crossing each boundary one way, with
     consistent marking."""
+    _check_n_max(n_max, BRUTE_FORCE_MAX_N)
     failures = 0
     for n in range(2, n_max + 1):
         for seed in range(seeds):
@@ -149,8 +163,9 @@ def verify_family_suite(n_max: int = 8, log=_noop) -> int:
 
 def verify_order_properties(n_max: int = 6, seeds: int = 30, log=_noop) -> int:
     """Order structure of optima and cost-preserving switches."""
+    _check_n_max(n_max, PROPS_MAX_N)
     failures = 0
-    for n in range(2, min(n_max, 7) + 1):
+    for n in range(2, n_max + 1):
         for seed in range(seeds):
             instance = gen_uniform(n, (0, 3 * n), seed, integer_mode=True)
             for name, ok in (

@@ -468,7 +468,7 @@ def divide_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divide
     """Full DIVIDE_k run on an integer-mode instance."""
     if not instance.integer_mode:
         raise InstanceError("DIVIDE_k requires an integer-mode instance (s_1 = 1)")
-    return _run_divide(instance, k, subroutine, instance.span_bound)
+    return _run_divide(instance, k, subroutine, instance.servers[-1] + 1)  # N = s_n + 1
 
 
 @dataclass

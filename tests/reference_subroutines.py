@@ -1,4 +1,4 @@
-"""Two subroutines as they were before their rewrites, kept verbatim as the
+"""Subroutines as they were before their rewrites, kept verbatim as the
 differential references for ``matchline.subroutines``; nothing in the
 package uses them.
 
@@ -6,10 +6,14 @@ package uses them.
   list with an availability flag per entry, scanned in full on every request.
 - ``Permutation``, before it priced servers from per-gap sums: an O(t * m) DP
   for the running optimum, then a fresh sort per candidate server.
+- ``PerGapPermutation``, before it priced only the two free neighbours of the
+  request on LR's server pool: every free server priced from per-gap prefix
+  sums over the sorted history, the first pool index among the least costs.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
 from matchline.model import costs_equal
@@ -96,3 +100,77 @@ class Permutation(_PoolSubroutine):
                 self.used.append(idx)
                 return self._claim(idx)
         raise SubroutineError("no server extends the running optimum")
+
+
+class PerGapPermutation:
+    """Classical Permutation algorithm (Khuller, Mitchell and Vazirani 1994;
+    Kalyanasundaram and Pruhs 1993), (2m - 1)-competitive on m servers.
+
+    The servers U it has used form an optimal server set for the requests
+    seen so far. For a new request it serves a free server s for which
+    U + {s} is optimal for the extended history R. Such an s exists: given
+    an optimal server set for t - 1 requests, some optimal set for t
+    requests adds one server to it (the lemma behind Permutation). So the
+    minimum over the free servers of cost(R, U + {s}) is the running
+    optimum, and no separate optimum is computed. Ties go to the first pool
+    index (position, then id) whose cost is at or within ``costs_equal`` of
+    that minimum.
+
+    On the line an optimal matching of a fixed server set pairs the sorted
+    requests with the sorted positions. With g the number of used positions
+    strictly below s, that order pairs R[i] with U[i] for i < g, R[g] with
+    s, and R[i] with U[i - 1] for i > g, so
+
+        cost(R, U + {s}) = A[g] + |R[g] - s| + B[g],
+        A[g] = sum_{i<g} |R[i] - U[i]|,  B[g] = sum_{i>g} |R[i] - U[i-1]|.
+
+    One pass up and one down the sorted history give every A and B, and one
+    pass over the pool prices every free server: O(t + m) for the t-th
+    request on m servers, O(n^2) per run. Integer positions keep every sum
+    an exact int.
+
+    The chosen server is not always one of the two free servers nearest the
+    request: where float rounding ties the costs of farther servers, the
+    first pool index wins. So pricing only those two would change the ids
+    served, and the full scan stays.
+    """
+
+    def __init__(self, servers, ids=None):
+        ids = range(len(servers)) if ids is None else ids
+        self.pool = sorted(zip(servers, ids))
+        self.free = [True] * len(self.pool)
+        self.history: list = []  # the requests seen so far, sorted
+        self.used: list = []  # positions of the servers served so far, sorted
+
+    def serve(self, request) -> int:
+        history, used = self.history, self.used
+        bisect.insort(history, request)
+        t = len(history)
+        below = [0] * t  # A[g]
+        acc = 0
+        for g in range(1, t):
+            acc += abs(history[g - 1] - used[g - 1])
+            below[g] = acc
+        above = [0] * t  # B[g]
+        acc = 0
+        for g in range(t - 2, -1, -1):
+            acc += abs(history[g + 1] - used[g])
+            above[g] = acc
+        candidates, costs = [], []
+        g = 0
+        for idx, ((s, _sid), free) in enumerate(zip(self.pool, self.free)):
+            if free:
+                while g < t - 1 and used[g] < s:
+                    g += 1
+                candidates.append(idx)
+                costs.append(below[g] + abs(history[g] - s) + above[g])
+        if not costs:
+            raise SubroutineError("no available server")
+        best = min(costs)
+        for idx, c in zip(candidates, costs):
+            if c <= best or costs_equal(c, best, t):
+                break
+        self.free[idx] = False
+        s, sid = self.pool[idx]
+        bisect.insort(used, s)
+        return sid

@@ -313,14 +313,14 @@ def test_advice_budget_bound():
         inst = gen_uniform(8, (0, 24), seed, integer_mode=True, request_range="span")
         for k in range(1, 9):
             result = divide_run(inst, k, "clairvoyant")
-            assert result.oracle_bits_read <= advice_budget(8, inst.span_bound, k)
+            assert result.oracle_bits_read <= advice_budget(8, result.plan.span_bound, k)
 
 
 def test_budget_predicate_holds_at_the_bound_and_fails_past_it():
     inst = gen_uniform(8, (0, 24), 5, integer_mode=True, request_range="span")
     for k in (2, 4, 8):
         result = divide_run(inst, k, "clairvoyant")
-        budget = advice_budget(8, inst.span_bound, k)
+        budget = advice_budget(8, result.plan.span_bound, k)
         assert verification.advice_within_budget(
             dataclasses.replace(result, oracle_bits_read=budget)
         )

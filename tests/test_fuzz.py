@@ -4,6 +4,7 @@ integer coordinates past 2^53, requests far outside the servers' span), plus
 the CLI's exit codes on the same instances and on malformed files."""
 
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from matchline import verification
 from matchline.cli import main
 from matchline.experiment import run_algorithm
 from matchline.model import costs_equal, save_instance, validate_instance
-from matchline.offline import monotone_optimal
-from matchline.subroutines import SUBROUTINE_NAMES
+from matchline.offline import monotone_cost, monotone_optimal
+from matchline.subroutines import SUBROUTINE_NAMES, Permutation
 
 BIG = 10**15
 HUGE = 2**60  # past 2^53, where a float midpoint of two integers can round
@@ -34,9 +35,9 @@ SHAPES = {
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_n=6):
     shape = draw(st.sampled_from(sorted(SHAPES)))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     server_coords, request_coords = SHAPES[shape](n)
     servers = draw(st.lists(server_coords, min_size=n, max_size=n))
     requests = draw(st.lists(request_coords, min_size=n, max_size=n))
@@ -78,6 +79,20 @@ def test_every_algorithm_against_the_monotone_optimum(instance):
             # RESCALE loses at most n * n^-3 to the rounding of the requests
             target = opt + (n * n**-3 if algo == "rescale" else 0)
             assert cost <= target or costs_equal(cost, target, n), label
+
+
+@given(instances(max_n=8))
+def test_permutation_keeps_an_optimal_server_set(instance):
+    # the step Permutation rests on: some optimal server set for t requests
+    # extends the one for t - 1, so after each request t its used servers
+    # cost the least over all t-subsets of the servers (exactly on ints)
+    servers, requests = instance.servers, instance.requests
+    sub, used = Permutation(servers), []
+    for t in range(1, instance.n + 1):
+        used.append(servers[sub.serve(requests[t - 1])])
+        history = requests[:t]
+        least = min(monotone_cost(subset, history) for subset in combinations(servers, t))
+        assert costs_equal(monotone_cost(used, history), least, t)
 
 
 @settings(max_examples=30)

@@ -32,7 +32,7 @@ def test_uniform_single_point():
 def test_uniform_span_requests_stay_encodable():
     for seed in range(20):
         inst = gen_uniform(6, (0, 30), seed, integer_mode=True, request_range="span")
-        assert all(1 <= r <= inst.span_bound - 1 for r in inst.requests)
+        assert all(1 <= r <= inst.servers[-1] - 1 for r in inst.requests)
 
 
 def test_uniform_rejects_bad_input():

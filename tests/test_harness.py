@@ -340,6 +340,18 @@ def test_cli_verify_empty_grid_is_a_usage_error(grid, capsys):
     assert "all checks passed" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "suite, n", [("lr-optimal", "13"), ("divide-exact", "13"), ("props", "8")]
+)
+def test_cli_verify_rejects_sizes_past_the_suite_cap(suite, n, capsys):
+    # the brute-force optimum stops at n = 12 and props enumerates all n!
+    # assignments up to n = 7; a larger --n fails before any size is checked
+    assert main(["verify", "--suite", suite, "--n", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "too large" in err
+
+
 def test_cli_verify_usage_error_shows_the_verify_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "family", "--seeds", "3"])

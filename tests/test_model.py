@@ -18,14 +18,11 @@ from matchline.model import (
 def test_minimal_integer_instance():
     inst = validate_instance([1, 2], [1, 2])
     assert inst.integer_mode
-    assert inst.span_bound == 3
 
 
 def test_float_instance_not_integer_mode():
     inst = validate_instance([0.5, 2.5], [1.0, 1.0])
     assert not inst.integer_mode
-    with pytest.raises(InstanceError):
-        inst.span_bound
 
 
 def test_integral_floats_normalize_to_int():

@@ -1,5 +1,5 @@
-"""Differential tests: the greedy subroutine on LR's server pool and the
-per-gap ``Permutation`` against the versions they replaced
+"""Differential tests: the greedy subroutine and ``Permutation``, both on
+LR's server pool, against the versions they replaced
 (``reference_subroutines``), plus the two-candidate property of
 ``Permutation``."""
 
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import reference_subroutines as ref
 from matchline.generators import gen_uniform
 from matchline.model import costs_equal
+from matchline.offline import monotone_cost
 from matchline.subroutines import Greedy, Permutation
 
 # "rounding": servers near 0, requests near 10**16, where a float distance
@@ -33,16 +34,46 @@ def make_case(shape: str, n: int, rng: random.Random):
     return servers, [rng.randint(min(servers), max(servers)) for _ in range(n)]
 
 
-def assert_same(servers, requests, rng: random.Random, new_cls=Greedy, old_cls=ref.Greedy):
+def assert_same(
+    servers, requests, rng: random.Random, new_cls=Greedy, old_classes=(ref.Greedy,)
+):
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
-        new, old = new_cls(servers, ids), old_cls(servers, ids)
+        new, olds = new_cls(servers, ids), [cls(servers, ids) for cls in old_classes]
         for r in requests:
-            assert new.serve(r) == old.serve(r)
+            served = new.serve(r)
+            assert [old.serve(r) for old in olds] == [served] * len(olds)
 
 
 def assert_same_permutation(servers, requests, rng: random.Random):
-    assert_same(servers, requests, rng, Permutation, ref.Permutation)
+    assert_same(
+        servers, requests, rng, Permutation, (ref.PerGapPermutation, ref.Permutation)
+    )
+
+
+def assert_permutation_least_cost(servers, requests, rng: random.Random):
+    # the stated reference where float rounding ties a farther server's cost
+    # with a neighbour's and the references' first pool index wins: each
+    # served server costs, within costs_equal, the least
+    # cost(history, used + {s}) over all free s
+    n = len(servers)
+    for ids in (None, rng.sample(range(3 * n), n)):
+        free = dict(zip(range(n) if ids is None else ids, servers))
+        sub, used, history = Permutation(servers, ids), [], []
+        for r in requests:
+            history.append(r)
+            s = free.pop(sub.serve(r))
+            cost = monotone_cost(used + [s], history)
+            least = min([cost] + [monotone_cost(used + [p], history) for p in free.values()])
+            assert costs_equal(cost, least, len(history))
+            used.append(s)
+
+
+def check_permutation(shape, servers, requests, rng: random.Random):
+    if shape == "rounding":
+        assert_permutation_least_cost(servers, requests, rng)
+    else:
+        assert_same_permutation(servers, requests, rng)
 
 
 def test_same_servers_on_every_shape():
@@ -68,7 +99,7 @@ def test_permutation_same_servers_on_every_shape():
     for n in range(1, 26):
         for shape in SHAPES:
             for _ in range(6):
-                assert_same_permutation(*make_case(shape, n, rng), rng)
+                check_permutation(shape, *make_case(shape, n, rng), rng)
 
 
 @given(
@@ -78,7 +109,7 @@ def test_permutation_same_servers_on_every_shape():
 )
 def test_permutation_same_servers_property(shape, n, seed):
     rng = random.Random(seed)
-    assert_same_permutation(*make_case(shape, n, rng), rng)
+    check_permutation(shape, *make_case(shape, n, rng), rng)
 
 
 def test_permutation_same_servers_beyond_float_precision():
@@ -101,10 +132,6 @@ def test_permutation_same_servers_at_n_120():
     assert_same_permutation(*make_case("out-of-span", 120, rng), rng)
 
 
-def _subset_cost(history, positions):
-    return sum(abs(r - s) for r, s in zip(sorted(history), sorted(positions)))
-
-
 @given(
     st.sampled_from(SHAPES),
     st.integers(min_value=1, max_value=25),
@@ -112,25 +139,13 @@ def _subset_cost(history, positions):
 )
 def test_permutation_serves_a_nearest_free_server(shape, n, seed):
     # the chosen server is the nearest free one at or below the request or
-    # the nearest at or above it; on "rounding", float rounding ties farther
-    # servers' costs and the first pool index wins, so there the chosen cost
-    # only ties one of the two
+    # the nearest at or above it
     servers, requests = make_case(shape, n, random.Random(seed))
     sub = Permutation(servers)
-    free, used, history = list(servers), [], []
+    free = list(servers)
     for r in requests:
-        history.append(r)
         nearest = [max((p for p in free if p <= r), default=None),
                    min((p for p in free if p >= r), default=None)]
-        nearest = [p for p in nearest if p is not None]
         s = servers[sub.serve(r)]
-        if shape == "rounding":
-            c = _subset_cost(history, used + [s])
-            assert any(
-                costs_equal(c, _subset_cost(history, used + [p]), len(history))
-                for p in nearest
-            )
-        else:
-            assert s in nearest
+        assert s in nearest
         free.remove(s)
-        used.append(s)
