@@ -26,6 +26,15 @@ p_{k-1} = N - 1, it is q - p_{b-1} at width w(p_{b+1} - p_{b-1}), 0 when
 nothing crosses, and the reader tells a right crossing (q in block b) from a
 left one (q in block b+1) by comparing q with p_b. The oracle tape thus
 holds at most (k-1)(w(N) + 2w(n)) bits; only its bits count as advice.
+
+Serving goes block by block, then LR. ``classify_requests`` fixes every
+request's verdict, its block or a marking side, from positions and counters
+alone, before any subroutine chooses; and each block's subroutine and LR's
+pool own disjoint servers. So no choice depends on the order in which the
+pools are served: each block's subroutine is served its own requests in
+arrival order, one at a time, then LR the marked requests in arrival order.
+Every pool sees the same requests in the same order as in one interleaved
+pass, so the online model and every output are those of that pass.
 """
 
 from __future__ import annotations
@@ -409,42 +418,58 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
     marks = mark_servers(plan, decoded)
     verdicts = classify_requests(requests, plan, decoded)
 
-    # block subroutines over the unmarked servers of each group; a block that
-    # receives no request needs none
-    marked = marks.marked
-    sealed_by_block = [[] for _ in range(k)]
-    for c, (verdict, b) in zip(requests, verdicts):
+    # callers[t] is the caller's request t, priced against its servers;
+    # requests[t] is its planning image
+    callers, priced = instance.requests, instance.servers
+    assignment = [None] * instance.n
+    # arrival indices of each block's unmarked requests, and of the marked
+    arrivals_by_block = [[] for _ in range(k)]
+    marked_arrivals = []
+    for t, (verdict, b) in enumerate(verdicts):
         if verdict == _SERVE_BLOCK:
-            sealed_by_block[b].append(c)
-    groups = plan.groups
-    serves = [None] * k
-    for b, ((start, stop), sealed) in enumerate(zip(groups, sealed_by_block)):
-        ids = [j for j in range(start, stop) if j not in marked]
-        if len(ids) != len(sealed):
-            raise DivideError(
-                f"block {b}: {len(sealed)} unmarked requests vs {len(ids)} unmarked servers"
-            )
-        if sealed:
-            serves[b] = make_subroutine(
-                subroutine,
-                [servers[j] for j in ids],
-                ids=ids,
-                sealed=sealed if subroutine == "clairvoyant" else None,
-            ).serve
+            arrivals_by_block[b].append(t)
+        else:
+            marked_arrivals.append(t)
 
+    # each block's subroutine serves its own requests in arrival order, over
+    # the unmarked servers of its group; a block that receives none needs none
+    marked = marks.marked
+    block_costs = [0] * k
+    for b, ((start, stop), arrivals) in enumerate(zip(plan.groups, arrivals_by_block)):
+        ids = [j for j in range(start, stop) if j not in marked]
+        if len(ids) != len(arrivals):
+            raise DivideError(
+                f"block {b}: {len(arrivals)} unmarked requests vs {len(ids)} unmarked servers"
+            )
+        if not arrivals:
+            continue
+        sealed = [requests[t] for t in arrivals]
+        sub = make_subroutine(
+            subroutine,
+            [servers[j] for j in ids],
+            ids=ids,
+            sealed=sealed if subroutine == "clairvoyant" else None,
+        )
+        served = list(map(sub.serve, sealed))
+        if sorted(served) != ids:
+            raise DivideError(f"subroutine left its block: block {b}")
+        cost = 0
+        for t, j in zip(arrivals, served):
+            assignment[t] = j
+            cost += abs(callers[t] - priced[j])
+        block_costs[b] = cost
+
+    # then LR serves the marked requests in arrival order
     marked_ids = sorted(marked)
     lr_state = LRState.for_servers([servers[j] for j in marked_ids], indices=marked_ids)
     aux = AuxTape()
-
     # the q value that both sides of a block share, None without a collision
     collisions = [
         ql if ql is not None and ql == qr else None
         for ql, qr in zip(decoded.q_left, decoded.q_right)
     ]
     d_left = decoded.d_left
-    assignment = [None] * instance.n
     lr_cost = 0
-    block_costs = [0] * k
     # zero-bits actually consumed by requests at a collision value; d_left
     # carries their left share there (see DivideAdvice). Marked requests at
     # the collision value may owe their direction to either side: marked
@@ -452,31 +477,24 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
     # rule, and the rest must split by the left share, not by which marking
     # budget admitted them.
     zeros_read = [0] * k
-    # r is the caller's request, priced against its servers; c is r planned
-    priced = instance.servers
-    for t, (r, c, (verdict, b)) in enumerate(zip(instance.requests, requests, verdicts)):
-        if verdict == _SERVE_BLOCK:
-            j = serves[b](c)
-            start, stop = groups[b]
-            if not start <= j < stop or j in marked:
-                raise DivideError(f"subroutine left its block: server {j}")
-            block_costs[b] += abs(r - priced[j])
+    for t in marked_arrivals:
+        c = requests[t]
+        verdict, b = verdicts[t]
+        collision_value = c == collisions[b]
+        if collision_value:
+            bit = 0 if zeros_read[b] < d_left[b] else 1
         else:
-            collision_value = c == collisions[b]
-            if collision_value:
-                bit = 0 if zeros_read[b] < d_left[b] else 1
-            else:
-                bit = 1 if verdict == _SERVE_MARK_RIGHT else 0
-            aux.write_bit(bit)
-            before = aux.cursor
-            j = lr_serve(lr_state, c, aux)
-            if aux.cursor == before:
-                aux.remove_last()
-            elif collision_value and bit == 0:
-                zeros_read[b] += 1
-            if j not in marked:
-                raise DivideError("LR used an unmarked server")
-            lr_cost += abs(r - priced[j])
+            bit = 1 if verdict == _SERVE_MARK_RIGHT else 0
+        aux.write_bit(bit)
+        before = aux.cursor
+        j = lr_serve(lr_state, c, aux)
+        if aux.cursor == before:
+            aux.remove_last()
+        elif collision_value and bit == 0:
+            zeros_read[b] += 1
+        if j not in marked:
+            raise DivideError("LR used an unmarked server")
+        lr_cost += abs(callers[t] - priced[j])
         assignment[t] = j
     if aux.unread:
         raise DivideError("stray unread bits on the auxiliary tape")

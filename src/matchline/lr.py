@@ -57,8 +57,8 @@ class LRState:
         pool = sorted(zip(servers, range(len(servers)) if indices is None else indices))
         return cls([s for s, _ in pool], [i for _, i in pool])
 
-    # lr_serve inlines the next three for speed; the greedy and permutation
-    # subroutines call them
+    # lr_serve and the greedy subroutine inline the next three for speed;
+    # the permutation subroutine calls them
 
     def next_free(self, i: int) -> int:
         """Least free slot >= i; len(positions) when there is none."""

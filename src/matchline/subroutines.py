@@ -32,33 +32,56 @@ class Greedy:
 
     Runs on LR's server pool (``LRState``): one bisect splits the servers at
     the request and the "next free" pointers give the nearest free server on
-    each side, O(log n) amortised per request.
+    each side, O(log n) amortised per request. ``serve`` walks the pointers
+    inline, with path halving as in ``lr_serve``. ``first`` maps each slot
+    to the first slot of its run of equal positions, built once, so the
+    smallest free id at a position needs no bisect. Every slot below the
+    bisect point lies below the request and every slot from it on at or
+    above, so each distance is a one-sided difference, equal to its ``abs``.
     """
 
     def __init__(self, servers: Sequence, ids: Sequence[int] | None = None):
         self.pool = LRState.for_servers(servers, ids)
+        positions = self.pool.positions
+        first = list(range(len(positions)))
+        for s in range(1, len(positions)):
+            if positions[s] == positions[s - 1]:
+                first[s] = first[s - 1]
+        self.first = first
 
     def serve(self, request) -> int:
-        pool = self.pool
-        positions, end = pool.positions, len(pool.positions)
-        i = bisect.bisect_left(positions, request)
-        j = pool.next_free(i)  # least position >= request, smallest id there
-        left = pool.prev_free(i)
+        pool, first = self.pool, self.first
+        positions, right_of, left_of = pool.positions, pool._right, pool._left
+        end = len(positions)
+        i = j = bisect.bisect_left(positions, request)
+        # j: least position >= request, smallest id there
+        while right_of[j] != j:  # path halving
+            right_of[j] = j = right_of[right_of[j]]
+        left = i
+        while left_of[left] != left:
+            left_of[left] = left = left_of[left_of[left]]
+        left -= 1
         if left >= 0:
             # distances are compared as computed: where rounding makes a free
             # position farther below no farther away, the smaller one wins
-            dist = abs(request - positions[left])
+            dist = request - positions[left]
             while True:
-                first = bisect.bisect_left(positions, positions[left], 0, left)
-                below = pool.prev_free(first)
-                if below < 0 or abs(request - positions[below]) > dist:
+                low = below = first[left]
+                while left_of[below] != below:
+                    left_of[below] = below = left_of[left_of[below]]
+                below -= 1
+                if below < 0 or request - positions[below] > dist:
                     break
-                left, dist = below, abs(request - positions[below])
-            if j == end or dist <= abs(request - positions[j]):
-                j = pool.next_free(first)  # smallest free id at that position
+                left, dist = below, request - positions[below]
+            if j == end or dist <= positions[j] - request:
+                j = low  # smallest free id at that position
+                while right_of[j] != j:
+                    right_of[j] = j = right_of[right_of[j]]
         elif j == end:
             raise SubroutineError("no available server")
-        return pool.take(j)
+        right_of[j] = j + 1
+        left_of[j + 1] = j
+        return pool.indices[j]
 
 
 class Permutation:

@@ -5,6 +5,12 @@ lets the other side's budget absorb a request. Kept verbatim as the
 differential reference for ``matchline.divide``; nothing in the package uses
 it. Its ``make_subroutine`` call no longer passes ``exact=``, which the
 package's subroutines dropped (they compare costs by their types).
+
+``interleaved_serve`` is the serving loop of the clamped version, before it
+served block by block: one pass in arrival order that calls each request's
+block subroutine or LR in turn. It is the reference for the serving of
+``matchline.divide._run_divide``, fed the same plan, advice, marks and
+verdicts.
 """
 
 from __future__ import annotations
@@ -508,3 +514,87 @@ def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> Resca
         scaled_cost=result.matching.cost,
         cost=matching.cost,
     )
+
+
+def interleaved_serve(
+    instance: Instance, subroutine: str, servers, requests, plan, decoded, marks, verdicts
+):
+    """Serve one request at a time in arrival order, as ``_run_divide`` did
+    before it served block by block. ``servers`` and ``requests`` are the
+    planning coordinates (requests already clamped); ``plan``, ``decoded``,
+    ``marks`` and ``verdicts`` are ``matchline.divide``'s. Returns the
+    assignment, lr_cost, block_costs and the aux bits written."""
+    k = plan.k
+
+    # block subroutines over the unmarked servers of each group; a block that
+    # receives no request needs none
+    marked = marks.marked
+    sealed_by_block = [[] for _ in range(k)]
+    for c, (verdict, b) in zip(requests, verdicts):
+        if verdict == _SERVE_BLOCK:
+            sealed_by_block[b].append(c)
+    groups = plan.groups
+    serves = [None] * k
+    for b, ((start, stop), sealed) in enumerate(zip(groups, sealed_by_block)):
+        ids = [j for j in range(start, stop) if j not in marked]
+        if len(ids) != len(sealed):
+            raise DivideError(
+                f"block {b}: {len(sealed)} unmarked requests vs {len(ids)} unmarked servers"
+            )
+        if sealed:
+            serves[b] = make_subroutine(
+                subroutine,
+                [servers[j] for j in ids],
+                ids=ids,
+                sealed=sealed if subroutine == "clairvoyant" else None,
+            ).serve
+
+    marked_ids = sorted(marked)
+    lr_state = LRState.for_servers([servers[j] for j in marked_ids], indices=marked_ids)
+    aux = AuxTape()
+
+    # the q value that both sides of a block share, None without a collision
+    collisions = [
+        ql if ql is not None and ql == qr else None
+        for ql, qr in zip(decoded.q_left, decoded.q_right)
+    ]
+    d_left = decoded.d_left
+    assignment = [None] * instance.n
+    lr_cost = 0
+    block_costs = [0] * k
+    # zero-bits actually consumed by requests at a collision value; d_left
+    # carries their left share there (see DivideAdvice). Marked requests at
+    # the collision value may owe their direction to either side: marked
+    # servers at the value itself are absorbed bit-free by LR's exact-match
+    # rule, and the rest must split by the left share, not by which marking
+    # budget admitted them.
+    zeros_read = [0] * k
+    # r is the caller's request, priced against its servers; c is r planned
+    priced = instance.servers
+    for t, (r, c, (verdict, b)) in enumerate(zip(instance.requests, requests, verdicts)):
+        if verdict == _SERVE_BLOCK:
+            j = serves[b](c)
+            start, stop = groups[b]
+            if not start <= j < stop or j in marked:
+                raise DivideError(f"subroutine left its block: server {j}")
+            block_costs[b] += abs(r - priced[j])
+        else:
+            collision_value = c == collisions[b]
+            if collision_value:
+                bit = 0 if zeros_read[b] < d_left[b] else 1
+            else:
+                bit = 1 if verdict == _SERVE_MARK_RIGHT else 0
+            aux.write_bit(bit)
+            before = aux.cursor
+            j = lr_serve(lr_state, c, aux)
+            if aux.cursor == before:
+                aux.remove_last()
+            elif collision_value and bit == 0:
+                zeros_read[b] += 1
+            if j not in marked:
+                raise DivideError("LR used an unmarked server")
+            lr_cost += abs(r - priced[j])
+        assignment[t] = j
+    if aux.unread:
+        raise DivideError("stray unread bits on the auxiliary tape")
+    return assignment, lr_cost, block_costs, len(aux)

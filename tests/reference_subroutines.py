@@ -4,6 +4,9 @@ package uses them.
 
 - ``Greedy``, before it moved onto LR's server pool: a sorted (position, id)
   list with an availability flag per entry, scanned in full on every request.
+- ``PoolGreedy``, before its pointer walk was inlined: ``LRState``'s
+  ``next_free``/``prev_free``/``take`` calls and a bisect per request for the
+  first slot at a position.
 - ``Permutation``, before it priced servers from per-gap sums: an O(t * m) DP
   for the running optimum, then a fresh sort per candidate server.
 - ``PerGapPermutation``, before it priced only the two free neighbours of the
@@ -16,6 +19,7 @@ from __future__ import annotations
 import bisect
 from typing import Sequence
 
+from matchline.lr import LRState
 from matchline.model import costs_equal
 from matchline.subroutines import SubroutineError
 
@@ -52,6 +56,40 @@ class Greedy(_PoolSubroutine):
         if best is None:
             raise SubroutineError("no available server")
         return self._claim(best[1])
+
+
+class PoolGreedy:
+    """Nearest available server; ties toward smaller position, then id.
+
+    Runs on LR's server pool (``LRState``): one bisect splits the servers at
+    the request and the "next free" pointers give the nearest free server on
+    each side, O(log n) amortised per request.
+    """
+
+    def __init__(self, servers: Sequence, ids: Sequence[int] | None = None):
+        self.pool = LRState.for_servers(servers, ids)
+
+    def serve(self, request) -> int:
+        pool = self.pool
+        positions, end = pool.positions, len(pool.positions)
+        i = bisect.bisect_left(positions, request)
+        j = pool.next_free(i)  # least position >= request, smallest id there
+        left = pool.prev_free(i)
+        if left >= 0:
+            # distances are compared as computed: where rounding makes a free
+            # position farther below no farther away, the smaller one wins
+            dist = abs(request - positions[left])
+            while True:
+                first = bisect.bisect_left(positions, positions[left], 0, left)
+                below = pool.prev_free(first)
+                if below < 0 or abs(request - positions[below]) > dist:
+                    break
+                left, dist = below, abs(request - positions[below])
+            if j == end or dist <= abs(request - positions[j]):
+                j = pool.next_free(first)  # smallest free id at that position
+        elif j == end:
+            raise SubroutineError("no available server")
+        return pool.take(j)
 
 
 class Permutation(_PoolSubroutine):

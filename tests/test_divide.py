@@ -4,7 +4,8 @@ import random
 import pytest
 
 import reference_divide
-from matchline import verification
+from matchline import divide, verification
+from matchline.cli import main
 from matchline.divide import (
     DivideAdvice,
     DivideError,
@@ -18,7 +19,7 @@ from matchline.divide import (
     rescale_run,
 )
 from matchline.generators import gen_uniform
-from matchline.model import InstanceError, costs_equal, validate_instance
+from matchline.model import InstanceError, costs_equal, save_instance, validate_instance
 from matchline.offline import brute_force_optimal
 from matchline.subroutines import SubroutineError
 from matchline.tape import AdviceTape, TapeUnderflow, word_width
@@ -61,6 +62,41 @@ def test_unknown_subroutine_rejected_before_any_work():
         for k in (4, 0):
             with pytest.raises(SubroutineError):
                 run(inst, k, "oracle")
+
+
+class _StraySubroutine:
+    """Serves its pool's ids in order, but the last request gets the server
+    just past the pool: in the next block, or past the last server. Made by
+    ``make_subroutine``'s arguments."""
+
+    def __init__(self, name, servers, ids=None, sealed=None):
+        self.ids, self.step = list(ids), 0
+
+    def serve(self, request) -> int:
+        self.step += 1
+        return self.ids[-1] + 1 if self.step == len(self.ids) else self.ids[self.step - 1]
+
+
+class _RepeatingSubroutine(_StraySubroutine):
+    """Serves its pool's first id to every request."""
+
+    def serve(self, request) -> int:
+        return self.ids[0]
+
+
+@pytest.mark.parametrize("stub", [_StraySubroutine, _RepeatingSubroutine])
+def test_a_subroutine_that_leaves_its_block_is_named(monkeypatch, tmp_path, capsys, stub):
+    # nothing crosses a boundary, so each block serves two requests on its
+    # own two servers; a repeated id used to pass the per-request check and
+    # fail later as a malformed assignment (InstanceError)
+    inst = validate_instance([1, 2, 3, 4], [2, 1, 4, 3])
+    monkeypatch.setattr(divide, "make_subroutine", stub)
+    with pytest.raises(DivideError, match="subroutine left its block: block 0"):
+        divide_run(inst, 2)
+    path = tmp_path / "instance.json"
+    save_instance(inst, path)
+    assert main(["run", "--algo", "divide", "--k", "2", "--input", str(path)]) == 2
+    assert "DivideError: subroutine left its block" in capsys.readouterr().err
 
 
 def test_non_integer_instance_rejected():

@@ -8,9 +8,15 @@ boundary at w(N) bits, the library one per boundary as an offset inside its
 two blocks, so the library's tape is held to its exact size instead
 (``layout_bits``). Outside the span the reference can miss the optimum; the
 clamped version must not.
+
+The serving of ``_run_divide``, block by block and then LR, is held to the
+interleaved loop it replaced (``reference_divide.interleaved_serve``) on the
+same plan, advice, marks and verdicts, and each subroutine and LR are checked
+to receive exactly their own requests in arrival order.
 """
 
 import dataclasses
+import math
 import random
 
 from hypothesis import given
@@ -25,10 +31,22 @@ from matchline.subroutines import SUBROUTINE_NAMES
 from matchline.tape import word_width
 
 IN_SPAN_SHAPES = ("in-span", "duplicates", "float")
+#: every shape of make_instance but "out-of-span-float"
+SERVING_SHAPES = ("in-span", "out-of-span", "duplicates", "big-int", "huge-int", "float")
+HUGE = 2**60  # past 2^53
 
 
 def make_instance(shape: str, n: int, rng: random.Random):
     """Integer instances have s_1 = 1; "float" ones are for RESCALE."""
+    if shape in ("big-int", "huge-int"):
+        if shape == "big-int":
+            servers = [rng.randint(0, 10**15) for _ in range(n)]
+            requests = [rng.randint(0, 10**15) for _ in range(n)]
+        else:
+            servers = [rng.choice((0, rng.randint(HUGE, HUGE + 8 * n))) for _ in range(n)]
+            requests = [rng.randint(HUGE - 8 * n, HUGE + 8 * n) for _ in range(n)]
+        shift = 1 - min(servers)
+        return validate_instance([s + shift for s in servers], [r + shift for r in requests])
     if shape in ("float", "out-of-span-float"):
         servers = [rng.uniform(0.0, 10.0) for _ in range(n)]
         if shape == "float":
@@ -181,3 +199,93 @@ def test_out_of_span_rescale_within_rounding_slack():
                 cost = divide.rescale_run(instance, k, "clairvoyant").matching.cost
                 assert cost >= opt or costs_equal(cost, opt, n)
                 assert cost <= opt + slack or costs_equal(cost, opt + slack, n)
+
+
+def planning_run(monkeypatch, instance, k: int, sub: str):
+    """A DIVIDE_k run ("float" instances through RESCALE) with the planning
+    servers and clamped planning requests it served."""
+    seen = {}
+    run_divide = divide._run_divide
+
+    def recording(instance, k, subroutine, servers, requests):
+        seen.update(servers=servers, requests=requests)
+        return run_divide(instance, k, subroutine, servers, requests)
+
+    monkeypatch.setattr(divide, "_run_divide", recording)
+    run = divide.divide_run if instance.integer_mode else divide.rescale_run
+    result = run(instance, k, sub)
+    monkeypatch.undo()
+    top = result.plan.span_bound - 1
+    requests = [1 if r < 1 else top if r > top else r for r in seen["requests"]]
+    return result, seen["servers"], requests
+
+
+def serving_grid(seed: int):
+    """(instance, k) for every serving shape, n up to 300 and
+    k in {1, 2, ceil(sqrt n), n}."""
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 5, 8, 13, 40, 300):
+        for shape in SERVING_SHAPES:
+            instance = make_instance(shape, n, rng)
+            for k in sorted({1, min(2, n), math.isqrt(n - 1) + 1, n}):
+                yield instance, k
+
+
+def test_serving_matches_the_interleaved_reference(monkeypatch):
+    for instance, k in serving_grid(2030):
+        for sub in SUBROUTINE_NAMES:
+            result, servers, requests = planning_run(monkeypatch, instance, k, sub)
+            old = ref.interleaved_serve(
+                instance, sub, servers, requests,
+                result.plan, result.advice, result.marks, result.verdicts,
+            )
+            new = (
+                list(result.matching.assignment),
+                result.lr_cost,
+                result.block_costs,
+                result.aux_bits_written,
+            )
+            # repr: float sums must agree to the last bit, and int stay int
+            assert repr(new) == repr(old), (instance, k, sub)
+
+
+def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
+    # the online model behind block-by-block serving: block b's subroutine is
+    # served exactly the requests whose verdict is ("block", b), LR exactly
+    # the marked ones, each in arrival order
+    for instance, k in serving_grid(2031):
+        for sub in SUBROUTINE_NAMES:
+            served, lr_served = [], []
+            make_subroutine, lr_serve = divide.make_subroutine, divide.lr_serve
+
+            def recording_subroutine(name, servers, ids=None, sealed=None):
+                inner = make_subroutine(name, servers, ids=ids, sealed=sealed)
+                log = []
+                served.append((ids, log))
+                original = inner.serve
+
+                def serve(request):
+                    log.append(request)
+                    return original(request)
+
+                inner.serve = serve
+                return inner
+
+            def recording_lr(state, request, tape):
+                lr_served.append(request)
+                return lr_serve(state, request, tape)
+
+            monkeypatch.setattr(divide, "make_subroutine", recording_subroutine)
+            monkeypatch.setattr(divide, "lr_serve", recording_lr)
+            result, _servers, requests = planning_run(monkeypatch, instance, k, sub)
+            groups = result.plan.groups
+            by_block = {}
+            for ids, log in served:
+                b = next(b for b, (start, stop) in enumerate(groups) if start <= ids[0] < stop)
+                assert b not in by_block
+                by_block[b] = log
+            verdicts = result.verdicts
+            for b in range(k):
+                own = [c for c, v in zip(requests, verdicts) if v == ("block", b)]
+                assert by_block.get(b, []) == own, (instance, k, sub, b)
+            assert lr_served == [c for c, v in zip(requests, verdicts) if v[0] != "block"]

@@ -1,7 +1,8 @@
 """Differential tests: the greedy subroutine and ``Permutation``, both on
 LR's server pool, against the versions they replaced
-(``reference_subroutines``), plus the two-candidate property of
-``Permutation``."""
+(``reference_subroutines``; greedy against both its full scan and its
+pointer walk through ``LRState``'s methods), plus the two-candidate property
+of ``Permutation``."""
 
 import random
 
@@ -35,7 +36,11 @@ def make_case(shape: str, n: int, rng: random.Random):
 
 
 def assert_same(
-    servers, requests, rng: random.Random, new_cls=Greedy, old_classes=(ref.Greedy,)
+    servers,
+    requests,
+    rng: random.Random,
+    new_cls=Greedy,
+    old_classes=(ref.Greedy, ref.PoolGreedy),
 ):
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
