@@ -87,11 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    mode_range = tuple(int(x) for x in args.range) if args.integer else args.range
     if args.mode == "uniform":
         instance = gen_uniform(
             args.n,
-            mode_range,
+            args.range,
             args.seed,
             integer_mode=args.integer,
             request_range="span" if args.in_span else None,
@@ -123,7 +122,7 @@ def _cmd_run(args) -> int:
     )
     if args.verbose_tape and "divide" in outcome:
         divide = outcome["divide"]
-        print(f"advice tape: {divide.tape_dump}")
+        print(f"advice tape: {divide.tape.dump()}")
         # one row per boundary (its side, L or R, or - when uncrossed; the
         # value is q - p_{b-1}), then the d/m rows
         for f, b, value, width in advice_words(divide.advice, divide.plan):

@@ -396,11 +396,6 @@ class DivideResult:
     tape: AdviceTape = field(repr=False, compare=False)  # the oracle tape
     verdicts: list = field(repr=False)
 
-    @cached_property
-    def tape_dump(self) -> dict:
-        """``tape.dump()`` of the oracle tape, made on first access."""
-        return self.tape.dump()
-
 
 def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) -> DivideResult:
     """Plan, mark and serve on the planning coordinates ``servers`` and

@@ -16,10 +16,21 @@ from .model import Instance, costs_equal, validate_instance
 from .offline import monotone_cost
 
 FAMILY_MAX_N = 20
+#: the largest n ``verify_family`` checks: it prices n candidates per member
+VERIFY_FAMILY_MAX_N = 8
 
 
 class GeneratorError(ValueError):
     pass
+
+
+def _as_ints(bounds) -> tuple:
+    """Integer-mode bounds as ints: truncating a fractional one would draw
+    from another range."""
+    ints = tuple(int(x) for x in bounds)
+    if ints != tuple(bounds):
+        raise GeneratorError(f"integer mode needs integral bounds, got {tuple(bounds)!r}")
+    return ints
 
 
 def gen_uniform(
@@ -31,11 +42,12 @@ def gen_uniform(
 ) -> Instance:
     """n servers and n requests drawn uniformly and independently.
 
-    In integer mode positions are integers and servers are shifted so that
-    s_1 = 1 (requests shift with them). ``request_range`` optionally draws the
-    requests from a different interval, interpreted after the shift; pass
-    ``"span"`` to keep requests inside the servers' span ([1, s_n - 1] in
-    integer mode, [1, 1] when s_n = 1).
+    In integer mode positions are integers, drawn between integral bounds,
+    and servers are shifted so that s_1 = 1 (requests shift with them).
+    ``request_range`` optionally draws the requests from a different
+    interval, interpreted after the shift; pass ``"span"`` to keep requests
+    inside the servers' span ([1, s_n - 1] in integer mode, [1, 1] when
+    s_n = 1).
     """
     if n < 1:
         raise GeneratorError("n must be at least 1")
@@ -44,7 +56,7 @@ def gen_uniform(
         raise GeneratorError(f"empty position range {position_range!r}")
     rng = random.Random(seed)
     if integer_mode:
-        lo, hi = int(lo), int(hi)
+        lo, hi = _as_ints((lo, hi))
         servers = sorted(rng.randint(lo, hi) for _ in range(n))
         shift = 1 - servers[0]
         servers = [s + shift for s in servers]
@@ -52,7 +64,7 @@ def gen_uniform(
             top = max(servers[-1] - 1, 1)
             requests = [rng.randint(1, top) for _ in range(n)]
         elif request_range is not None:
-            rlo, rhi = (int(x) for x in request_range)
+            rlo, rhi = _as_ints(request_range)
             requests = [rng.randint(rlo, rhi) for _ in range(n)]
         else:
             requests = [rng.randint(lo, hi) + shift for _ in range(n)]
@@ -115,8 +127,8 @@ def verify_family(n: int) -> list[FamilyCheck]:
     candidate, so the claim holds iff index n-k is the unique minimizer
     (costs compare under ``costs_equal``).
     """
-    if n > 8:
-        raise GeneratorError("verify_family capped at n=8")
+    if n > VERIFY_FAMILY_MAX_N:
+        raise GeneratorError(f"verify_family capped at n={VERIFY_FAMILY_MAX_N}")
     servers = list(range(1, n + 1))
     lower = servers[:-1]
     checks = []

@@ -2,10 +2,12 @@
 
 Each subroutine owns a fixed server pool and serves requests one at a time,
 always returning a still-available server from that pool. ``greedy`` and
-``permutation`` run on LR's server pool (``LRState``); ``permutation`` prices
-only the two free neighbours of each request, O(t) for the t-th request and
-O(n^2) per run, and serves the ids of the full scan it replaced except at
-float-rounding ties. ``clairvoyant`` reads its block's future requests and
+``permutation`` run on LR's server pool (``LRState``) and, like LR, serve one
+of the two free neighbours of each request, the nearest free server at or
+below it or the nearest at or above it. ``greedy`` takes the nearer one,
+O(log n) amortised; ``permutation`` prices the two, O(t) for the t-th request
+and O(n^2) per run. Both serve the ids of the full scans they replaced except
+at float-rounding ties. ``clairvoyant`` reads its block's future requests and
 replays their offline optimum, so it is a verification device, not an online
 algorithm, for DIVIDE_k's exact checks.
 """
@@ -31,26 +33,21 @@ class Greedy:
     """Nearest available server; ties toward smaller position, then id.
 
     Runs on LR's server pool (``LRState``): one bisect splits the servers at
-    the request and the "next free" pointers give the nearest free server on
-    each side, O(log n) amortised per request. ``serve`` walks the pointers
-    inline, with path halving as in ``lr_serve``. ``first`` maps each slot
-    to the first slot of its run of equal positions, built once, so the
-    smallest free id at a position needs no bisect. Every slot below the
-    bisect point lies below the request and every slot from it on at or
-    above, so each distance is a one-sided difference, equal to its ``abs``.
+    the request and the "next free" pointers give its two free neighbours,
+    the nearest free server below it and the nearest at or above it, O(log n)
+    amortised per request. ``serve`` walks the pointers inline, with path
+    halving as in ``lr_serve``. Every slot below the bisect point lies below
+    the request and every slot from it on at or above, so each distance is a
+    one-sided difference, equal to its ``abs``. A float difference is
+    monotone in the position, so the nearer neighbour's computed distance is
+    the least over the free servers.
     """
 
     def __init__(self, servers: Sequence, ids: Sequence[int] | None = None):
         self.pool = LRState.for_servers(servers, ids)
-        positions = self.pool.positions
-        first = list(range(len(positions)))
-        for s in range(1, len(positions)):
-            if positions[s] == positions[s - 1]:
-                first[s] = first[s - 1]
-        self.first = first
 
     def serve(self, request) -> int:
-        pool, first = self.pool, self.first
+        pool = self.pool
         positions, right_of, left_of = pool.positions, pool._right, pool._left
         end = len(positions)
         i = j = bisect.bisect_left(positions, request)
@@ -62,19 +59,9 @@ class Greedy:
             left_of[left] = left = left_of[left_of[left]]
         left -= 1
         if left >= 0:
-            # distances are compared as computed: where rounding makes a free
-            # position farther below no farther away, the smaller one wins
-            dist = request - positions[left]
-            while True:
-                low = below = first[left]
-                while left_of[below] != below:
-                    left_of[below] = below = left_of[left_of[below]]
-                below -= 1
-                if below < 0 or request - positions[below] > dist:
-                    break
-                left, dist = below, request - positions[below]
-            if j == end or dist <= positions[j] - request:
-                j = low  # smallest free id at that position
+            if j == end or request - positions[left] <= positions[j] - request:
+                # the smallest free id at that position
+                j = bisect.bisect_left(positions, positions[left], 0, left)
                 while right_of[j] != j:
                     right_of[j] = j = right_of[right_of[j]]
         elif j == end:

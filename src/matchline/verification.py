@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .divide import _SERVE_BLOCK, DivideAdvice, DivideResult, divide_run
-from .generators import gen_family, gen_uniform, verify_family
+from .generators import VERIFY_FAMILY_MAX_N, gen_family, gen_uniform, verify_family
 from .lr import LRResult, lr_oracle, lr_run
 from .model import Instance, costs_equal
 from .offline import (
@@ -30,6 +30,9 @@ from .tape import word_width
 
 #: the largest n the props suite checks: it enumerates all n! assignments
 PROPS_MAX_N = 7
+#: the largest n the family suite checks the cardinality at; the forced top
+#: server is checked up to VERIFY_FAMILY_MAX_N
+FAMILY_SUITE_MAX_N = 12
 
 
 def _noop(*_args, **_kwargs):
@@ -149,12 +152,13 @@ def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
 
 def verify_family_suite(n_max: int = 8, log=_noop) -> int:
     """Family cardinality and the forced top-server assignment, on every member."""
+    _check_n_max(n_max, FAMILY_SUITE_MAX_N)
     failures = 0
-    for n in range(1, min(n_max, 12) + 1):
+    for n in range(1, n_max + 1):
         if len(gen_family(n)) != 2 ** (n - 1):
             failures += 1
             log(f"  FAIL cardinality at n={n}")
-    for n in range(2, min(n_max, 8) + 1):
+    for n in range(2, min(n_max, VERIFY_FAMILY_MAX_N) + 1):
         bad = [c for c in verify_family(n) if not c.ok]
         failures += len(bad)
         log(f"  family n={n}: {2 ** (n - 1)} members, {len(bad)} failures")

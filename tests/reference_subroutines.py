@@ -6,7 +6,9 @@ package uses them.
   list with an availability flag per entry, scanned in full on every request.
 - ``PoolGreedy``, before its pointer walk was inlined: ``LRState``'s
   ``next_free``/``prev_free``/``take`` calls and a bisect per request for the
-  first slot at a position.
+  first slot at a position. Like ``Greedy`` it walks on past the lower free
+  neighbour while float rounding ties the distance, which the package's
+  greedy no longer does.
 - ``Permutation``, before it priced servers from per-gap sums: an O(t * m) DP
   for the running optimum, then a fresh sort per candidate server.
 - ``PerGapPermutation``, before it priced only the two free neighbours of the

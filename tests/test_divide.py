@@ -123,7 +123,7 @@ def test_worked_example_tape_layout():
     # it crosses left), then d = 1 (001) and m = 1 (001) at w(n = 4) = 3:
     # 011001001, 9 bits, hex 648 after padding to 12
     result = divide_run(WORKED, 2, "clairvoyant")
-    assert result.tape_dump == {"hex": "648", "bit_length": 9}
+    assert result.tape.dump() == {"hex": "648", "bit_length": 9}
     assert result.oracle_bits_read == 9
 
 

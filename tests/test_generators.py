@@ -42,6 +42,16 @@ def test_uniform_rejects_bad_input():
         gen_uniform(3, (5, 5), 0)
 
 
+def test_uniform_integer_mode_refuses_fractional_bounds():
+    assert gen_uniform(3, (0.0, 9.0), 0, integer_mode=True) == gen_uniform(
+        3, (0, 9), 0, integer_mode=True
+    )
+    with pytest.raises(GeneratorError, match="integral bounds"):
+        gen_uniform(3, (0.9, 1.8), 0, integer_mode=True)
+    with pytest.raises(GeneratorError, match="integral bounds"):
+        gen_uniform(3, (0, 9), 0, integer_mode=True, request_range=(-2.5, 3))
+
+
 def test_rho_zero_values():
     assert rho_zero(3) == (2.5, 2.75, 2.875)
     assert rho_zero(1) == (0.5,)

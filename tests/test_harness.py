@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,29 @@ def test_cli_gen_uniform_writes_instance(tmp_path):
     assert code == 0
     inst = load_instance(out)
     assert inst.n == 4 and inst.integer_mode
+
+
+@pytest.mark.parametrize("bounds", ["0.9:1.8", "-2.5:3.9", "0:7.5"])
+def test_cli_gen_integer_refuses_a_fractional_range(bounds, tmp_path, capsys):
+    # truncating the bounds would draw from another range: [0, 1] for 0.9:1.8
+    out = tmp_path / "inst.json"
+    args = ["gen", "--mode", "uniform", "--n", "4", "--integer", f"--range={bounds}"]
+    assert main([*args, "--out", str(out)]) == 2
+    assert "integral bounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_m_matchline_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "matchline", "verify", "--suite", "family", "--n", "3"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("all checks passed\n")
 
 
 def test_cli_gen_family_writes_directory(tmp_path):
@@ -341,11 +368,13 @@ def test_cli_verify_empty_grid_is_a_usage_error(grid, capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, n", [("lr-optimal", "13"), ("divide-exact", "13"), ("props", "8")]
+    "suite, n",
+    [("lr-optimal", "13"), ("divide-exact", "13"), ("props", "8"), ("family", "13")],
 )
 def test_cli_verify_rejects_sizes_past_the_suite_cap(suite, n, capsys):
-    # the brute-force optimum stops at n = 12 and props enumerates all n!
-    # assignments up to n = 7; a larger --n fails before any size is checked
+    # the brute-force optimum stops at n = 12, props enumerates all n!
+    # assignments up to n = 7 and the family suite checks n <= 12; a larger
+    # --n fails before any size is checked
     assert main(["verify", "--suite", suite, "--n", n]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,8 +1,14 @@
 """Differential tests: the greedy subroutine and ``Permutation``, both on
 LR's server pool, against the versions they replaced
 (``reference_subroutines``; greedy against both its full scan and its
-pointer walk through ``LRState``'s methods), plus the two-candidate property
-of ``Permutation``."""
+pointer walk through ``LRState``'s methods), plus the property that LR,
+greedy and ``Permutation`` each serve one of the request's two free
+neighbours.
+
+At float-rounding ties the references' first pool index among equal
+computed costs can lie beyond those neighbours, so on the "rounding" shape
+both subroutines are held to their stated reference, ``assert_least_price``,
+instead."""
 
 import random
 
@@ -11,13 +17,20 @@ from hypothesis import strategies as st
 
 import reference_subroutines as ref
 from matchline.generators import gen_uniform
+from matchline.lr import LRState, lr_serve
 from matchline.model import costs_equal
 from matchline.offline import monotone_cost
 from matchline.subroutines import Greedy, Permutation
+from matchline.tape import AdviceTape
 
 # "rounding": servers near 0, requests near 10**16, where a float distance
 # rounds many positions below the request to the same value
 SHAPES = ("in-span", "out-of-span", "duplicates", "float", "rounding")
+
+REFERENCES = {
+    Greedy: (ref.Greedy, ref.PoolGreedy),
+    Permutation: (ref.PerGapPermutation, ref.Permutation),
+}
 
 
 def make_case(shape: str, n: int, rng: random.Random):
@@ -35,50 +48,58 @@ def make_case(shape: str, n: int, rng: random.Random):
     return servers, [rng.randint(min(servers), max(servers)) for _ in range(n)]
 
 
-def assert_same(
-    servers,
-    requests,
-    rng: random.Random,
-    new_cls=Greedy,
-    old_classes=(ref.Greedy, ref.PoolGreedy),
-):
+def assert_same(servers, requests, rng: random.Random, cls):
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
-        new, olds = new_cls(servers, ids), [cls(servers, ids) for cls in old_classes]
+        new = cls(servers, ids)
+        olds = [old_cls(servers, ids) for old_cls in REFERENCES[cls]]
         for r in requests:
             served = new.serve(r)
             assert [old.serve(r) for old in olds] == [served] * len(olds)
 
 
-def assert_same_permutation(servers, requests, rng: random.Random):
-    assert_same(
-        servers, requests, rng, Permutation, (ref.PerGapPermutation, ref.Permutation)
-    )
+def free_neighbours(free, r) -> list:
+    """The nearest free position at or below r and the nearest at or above
+    it (None where there is none)."""
+    return [max((p for p in free if p <= r), default=None),
+            min((p for p in free if p >= r), default=None)]
 
 
-def assert_permutation_least_cost(servers, requests, rng: random.Random):
-    # the stated reference where float rounding ties a farther server's cost
+def price(cls, history, used, s):
+    """What ``cls`` minimises over the free servers s: Greedy the computed
+    distance to the last request, Permutation cost(history, used + {s})."""
+    if cls is Greedy:
+        return abs(history[-1] - s)
+    return monotone_cost(used + [s], history)
+
+
+def assert_least_price(servers, requests, rng: random.Random, cls):
+    # the stated reference where float rounding ties a farther server's price
     # with a neighbour's and the references' first pool index wins: each
-    # served server costs, within costs_equal, the least
-    # cost(history, used + {s}) over all free s
+    # served server is the smallest free id at one of the two free
+    # neighbours' positions, and its price costs_equals the least over all
+    # free servers
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
         free = dict(zip(range(n) if ids is None else ids, servers))
-        sub, used, history = Permutation(servers, ids), [], []
+        sub, used, history = cls(servers, ids), [], []
         for r in requests:
             history.append(r)
-            s = free.pop(sub.serve(r))
-            cost = monotone_cost(used + [s], history)
-            least = min([cost] + [monotone_cost(used + [p], history) for p in free.values()])
-            assert costs_equal(cost, least, len(history))
+            sid = sub.serve(r)
+            s = free[sid]
+            assert s in free_neighbours(free.values(), r)
+            assert sid == min(i for i, p in free.items() if p == s)
+            least = min(price(cls, history, used, p) for p in free.values())
+            assert costs_equal(price(cls, history, used, s), least, len(history))
+            del free[sid]
             used.append(s)
 
 
-def check_permutation(shape, servers, requests, rng: random.Random):
+def check(cls, shape, servers, requests, rng: random.Random):
     if shape == "rounding":
-        assert_permutation_least_cost(servers, requests, rng)
+        assert_least_price(servers, requests, rng, cls)
     else:
-        assert_same_permutation(servers, requests, rng)
+        assert_same(servers, requests, rng, cls)
 
 
 def test_same_servers_on_every_shape():
@@ -86,7 +107,7 @@ def test_same_servers_on_every_shape():
     for n in range(1, 41):
         for shape in SHAPES:
             for _ in range(6):
-                assert_same(*make_case(shape, n, rng), rng)
+                check(Greedy, shape, *make_case(shape, n, rng), rng)
 
 
 @given(
@@ -96,7 +117,7 @@ def test_same_servers_on_every_shape():
 )
 def test_same_servers_property(shape, n, seed):
     rng = random.Random(seed)
-    assert_same(*make_case(shape, n, rng), rng)
+    check(Greedy, shape, *make_case(shape, n, rng), rng)
 
 
 def test_permutation_same_servers_on_every_shape():
@@ -104,7 +125,7 @@ def test_permutation_same_servers_on_every_shape():
     for n in range(1, 26):
         for shape in SHAPES:
             for _ in range(6):
-                check_permutation(shape, *make_case(shape, n, rng), rng)
+                check(Permutation, shape, *make_case(shape, n, rng), rng)
 
 
 @given(
@@ -114,7 +135,7 @@ def test_permutation_same_servers_on_every_shape():
 )
 def test_permutation_same_servers_property(shape, n, seed):
     rng = random.Random(seed)
-    check_permutation(shape, *make_case(shape, n, rng), rng)
+    check(Permutation, shape, *make_case(shape, n, rng), rng)
 
 
 def test_permutation_same_servers_beyond_float_precision():
@@ -127,14 +148,14 @@ def test_permutation_same_servers_beyond_float_precision():
             s1 = inst.servers[0]
             scaled = [n**3 * (p - s1) + 1 for p in inst.servers]
             requests = [n**3 * (r - s1) + 1 for r in inst.requests]
-            assert_same_permutation(scaled, requests, rng)
+            assert_same(scaled, requests, rng, Permutation)
             inst = gen_uniform(n, (0, 10**17), seed, integer_mode=True)
-            assert_same_permutation(inst.servers, inst.requests, rng)
+            assert_same(inst.servers, inst.requests, rng, Permutation)
 
 
 def test_permutation_same_servers_at_n_120():
     rng = random.Random(2029)
-    assert_same_permutation(*make_case("out-of-span", 120, rng), rng)
+    assert_same(*make_case("out-of-span", 120, rng), rng, Permutation)
 
 
 @given(
@@ -142,15 +163,23 @@ def test_permutation_same_servers_at_n_120():
     st.integers(min_value=1, max_value=25),
     st.integers(min_value=0, max_value=2**32),
 )
-def test_permutation_serves_a_nearest_free_server(shape, n, seed):
-    # the chosen server is the nearest free one at or below the request or
-    # the nearest at or above it
-    servers, requests = make_case(shape, n, random.Random(seed))
-    sub = Permutation(servers)
-    free = list(servers)
-    for r in requests:
-        nearest = [max((p for p in free if p <= r), default=None),
-                   min((p for p in free if p >= r), default=None)]
-        s = servers[sub.serve(r)]
-        assert s in nearest
-        free.remove(s)
+def test_lr_greedy_and_permutation_serve_a_free_neighbour(shape, n, seed):
+    # each serves a server at the nearest free position at or below the
+    # request or at the nearest at or above it, LR on arbitrary bits; greedy's
+    # server has the least computed distance over the free servers
+    rng = random.Random(seed)
+    servers, requests = make_case(shape, n, rng)
+    pool, bits = LRState.for_servers(servers), AdviceTape(rng.choices((0, 1), k=n))
+    serves = {
+        "lr": lambda r: lr_serve(pool, r, bits),
+        "greedy": Greedy(servers).serve,
+        "permutation": Permutation(servers).serve,
+    }
+    for name, serve in serves.items():
+        free = list(servers)
+        for r in requests:
+            s = servers[serve(r)]
+            assert s in free_neighbours(free, r), name
+            if name == "greedy":
+                assert abs(r - s) == min(abs(r - p) for p in free)
+            free.remove(s)
