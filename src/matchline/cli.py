@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import verification
-from .divide import WORD_LABELS, advice_words
+from .divide import advice_words
 from .experiment import (
     ALGORITHMS,
     ExperimentConfig,
@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate instances")
     gen.add_argument("--mode", choices=("uniform", "family"), required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--range", type=_parse_range, default=(0.0, 100.0))
+    gen.add_argument("--seed", type=int, help="uniform only (default 0)")
+    gen.add_argument("--range", type=_parse_range, help="uniform only (default 0:100)")
     gen.add_argument("--integer", action="store_true", help="integer-mode instance")
     gen.add_argument(
         "--in-span",
@@ -63,11 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an algorithm on an instance file")
     run.add_argument("--algo", choices=ALGORITHMS, required=True)
     run.add_argument("--k", type=int, default=None, help="divide and rescale only")
-    run.add_argument("--sub", choices=SUBROUTINE_NAMES, default="greedy")
+    run.add_argument("--sub", choices=SUBROUTINE_NAMES, help="divide and rescale only")
     run.add_argument("--input", required=True)
     run.add_argument("--report", default=None, help="report output file")
     run.add_argument("--format", choices=("json", "csv"), default="json")
-    run.add_argument("--verbose-tape", action="store_true")
+    run.add_argument("--verbose-tape", action="store_true", help="divide and rescale only")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", choices=(*SEEDED_SUITES, "family"), required=True)
@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--seeds", type=int, help="instances per size (default 50); not for --suite family"
     )
-    # usage errors name the verify usage line, not the top-level one
-    verify.set_defaults(usage_error=verify.error)
+    # usage errors name the command's usage line, not the top-level one
+    for command in (gen, run, verify):
+        command.set_defaults(usage_error=command.error)
 
     report = sub.add_parser("report", help="re-emit a JSON report in another format")
     report.add_argument("--input", required=True)
@@ -90,8 +91,8 @@ def _cmd_gen(args) -> int:
     if args.mode == "uniform":
         instance = gen_uniform(
             args.n,
-            args.range,
-            args.seed,
+            args.range or (0.0, 100.0),
+            args.seed or 0,
             integer_mode=args.integer,
             request_range="span" if args.in_span else None,
         )
@@ -112,7 +113,7 @@ def _cmd_run(args) -> int:
     config = ExperimentConfig(
         algo=args.algo,
         k=args.k,
-        subroutine=args.sub,
+        subroutine=args.sub or "greedy",
         instances=[(Path(args.input).stem, None, instance)],
     )
     r, outcome = run_instance(config, *config.instances[0])
@@ -120,13 +121,18 @@ def _cmd_run(args) -> int:
         f"{r.algo}: cost={r.cost} opt={r.opt_cost} ratio={r.ratio:.6g} "
         f"advice_bits={r.oracle_bits_read} aux_bits={r.aux_bits}"
     )
-    if args.verbose_tape and "divide" in outcome:
+    if args.verbose_tape:
         divide = outcome["divide"]
+        q, boundaries = divide.advice.q, divide.plan.boundaries
         print(f"advice tape: {divide.tape.dump()}")
-        # one row per boundary (its side, L or R, or - when uncrossed; the
-        # value is q - p_{b-1}), then the d/m rows
+        # one row per boundary (named by the block and side a crossing leaves
+        # by, or - when none does; the value is q - p_{b-1}), then the d/m rows
         for f, b, value, width in advice_words(divide.advice, divide.plan):
-            print(f"  {WORD_LABELS[f].format(b + 1, b + 2):10s} width={width:2d} value={value}")
+            if q[b] is None:
+                label = f"q[{b + 1}|{b + 2},-]"
+            else:
+                label = f"{f}[{b + 1},R]" if q[b] <= boundaries[b] else f"{f}[{b + 2},L]"
+            print(f"  {label:10s} width={width:2d} value={value}")
     if args.report:
         emit_report([r], args.report, args.format)
         print(f"wrote report to {args.report}")
@@ -156,13 +162,20 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.suite == "family" and args.seeds is not None:
-            args.usage_error("the family suite checks every member and takes no --seeds")
-        if args.n < 2 or (args.seeds is not None and args.seeds < 1):
-            args.usage_error(
-                "verify needs --n >= 2 and --seeds >= 1: a smaller grid checks nothing"
-            )
+    # options the chosen mode, algorithm or suite would not read
+    unread = ()
+    if args.command == "gen" and args.mode == "family":
+        unread, why = ("seed", "range", "integer", "in_span"), "family mode generates all of I_n"
+    elif args.command == "run" and args.algo not in ("divide", "rescale"):
+        unread, why = ("sub", "verbose_tape"), f"{args.algo} reads no block advice"
+    elif args.command == "verify" and args.suite == "family":
+        unread, why = ("seeds",), "the family suite checks every member"
+    for name in unread:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            args.usage_error(f"{why} and takes no --{name.replace('_', '-')}")
+    if args.command == "verify" and (args.n < 2 or (args.seeds is not None and args.seeds < 1)):
+        args.usage_error("verify needs --n >= 2 and --seeds >= 1: a smaller grid checks nothing")
     handlers = {
         "gen": _cmd_gen,
         "run": _cmd_run,

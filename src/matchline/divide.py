@@ -2,12 +2,13 @@
 
 One ``BlockPlan`` holds a run's k groups of the n sorted servers, the
 integer boundaries between them and N; every later step reads them there.
-The oracle publishes per boundary the extremal positions of requests whose
-optimal pair lies across it (words q), plus two counts per boundary (d:
-requests equal to q that stay inside; m: requests matched across). Requests
-whose pair is inside their own block go to the plug-in subroutine A;
-crossing requests are marked and served by LR over the marked servers, fed
-direction bits through a self-written auxiliary tape.
+The oracle publishes one (q, d, m) triple per boundary (``DivideAdvice``): q
+the extremal position of the requests whose optimal pair lies across it, d
+the requests equal to q that stay inside their block, m the requests
+matched across. Requests whose pair is inside their own block go to the
+plug-in subroutine A; crossing requests are marked and served by LR over
+the marked servers, fed direction bits through a self-written auxiliary
+tape.
 
 A run plans on one set of coordinates and prices on the caller's: divide_run
 plans on the instance itself, RESCALE on its n^3-scaled integer image. Every
@@ -19,13 +20,15 @@ optimum an optimum. The online algorithm knows the servers, so it may clamp;
 DIVIDE_k is then exact on every instance, and every q word lies in [1, N-1].
 
 The tape layout (``_tape_slots``) is rigid: one q word per boundary, then
-d/m pairs exactly for the present q words, in the two marking orders. The
-monotone optimum crosses each boundary one way only (see ``DivideAdvice``),
+d/m pairs exactly for the crossed boundaries, in the two marking orders. The
+monotone optimum crosses each boundary one way only (see ``compute_advice``),
 so boundary b's one word carries either side: with p_{-1} = 0 and
 p_{k-1} = N - 1, it is q - p_{b-1} at width w(p_{b+1} - p_{b-1}), 0 when
-nothing crosses, and the reader tells a right crossing (q in block b) from a
-left one (q in block b+1) by comparing q with p_b. The oracle tape thus
-holds at most (k-1)(w(N) + 2w(n)) bits; only its bits count as advice.
+nothing crosses, and a right crossing (q in block b) is told from a left
+one (q in block b+1) by comparing q with p_b. The decoded advice has the
+tape's shape, so a boundary crossed both ways cannot be written down. The
+oracle tape holds at most (k-1)(w(N) + 2w(n)) bits; only its bits count as
+advice.
 
 Serving goes block by block, then LR. ``classify_requests`` fixes every
 request's verdict, its block or a marking side, from positions and counters
@@ -108,94 +111,74 @@ def plan_blocks(servers, k: int) -> BlockPlan:
 
 @dataclass(frozen=True)
 class DivideAdvice:
-    """Decoded advice. Entries are per block (0-based).
+    """Decoded advice, in the tape's shape: one (q, d, m) triple per boundary
+    b = 0..k-2, the boundary p_b between blocks b and b+1 (0-based).
 
-    q_left[b] for blocks 1..k-1: rightmost position of a request crossing
-    left out of block b, None when none does. q_right[b] for blocks 0..k-2:
-    leftmost crossing-right position, None when absent. Each lies in its own
-    block. d/m counts are present exactly where q is not None.
+    q[b] is None when no request's optimal pair lies across boundary b, and
+    then d[b] = m[b] = 0. Otherwise the requests cross it one way only (see
+    ``compute_advice``), and q[b] tells which: q[b] <= p_b is the leftmost
+    position of a request crossing right out of block b, q[b] > p_b the
+    rightmost position of one crossing left out of block b+1. m[b] counts
+    the crossing requests, d[b] the requests at q[b] that stay inside.
 
-    Boundary b is crossed one way at most: q_right[b] and q_left[b+1] are
-    never both present. Block b's requests take the server ranks lo..hi-1 of
-    the monotone optimum; crossing right needs hi > stop_b, the end of group
-    b, and crossing left out of block b+1 needs hi < start_{b+1} = stop_b.
-
-    When q_left[b] == q_right[b] (requests at one position cross the block in
-    both directions) the two d words would be identical, so the left one is
-    repurposed: d_left[b] then carries the number of q-valued requests that
-    cross left, which the serving cases cannot infer on their own. The reader
-    detects the collision from the decoded q words, so no extra bits are
-    needed.
+    Block b's words are q[b-1] and q[b]. When they are equal, requests at
+    one position of block b cross it both ways and the two d words would be
+    identical, so d[b-1] instead carries the number of q-valued requests
+    that cross left, which the serving cases cannot infer on their own; the
+    reader sees the collision in the decoded q words, at no extra bits.
     """
 
     k: int
-    q_left: tuple
-    q_right: tuple
-    d_left: tuple
-    m_left: tuple
-    d_right: tuple
-    m_right: tuple
+    q: tuple
+    d: tuple
+    m: tuple
 
 
-# a slot names its field by its index among DivideAdvice's per-block fields;
-# _Q_NONE is a boundary's q word, until the writer finds which side it carries
-_Q_LEFT, _Q_RIGHT, _D_LEFT, _M_LEFT, _D_RIGHT, _M_RIGHT, _Q_NONE = range(7)
-#: row labels, formatted with (block + 1, block + 2); a _Q_NONE word names its
-#: boundary by the two blocks beside it
-WORD_LABELS = (
-    "q[{},L]", "q[{},R]", "d[{},L]", "m[{},L]", "d[{},R]", "m[{},R]", "q[{}|{},-]"
-)
+def _crossings(plan: BlockPlan, q) -> tuple:
+    """Boundaries crossed right, ascending, and crossed left, descending."""
+    right, left = [], []
+    for b, (word, p) in enumerate(zip(q, plan.boundaries)):
+        if word is not None:
+            (right if word <= p else left).append(b)
+    left.reverse()
+    return right, left
 
 
-def _tape_slots(plan: BlockPlan, q_left, q_right):
-    """The advice tape layout: (field, block, width) per word.
+def _tape_slots(plan: BlockPlan, q):
+    """The advice tape layout: (field, boundary, width) per word.
 
-    First one q word per boundary b (field _Q_NONE, block b) at width
-    w(p_{b+1} - p_{b-1}), then a d/m pair for each present q word: right
-    crossings by ascending block, left crossings by descending block, the
-    two marking orders. The q lists are first looked at after the last q
-    slot is handed out, so a reader can pass the lists it is filling.
+    First one q word per boundary b at width w(p_{b+1} - p_{b-1}), then a
+    d/m pair for each crossed boundary: right crossings by ascending
+    boundary, left crossings by descending boundary, the two marking orders.
+    The q list is first looked at after the last q slot is handed out, so a
+    reader can pass the list it is filling.
     """
     for b, (low, _mid, high) in enumerate(plan.frames):
-        yield _Q_NONE, b, word_width(high - low)
+        yield "q", b, word_width(high - low)
     w_cnt = word_width(plan.n)
-    for b in range(plan.k - 1):
-        if q_right[b] is not None:
-            yield _D_RIGHT, b, w_cnt
-            yield _M_RIGHT, b, w_cnt
-    for b in range(plan.k - 1, 0, -1):
-        if q_left[b] is not None:
-            yield _D_LEFT, b, w_cnt
-            yield _M_LEFT, b, w_cnt
+    right, left = _crossings(plan, q)
+    for b in right + left:
+        yield "d", b, w_cnt
+        yield "m", b, w_cnt
 
 
 def advice_words(advice: DivideAdvice, plan: BlockPlan):
-    """(field, block, value, width) per advice word, in tape order.
+    """(field, boundary, value, width) per advice word, in tape order.
 
-    A q word's value is its offset q - p_{b-1}; its field and block name the
-    side it carries (q_right[b] or q_left[b+1]), or stay (_Q_NONE, b) with
-    value 0 when boundary b is not crossed.
+    A q word's value is its offset q - p_{b-1}, 0 when boundary b is not
+    crossed.
     """
-    q_left, q_right, frames = advice.q_left, advice.q_right, plan.frames
-    columns = (q_left, q_right, advice.d_left, advice.m_left, advice.d_right, advice.m_right)
-    for f, b, width in _tape_slots(plan, q_left, q_right):
-        if f != _Q_NONE:
-            yield f, b, columns[f][b], width
-            continue
-        q_r, q_l = q_right[b], q_left[b + 1]
-        low, mid, high = frames[b]
-        if q_l is None:
-            if q_r is None:
-                yield f, b, 0, width
-                continue
-            f, side, q, lo, hi = _Q_RIGHT, b, q_r, low, mid
-        elif q_r is None:
-            f, side, q, lo, hi = _Q_LEFT, b + 1, q_l, mid, high
-        else:
-            raise DivideError(f"boundary {b + 1}|{b + 2} crossed both ways")
-        if not lo < q <= hi:
-            raise DivideError(f"q word {q} of block {side + 1} outside ({lo}, {hi}]")
-        yield f, side, q - low, width
+    frames = plan.frames
+    for f, b, width in _tape_slots(plan, advice.q):
+        value = getattr(advice, f)[b]
+        if value is None:  # the q word of an uncrossed boundary
+            value = 0
+        elif f == "q":
+            low, _mid, high = frames[b]
+            if not low < value <= high:
+                raise DivideError(f"q word {value} outside its frame ({low}, {high}]")
+            value -= low
+        yield f, b, value, width
 
 
 def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
@@ -208,33 +191,37 @@ def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
     ranks below start cross left, those from stop on cross right, and each
     q, d and m is an end of one of these runs or a count of equal values at
     one, found by bisection. After the sort, no step visits single requests.
+
+    A left crossing out of block b goes to boundary b-1, a right one to
+    boundary b, and no boundary is written twice: a right crossing out of
+    block b needs hi > stop_b, a left one out of block b+1 hi < start_{b+1},
+    and start_{b+1} = stop_b.
     """
     k = plan.k
     ranked = sorted(requests)
     n = plan.n
     if len(ranked) != n:
         raise InstanceError(f"{n} servers vs {len(ranked)} requests")
-    columns = ([None] * k, [None] * k, [0] * k, [0] * k, [0] * k, [0] * k)
-    q_left, q_right, d_left, m_left, d_right, m_right = columns
+    q, d, m = [None] * (k - 1), [0] * (k - 1), [0] * (k - 1)
     lo = 0
     for b, (start, stop) in enumerate(plan.groups):
         hi = bisect_right(ranked, plan.boundaries[b]) if b < k - 1 else len(ranked)
         # ranks lo..left-1 cross left, left..right-1 stay, right..hi-1 cross right
         left, right = min(max(start, lo), hi), min(max(stop, lo), hi)
         if lo < left:
-            q = q_left[b] = ranked[left - 1]
-            m_left[b] = left - lo
-            d_left[b] = bisect_right(ranked, q, left, right) - left
+            q_left = q[b - 1] = ranked[left - 1]
+            m[b - 1] = left - lo
+            d[b - 1] = bisect_right(ranked, q_left, left, right) - left
         if right < hi:
-            q = q_right[b] = ranked[right]
-            m_right[b] = hi - right
-            d_right[b] = right - bisect_left(ranked, q, left, right)
-            if q == q_left[b]:
-                # q collision: d_left would duplicate d_right, so it carries
-                # the left share of the q-valued crossers instead
-                d_left[b] = left - bisect_left(ranked, q, lo, left)
+            q_right = q[b] = ranked[right]
+            m[b] = hi - right
+            d[b] = right - bisect_left(ranked, q_right, left, right)
+            if lo < left and q_right == q_left:
+                # q collision: d[b-1] would duplicate d[b], so it carries the
+                # left share of the q-valued crossers instead
+                d[b - 1] = left - bisect_left(ranked, q_right, lo, left)
         lo = hi
-    return DivideAdvice(k, *map(tuple, columns))
+    return DivideAdvice(k, tuple(q), tuple(d), tuple(m))
 
 
 def encode_divide_advice(advice: DivideAdvice, plan: BlockPlan) -> AdviceTape:
@@ -246,22 +233,18 @@ def encode_divide_advice(advice: DivideAdvice, plan: BlockPlan) -> AdviceTape:
 def decode_divide_advice(tape: AdviceTape, plan: BlockPlan) -> DivideAdvice:
     """Sequential reader of the layout in ``_tape_slots``."""
     k = plan.k
-    columns = ([None] * k, [None] * k, [0] * k, [0] * k, [0] * k, [0] * k)
-    q_left, q_right, frames = columns[0], columns[1], plan.frames
-    for f, b, width in _tape_slots(plan, q_left, q_right):
+    fields = {"q": [None] * (k - 1), "d": [0] * (k - 1), "m": [0] * (k - 1)}
+    q, frames = fields["q"], plan.frames
+    for f, b, width in _tape_slots(plan, q):
         value = tape.read_word(width)
-        if f != _Q_NONE:
-            columns[f][b] = value
+        if f != "q":
+            fields[f][b] = value
         elif value:
-            low, mid, high = frames[b]
-            q = low + value
-            if q <= mid:
-                q_right[b] = q
-            elif q <= high:
-                q_left[b + 1] = q
-            else:
-                raise DivideError(f"corrupt advice: q word {q} above block {b + 2}")
-    return DivideAdvice(k, *map(tuple, columns))
+            low, _mid, high = frames[b]
+            if value > high - low:
+                raise DivideError(f"corrupt advice: q word {low + value} above block {b + 2}")
+            q[b] = low + value
+    return DivideAdvice(k, *map(tuple, fields.values()))
 
 
 @dataclass(frozen=True)
@@ -277,37 +260,32 @@ class MarkSets:
 def mark_servers(plan: BlockPlan, advice: DivideAdvice) -> MarkSets:
     """Pick the servers that will absorb the crossing requests.
 
-    Crossing-right requests of boundary b take the lowest-index unmarked
-    servers right of it (ascending b); crossing-left take the highest-index
-    unmarked servers left of it (descending b).
+    Requests crossing boundary b right take the lowest-index unmarked
+    servers right of it (ascending b); those crossing it left take the
+    highest-index unmarked servers left of it (descending b).
 
     Boundaries are visited moving away from the side's first server, so the
     servers marked so far on a side include every server from the current
     boundary up to that side's cursor, and none beyond it: the next m marks
     are the m servers past the boundary or the cursor, whichever is farther.
     """
-    groups, end = plan.groups, plan.n
+    groups, end, m = plan.groups, plan.n, advice.m
+    right, left = _crossings(plan, advice.q)
     marked_right: set[int] = set()
     cursor = 0  # one past the highest server marked right
-    for b in range(plan.k - 1):
-        m = advice.m_right[b]
-        if m == 0:
-            continue
+    for b in right:
         start = max(cursor, groups[b + 1][0])
-        if end - start < m:
+        if end - start < m[b]:
             raise DivideError("corrupt advice: not enough servers to mark right")
-        cursor = start + m
+        cursor = start + m[b]
         marked_right.update(range(start, cursor))
     marked_left: set[int] = set()
     cursor = end  # the lowest server marked left
-    for b in range(plan.k - 1, 0, -1):
-        m = advice.m_left[b]
-        if m == 0:
-            continue
-        start = min(cursor, groups[b][0])
-        if start < m:
+    for b in left:
+        start = min(cursor, groups[b + 1][0])
+        if start < m[b]:
             raise DivideError("corrupt advice: not enough servers to mark left")
-        cursor = start - m
+        cursor = start - m[b]
         marked_left.update(range(cursor, start))
     if marked_left & marked_right:
         raise DivideError("corrupt advice: a server marked from both sides")
@@ -325,18 +303,20 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     The case guards depend only on positions and running counters, so the
     marked/unmarked split is fixed before A makes a single choice. Returns
     one (verdict, block) per request in arrival order.
+
+    Padded by an uncrossed word at each end, block b's words sit at b and
+    b + 1. A request of block b lies in (p_{b-1}, p_b], so r <= q[b] holds
+    only if q[b] is a left crossing out of block b, and r >= q[b+1] only if
+    q[b+1] is a right one: no side test is needed.
     """
     k = plan.k
-    # block 0 has no left q word and block k-1 no right one
-    q_left = (None,) + advice.q_left[1:]
-    q_right = advice.q_right[:-1] + (None,)
-    d_left, d_right = advice.d_left, advice.d_right
-    # marking budgets left per block; they conserve the marked totals
-    budget_left, budget_right = list(advice.m_left), list(advice.m_right)
-    # unmarked requests seen per block at the value of q_left and of q_right,
-    # the values the d guards count; when q_left == q_right one unmarked
-    # request counts toward both sides. A request crossing neither side lies
-    # strictly between the two values, so it is not counted.
+    q, d = (None, *advice.q, None), (0, *advice.d, 0)
+    # marking budgets left per boundary; they conserve the marked totals
+    budget = [0, *advice.m, 0]
+    # unmarked requests seen per block at the value of its left and of its
+    # right q word, the values the d guards count; when the two are equal one
+    # unmarked request counts toward both sides. A request crossing neither
+    # side lies strictly between the two values, so it is not counted.
     seen_left, seen_right = [0] * k, [0] * k
     eq_marked_left = [0] * k
     serve_block, mark_left, mark_right = (
@@ -346,7 +326,7 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     verdicts = []
     append = verdicts.append
     for r, b in zip(requests, plan.blocks_of(requests)):
-        ql, qr = q_left[b], q_right[b]
+        ql, qr = q[b], q[b + 1]
         in_left = ql is not None and r <= ql
         in_right = qr is not None and r >= qr
         if not (in_left or in_right):
@@ -356,24 +336,25 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
         eq_left, eq_right = r == ql, r == qr
         if eq_left or eq_right:
             if eq_right:
-                # at a q collision d_right is the stay-inside count and
-                # d_left the left share of the crossers (see DivideAdvice)
-                unmarked = seen_right[b] < d_right[b]
+                # at a q collision the right d word is the stay-inside count
+                # and the left one the left share of the crossers (see
+                # DivideAdvice)
+                unmarked = seen_right[b] < d[b + 1]
                 if not unmarked and eq_left:
-                    right = eq_marked_left[b] >= d_left[b]
+                    right = eq_marked_left[b] >= d[b]
                     if not right:
                         eq_marked_left[b] += 1
             else:
-                unmarked = seen_left[b] < d_left[b]
+                unmarked = seen_left[b] < d[b]
             if unmarked:
                 seen_left[b] += eq_left
                 seen_right[b] += eq_right
                 append(serve_block[b])
                 continue
-        budget = budget_right if right else budget_left
-        if budget[b] <= 0:
+        side = b + right
+        if budget[side] <= 0:
             raise DivideError(f"corrupt advice: block {b} marking budget spent")
-        budget[b] -= 1
+        budget[side] -= 1
         append((mark_right if right else mark_left)[b])
     return verdicts
 
@@ -458,12 +439,10 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
     marked_ids = sorted(marked)
     lr_state = LRState.for_servers([servers[j] for j in marked_ids], indices=marked_ids)
     aux = AuxTape()
-    # the q value that both sides of a block share, None without a collision
-    collisions = [
-        ql if ql is not None and ql == qr else None
-        for ql, qr in zip(decoded.q_left, decoded.q_right)
-    ]
-    d_left = decoded.d_left
+    # the q value that both words of a block share, None without a collision
+    q = (None, *decoded.q, None)
+    collisions = [ql if ql is not None and ql == qr else None for ql, qr in zip(q, q[1:])]
+    d_left = (0, *decoded.d)
     lr_cost = 0
     # zero-bits actually consumed by requests at a collision value; d_left
     # carries their left share there (see DivideAdvice). Marked requests at

@@ -12,7 +12,7 @@ from .generators import gen_family, gen_uniform
 from .lr import lr_oracle, lr_run
 from .model import Instance, costs_equal, make_matching
 from .offline import brute_force_optimal, monotone_optimal
-from .subroutines import make_subroutine
+from .subroutines import SUBROUTINE_NAMES, make_subroutine
 
 ALGORITHMS = ("lr", "divide", "rescale", "greedy", "permutation")
 
@@ -103,6 +103,8 @@ class ExperimentConfig:
         if not self.instances:
             raise ExperimentError("no instances configured")
         _check_k(self.algo, self.k)
+        if self.subroutine not in SUBROUTINE_NAMES:
+            raise ExperimentError(f"unknown subroutine {self.subroutine!r}")
 
     @classmethod
     def uniform(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .divide import _SERVE_BLOCK, DivideAdvice, DivideResult, divide_run
+from .divide import _SERVE_BLOCK, DivideResult, divide_run
 from .generators import VERIFY_FAMILY_MAX_N, gen_family, gen_uniform, verify_family
 from .lr import LRResult, lr_oracle, lr_run
 from .model import Instance, costs_equal
@@ -30,8 +30,8 @@ from .tape import word_width
 
 #: the largest n the props suite checks: it enumerates all n! assignments
 PROPS_MAX_N = 7
-#: the largest n the family suite checks the cardinality at; the forced top
-#: server is checked up to VERIFY_FAMILY_MAX_N
+#: the largest n the family suite checks the cardinality and oracle tapes at;
+#: the forced top server is checked up to VERIFY_FAMILY_MAX_N
 FAMILY_SUITE_MAX_N = 12
 
 
@@ -62,12 +62,18 @@ def advice_within_budget(result: DivideResult) -> bool:
     return result.oracle_bits_read <= (k - 1) * (word_width(N) + 2 * word_width(n))
 
 
-def boundaries_cross_one_way(advice: DivideAdvice) -> bool:
-    """No boundary b has both q_right[b] and q_left[b+1]."""
-    return not any(
-        q_r is not None and q_l is not None
-        for q_r, q_l in zip(advice.q_right, advice.q_left[1:])
-    )
+def family_tapes_are_distinct(n: int) -> bool:
+    """lr_oracle maps I_n one-to-one onto {0,1}^(n-1): I_n has 2^(n-1)
+    members, each gets a tape of exactly n - 1 bits that LR reads whole, and
+    no two members share one."""
+    members, tapes = gen_family(n), set()
+    for member in members:
+        instance = member.instance()
+        tape = lr_oracle(instance)
+        if len(tape) != n - 1 or lr_run(instance, tape).bits_read != n - 1:
+            return False
+        tapes.add(tape.bits)
+    return len(tapes) == len(members) == 2 ** (n - 1)
 
 
 def marking_is_consistent(result: DivideResult) -> bool:
@@ -122,8 +128,7 @@ def verify_lr_optimal(n_max: int = 8, seeds: int = 50, log=_noop) -> int:
 
 def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
     """DIVIDE_k with the clairvoyant subroutine matches the exact optimum,
-    within its advice budget, crossing each boundary one way, with
-    consistent marking."""
+    within its advice budget, with consistent marking."""
     _check_n_max(n_max, BRUTE_FORCE_MAX_N)
     failures = 0
     for n in range(2, n_max + 1):
@@ -137,7 +142,6 @@ def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
                 for name, ok in (
                     ("cost", divide_is_exact(result, opt)),
                     ("budget", advice_within_budget(result)),
-                    ("one-way", boundaries_cross_one_way(result.advice)),
                     ("marking", marking_is_consistent(result)),
                 ):
                     if not ok:
@@ -151,13 +155,14 @@ def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
 
 
 def verify_family_suite(n_max: int = 8, log=_noop) -> int:
-    """Family cardinality and the forced top-server assignment, on every member."""
+    """Family cardinality with one distinct oracle tape per member, and the
+    forced top-server assignment, on every member."""
     _check_n_max(n_max, FAMILY_SUITE_MAX_N)
     failures = 0
     for n in range(1, n_max + 1):
-        if len(gen_family(n)) != 2 ** (n - 1):
+        if not family_tapes_are_distinct(n):
             failures += 1
-            log(f"  FAIL cardinality at n={n}")
+            log(f"  FAIL cardinality or oracle tapes at n={n}")
     for n in range(2, min(n_max, VERIFY_FAMILY_MAX_N) + 1):
         bad = [c for c in verify_family(n) if not c.ok]
         failures += len(bad)

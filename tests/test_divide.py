@@ -4,6 +4,7 @@ import random
 import pytest
 
 import reference_divide
+from test_divide_reference import unfold
 from matchline import divide, verification
 from matchline.cli import main
 from matchline.divide import (
@@ -111,9 +112,8 @@ WORKED = validate_instance([1, 2, 3, 4], [3, 3, 1, 4])
 def test_worked_example_advice_words():
     plan = plan_blocks(WORKED.servers, 2)
     advice = compute_advice(WORKED.requests, plan)
-    assert advice.q_left == (None, 3)
-    assert advice.q_right == (None, None)
-    assert advice.d_left[1] == 1 and advice.m_left[1] == 1
+    # the one boundary, p_0 = 2, is crossed left out of block 1 at 3 > p_0
+    assert advice == DivideAdvice(2, q=(3,), d=(1,), m=(1,))
 
 
 def test_worked_example_tape_layout():
@@ -158,6 +158,30 @@ def test_advice_round_trip_random():
             assert decoded == advice
 
 
+def test_every_representable_advice_round_trips():
+    # any q in its frame (p_{b-1}, p_{b+1}] or None, with any d and m of
+    # w(n) bits where q is present: the reader returns the advice the writer
+    # was given and reads the tape whole
+    rng = random.Random(15)
+    for _ in range(1500):
+        n = rng.randint(1, 20)
+        top = rng.choice((max(1, n // 3), 10**6))
+        servers = sorted(rng.randint(1, top) for _ in range(n))
+        servers = [s - servers[0] + 1 for s in servers]
+        cap = 2 ** word_width(n) - 1
+        for k in range(1, n + 1):
+            plan = plan_blocks(servers, k)
+            q = tuple(
+                rng.randint(low + 1, high) if high > low and rng.random() < 0.7 else None
+                for low, _mid, high in plan.frames
+            )
+            d, m = (tuple(0 if w is None else rng.randint(0, cap) for w in q) for _ in "dm")
+            advice = DivideAdvice(k, q, d, m)
+            tape = encode_divide_advice(advice, plan)
+            assert decode_divide_advice(tape, plan) == advice
+            assert tape.unread == 0
+
+
 def test_tape_one_bit_short_underflows():
     plan = plan_blocks(WORKED.servers, 2)
     advice = compute_advice(WORKED.requests, plan)
@@ -172,30 +196,20 @@ def test_writer_rejects_q_word_outside_the_span():
     advice = compute_advice(WORKED.requests, plan)
     N = plan.span_bound
     for q in (0, N, -3, N + 4):
-        bad = dataclasses.replace(advice, q_left=(None, q))
+        bad = dataclasses.replace(advice, q=(q,))
         with pytest.raises(DivideError):
             encode_divide_advice(bad, plan)
 
 
 def test_writer_rejects_q_word_outside_its_block():
-    # p_0 = 2: q_right[0] must lie in block 0, (0, 2], and q_left[1] in
-    # block 1, (2, 4]; one word cannot carry a q on the other side
-    plan = plan_blocks(WORKED.servers, 2)
-    advice = compute_advice(WORKED.requests, plan)
-    for bad in (
-        dataclasses.replace(advice, q_left=(None, 2)),
-        dataclasses.replace(advice, q_left=(None, None), q_right=(3, None)),
-    ):
+    # servers 1..6 at k = 3: p_0 = 2 and p_1 = 4, so boundary 0's word must
+    # lie in blocks 0 and 1, (0, 4], and boundary 1's in blocks 1 and 2,
+    # (2, 6]; a q inside the span but outside those two blocks has no offset
+    plan = plan_blocks([1, 2, 3, 4, 5, 6], 3)
+    for q, m in (((5, None), (1, 0)), ((None, 2), (0, 1)), ((None, 1), (0, 1))):
+        bad = DivideAdvice(3, q, (0, 0), m)
         with pytest.raises(DivideError, match="outside"):
             encode_divide_advice(bad, plan)
-
-
-def test_writer_rejects_a_boundary_crossed_both_ways():
-    plan = plan_blocks(WORKED.servers, 2)
-    advice = compute_advice(WORKED.requests, plan)
-    both = dataclasses.replace(advice, q_right=(2, None), d_right=(0, 0), m_right=(1, 0))
-    with pytest.raises(DivideError, match="both ways"):
-        encode_divide_advice(both, plan)
 
 
 def test_reader_rejects_q_word_past_its_frame():
@@ -224,20 +238,9 @@ def test_spent_marking_budget_raises():
     plan = plan_blocks(WORKED.servers, 2)
     advice = compute_advice(WORKED.requests, plan)
     assert classify_requests(WORKED.requests, plan, advice)[1] == ("mark_left", 1)
-    spent = dataclasses.replace(advice, m_left=(0, 0))
+    spent = dataclasses.replace(advice, m=(0,))
     with pytest.raises(DivideError):
         classify_requests(WORKED.requests, plan, spent)
-
-
-def test_classification_ignores_outer_q_words():
-    # block 0 has no left boundary and block k-1 no right one, so q words
-    # there, which no tape carries, change nothing
-    plan = plan_blocks(WORKED.servers, 2)
-    advice = compute_advice(WORKED.requests, plan)
-    outer = dataclasses.replace(advice, q_left=(1, 3), q_right=(None, 4))
-    assert classify_requests(WORKED.requests, plan, outer) == classify_requests(
-        WORKED.requests, plan, advice
-    )
 
 
 def test_k1_reads_nothing_and_uses_subroutine_only():
@@ -257,32 +260,34 @@ def test_marks_are_disjoint_and_counted():
             advice = compute_advice(inst.requests, plan)
             marks = mark_servers(plan, advice)
             assert not (marks.marked_left & marks.marked_right)
-            assert len(marks.marked_right) == sum(advice.m_right)
-            assert len(marks.marked_left) == sum(advice.m_left)
+            per_block = unfold(advice, plan)
+            assert len(marks.marked_right) == sum(per_block.m_right)
+            assert len(marks.marked_left) == sum(per_block.m_left)
 
 
 def test_mark_servers_matches_the_reference():
-    def outcome(mark, plan, m_left, m_right):
-        none, zeros = (None,) * plan.k, (0,) * plan.k
-        advice = DivideAdvice(plan.k, none, none, zeros, m_left, zeros, m_right)
+    def outcome(mark, plan, advice):
         try:
             marks = mark(plan, advice)
         except (DivideError, reference_divide.DivideError) as exc:
             return str(exc)
         return marks.marked_right, marks.marked_left
 
+    def old_mark(plan, advice):
+        return reference_divide.mark_servers(plan, unfold(advice, plan), plan.n)
+
     rng = random.Random(11)
     raised = 0
     for _ in range(4000):
         n = rng.randint(1, 14)
         plan = plan_blocks(sorted(rng.randint(1, 3 * n) for _ in range(n)), rng.randint(1, n))
-        m_left, m_right = (
-            tuple(rng.choice((0, 0, 1, rng.randint(0, n))) for _ in range(plan.k))
-            for _side in "LR"
-        )
-        new = outcome(mark_servers, plan, m_left, m_right)
-        old_mark = lambda plan, advice: reference_divide.mark_servers(plan, advice, plan.n)
-        assert new == outcome(old_mark, plan, m_left, m_right)
+        # each boundary uncrossed, or crossed right (q = p_b) or left
+        # (q = p_b + 1) by m requests
+        q = tuple(rng.choice((None, p, p + 1)) for p in plan.boundaries)
+        m = tuple(0 if w is None else rng.choice((1, 1, rng.randint(1, n))) for w in q)
+        advice = DivideAdvice(plan.k, q, (0,) * (plan.k - 1), m)
+        new = outcome(mark_servers, plan, advice)
+        assert new == outcome(old_mark, plan, advice)
         raised += isinstance(new, str)
     assert 1000 < raised < 3000  # both results and raises are covered
 
@@ -365,18 +370,6 @@ def test_budget_predicate_holds_at_the_bound_and_fails_past_it():
         )
 
 
-def test_one_way_predicate_fails_on_a_boundary_crossed_both_ways():
-    advice = compute_advice(WORKED.requests, plan_blocks(WORKED.servers, 2))
-    assert verification.boundaries_cross_one_way(advice)
-    assert not verification.boundaries_cross_one_way(
-        dataclasses.replace(advice, q_right=(2, None))
-    )
-    # the outer words, q_left[0] and q_right[k-1], sit on no boundary
-    assert verification.boundaries_cross_one_way(
-        dataclasses.replace(advice, q_left=(1, 3), q_right=(None, 4))
-    )
-
-
 def test_the_oracle_crosses_every_boundary_one_way():
     rng = random.Random(5)
     for _ in range(600):
@@ -385,9 +378,16 @@ def test_the_oracle_crosses_every_boundary_one_way():
         servers = sorted(rng.randint(1, top) for _ in range(n))
         servers = [s - servers[0] + 1 for s in servers]
         requests = [rng.randint(1, servers[-1]) for _ in range(n)]
+        instance = validate_instance(servers, requests)
         for k in range(1, n + 1):
-            advice = compute_advice(requests, plan_blocks(servers, k))
-            assert verification.boundaries_cross_one_way(advice)
+            # the reference has a word for each side of each boundary, so it
+            # could report a boundary crossed both ways; the unfolded
+            # advice, one word per boundary, could not match it then
+            plan = plan_blocks(servers, k)
+            old = reference_divide.compute_advice(
+                instance, reference_divide.plan_blocks(servers, k), plan.span_bound
+            )
+            assert unfold(compute_advice(requests, plan), plan) == old
 
 
 def test_out_of_span_requests_are_exact():

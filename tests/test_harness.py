@@ -90,6 +90,8 @@ def test_config_validation():
     for algo in ("lr", "greedy", "permutation"):
         with pytest.raises(ExperimentError):
             ExperimentConfig(algo, k=2, instances=[("x", None, None)])
+    with pytest.raises(ExperimentError, match="unknown subroutine"):
+        ExperimentConfig("divide", 2, "nope", instances=[("x", None, None)])
 
 
 def test_emit_csv_schema(tmp_path):
@@ -187,6 +189,20 @@ def test_cli_gen_family_writes_directory(tmp_path):
     files = sorted(out.glob("member_*.json"))
     assert len(files) == 8
     assert load_instance(files[0]).servers == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--seed", "9"], ["--seed", "0"], ["--range", "0.5:2"], ["--integer"], ["--in-span"]],
+)
+def test_cli_gen_family_refuses_uniform_options(option, tmp_path, capsys):
+    # the family mode writes every member of I_n, so it would read none of them
+    out = tmp_path / "family"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--mode", "family", "--n", "3", *option, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"takes no {option[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_lr_with_report(tmp_path, capsys):
@@ -305,6 +321,23 @@ def test_cli_run_refuses_k_for_advice_free_algorithms(tmp_path, capsys, algo):
     assert code == 2
     assert not report.exists()
     assert "takes no k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["lr", "greedy", "permutation"])
+@pytest.mark.parametrize(
+    "option", [["--sub", "clairvoyant"], ["--sub", "greedy"], ["--verbose-tape"]]
+)
+def test_cli_run_refuses_block_options_for_advice_free_algorithms(
+    tmp_path, capsys, algo, option
+):
+    inst_path = tmp_path / "i.json"
+    save_instance(validate_instance([1, 2, 3, 4], [3, 3, 1, 4]), inst_path)
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--algo", algo, *option, "--input", str(inst_path), "--report", str(report)])
+    assert exc.value.code == 2
+    assert not report.exists()
+    assert f"takes no {option[0]}" in capsys.readouterr().err
 
 
 def test_cli_run_csv_report(tmp_path):
