@@ -57,6 +57,8 @@ def run_algorithm(
 ) -> dict:
     """One run; returns cost, bit counts, and the matching."""
     _check_k(algo, k)
+    if subroutine not in SUBROUTINE_NAMES:
+        raise ExperimentError(f"unknown subroutine {subroutine!r}")
     if algo == "lr":
         result = lr_run(instance, lr_oracle(instance))
         return {

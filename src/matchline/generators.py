@@ -71,7 +71,7 @@ def gen_uniform(
     else:
         servers = sorted(rng.uniform(lo, hi) for _ in range(n))
         if request_range == "span":
-            rlo, rhi = servers[0], max(servers[-1], servers[0] + 1e-9)
+            rlo, rhi = servers[0], servers[-1]
         elif request_range is not None:
             rlo, rhi = request_range
         else:

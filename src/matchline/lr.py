@@ -9,7 +9,9 @@ are read.
 
 The server pool keeps every server in one static order, (position, original
 index), with union-find "next free to the left / right" pointers over it
-(Tarjan), so each move costs a bisect plus near-constant pointer chasing.
+(Tarjan). Its one search, ``LRState.neighbours``, finds a request's two free
+neighbours with a bisect plus near-constant pointer chasing; LR and the
+``greedy`` and ``permutation`` subroutines are each a rule over that pair.
 
 The oracle writes the bits by the rank rule, the exchange argument behind
 the monotone optimum: when request r falls strictly between its unmatched
@@ -39,7 +41,11 @@ class LRError(RuntimeError):
 @dataclass
 class LRState:
     """Server pool: every server, ordered by (position, original index), with
-    "next free" pointers that skip the matched ones."""
+    "next free" pointers that skip the matched ones. ``neighbours`` is the
+    one walk over them and ``take`` the one update.
+
+    Slots are ordered by (position, id), so when position p holds a free
+    server, ``neighbours(p)[1]`` is the slot of its smallest free id."""
 
     positions: list = field(default_factory=list)
     indices: list = field(default_factory=list)
@@ -57,22 +63,17 @@ class LRState:
         pool = sorted(zip(servers, range(len(servers)) if indices is None else indices))
         return cls([s for s, _ in pool], [i for _, i in pool])
 
-    # lr_serve and the greedy subroutine inline the next three for speed;
-    # the permutation subroutine calls them
-
-    def next_free(self, i: int) -> int:
-        """Least free slot >= i; len(positions) when there is none."""
-        right_of = self._right
-        while right_of[i] != i:  # path halving
-            right_of[i] = i = right_of[right_of[i]]
-        return i
-
-    def prev_free(self, i: int) -> int:
-        """Greatest free slot < i; -1 when there is none."""
-        left_of = self._left
-        while left_of[i] != i:
-            left_of[i] = i = left_of[left_of[i]]
-        return i - 1
+    def neighbours(self, request) -> tuple[int, int]:
+        """The request's two free neighbours: the greatest free slot whose
+        position is < request (-1: none) and the least free slot whose
+        position is >= request (len(positions): none)."""
+        right_of, left_of = self._right, self._left
+        low = high = bisect.bisect_left(self.positions, request)
+        while right_of[high] != high:  # path halving
+            right_of[high] = high = right_of[right_of[high]]
+        while left_of[low] != low:
+            left_of[low] = low = left_of[left_of[low]]
+        return low - 1, high
 
     def take(self, j: int) -> int:
         """Match the server in slot j; returns its original index."""
@@ -83,32 +84,22 @@ class LRState:
 
 def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
     """Match one request; returns the chosen server's original index."""
-    positions, right_of, left_of = state.positions, state._right, state._left
-    end = len(positions)
-    i = right = bisect.bisect_left(positions, request)
-    while right_of[right] != right:  # path halving
-        right_of[right] = right = right_of[right_of[right]]
-    if right < end and positions[right] == request:
+    low, high = state.neighbours(request)
+    end = len(state.positions)
+    if high < end and state.positions[high] == request:
         # a server equal to the request; smallest index among equals
-        j = right
+        j = high
+    elif low < 0:
+        if high == end:
+            raise LRError("no unmatched servers left")
+        # all unmatched servers are greater: least of them
+        j = high
+    elif high == end:
+        # all unmatched servers are less: largest of them
+        j = low
     else:
-        left = i
-        while left_of[left] != left:
-            left_of[left] = left = left_of[left_of[left]]
-        left -= 1
-        if left < 0:
-            if right == end:
-                raise LRError("no unmatched servers left")
-            # all unmatched servers are greater: least of them
-            j = right
-        elif right == end:
-            # all unmatched servers are less: largest of them
-            j = left
-        else:
-            j = left if tape.read_bit() == 0 else right
-    right_of[j] = j + 1
-    left_of[j + 1] = j
-    return state.indices[j]
+        j = low if tape.read_bit() == 0 else high
+    return state.take(j)
 
 
 class _RankRule:

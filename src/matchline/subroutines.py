@@ -3,8 +3,9 @@
 Each subroutine owns a fixed server pool and serves requests one at a time,
 always returning a still-available server from that pool. ``greedy`` and
 ``permutation`` run on LR's server pool (``LRState``) and, like LR, serve one
-of the two free neighbours of each request, the nearest free server at or
-below it or the nearest at or above it. ``greedy`` takes the nearer one,
+of the two free neighbours of each request that ``LRState.neighbours``
+returns, the nearest free server at or below it or the nearest at or above
+it. ``greedy`` takes the nearer one,
 O(log n) amortised; ``permutation`` prices the two, O(t) for the t-th request
 and O(n^2) per run. Both serve the ids of the full scans they replaced except
 at float-rounding ties. ``clairvoyant`` reads its block's future requests and
@@ -32,15 +33,15 @@ class SubroutineError(RuntimeError):
 class Greedy:
     """Nearest available server; ties toward smaller position, then id.
 
-    Runs on LR's server pool (``LRState``): one bisect splits the servers at
-    the request and the "next free" pointers give its two free neighbours,
-    the nearest free server below it and the nearest at or above it, O(log n)
-    amortised per request. ``serve`` walks the pointers inline, with path
-    halving as in ``lr_serve``. Every slot below the bisect point lies below
-    the request and every slot from it on at or above, so each distance is a
-    one-sided difference, equal to its ``abs``. A float difference is
+    Runs on LR's server pool (``LRState``): ``neighbours`` gives the
+    request's two free neighbours, the nearest free server below it and the
+    nearest at or above it, O(log n) amortised per request. The lower one
+    lies below the request and the upper one at or above, so each distance
+    is a one-sided difference, equal to its ``abs``. A float difference is
     monotone in the position, so the nearer neighbour's computed distance is
-    the least over the free servers.
+    the least over the free servers. When the lower one wins, a smaller free
+    id at its position can only exist when the slot below holds the same
+    position, so only then does a second ``neighbours`` call look for it.
     """
 
     def __init__(self, servers: Sequence, ids: Sequence[int] | None = None):
@@ -48,27 +49,16 @@ class Greedy:
 
     def serve(self, request) -> int:
         pool = self.pool
-        positions, right_of, left_of = pool.positions, pool._right, pool._left
-        end = len(positions)
-        i = j = bisect.bisect_left(positions, request)
-        # j: least position >= request, smallest id there
-        while right_of[j] != j:  # path halving
-            right_of[j] = j = right_of[right_of[j]]
-        left = i
-        while left_of[left] != left:
-            left_of[left] = left = left_of[left_of[left]]
-        left -= 1
-        if left >= 0:
-            if j == end or request - positions[left] <= positions[j] - request:
-                # the smallest free id at that position
-                j = bisect.bisect_left(positions, positions[left], 0, left)
-                while right_of[j] != j:
-                    right_of[j] = j = right_of[right_of[j]]
-        elif j == end:
+        positions = pool.positions
+        low, j = pool.neighbours(request)
+        if low >= 0:
+            if j == len(positions) or request - positions[low] <= positions[j] - request:
+                j = low
+                if low and positions[low - 1] == positions[low]:
+                    j = pool.neighbours(positions[low])[1]
+        elif j == len(positions):
             raise SubroutineError("no available server")
-        right_of[j] = j + 1
-        left_of[j + 1] = j
-        return pool.indices[j]
+        return pool.take(j)
 
 
 class Permutation:
@@ -127,11 +117,10 @@ class Permutation:
         pool = self.pool
         positions, end = pool.positions, len(pool.positions)
         bisect.insort(self.history, request)
-        j = pool.next_free(bisect.bisect_left(positions, request))  # H
-        low = pool.prev_free(bisect.bisect_right(positions, request))
-        if low >= 0:  # L: the smallest free id at that position
-            low = pool.next_free(bisect.bisect_left(positions, positions[low], 0, low))
-            if j in (low, end) or self._lower_wins(positions[low], positions[j]):
+        low, j = pool.neighbours(request)  # j: H
+        if low >= 0 and (j == end or positions[j] != request):
+            low = pool.neighbours(positions[low])[1]  # L: the smallest free id there
+            if j == end or self._lower_wins(positions[low], positions[j]):
                 j = low
         elif j == end:
             raise SubroutineError("no available server")

@@ -4,11 +4,12 @@ package uses them.
 
 - ``Greedy``, before it moved onto LR's server pool: a sorted (position, id)
   list with an availability flag per entry, scanned in full on every request.
-- ``PoolGreedy``, before its pointer walk was inlined: ``LRState``'s
-  ``next_free``/``prev_free``/``take`` calls and a bisect per request for the
-  first slot at a position. Like ``Greedy`` it walks on past the lower free
-  neighbour while float rounding ties the distance, which the package's
-  greedy no longer does.
+- ``PoolGreedy``, before its pointer walk was inlined: ``next_free`` and
+  ``prev_free`` calls (``LRState``'s methods then, kept here on
+  ``_WalkingPool``), ``take``, and a bisect per request for the first slot at
+  a position. Like ``Greedy`` it walks on past the lower free neighbour while
+  float rounding ties the distance, which the package's greedy no longer
+  does.
 - ``Permutation``, before it priced servers from per-gap sums: an O(t * m) DP
   for the running optimum, then a fresh sort per candidate server.
 - ``PerGapPermutation``, before it priced only the two free neighbours of the
@@ -60,6 +61,25 @@ class Greedy(_PoolSubroutine):
         return self._claim(best[1])
 
 
+class _WalkingPool(LRState):
+    """LR's server pool with the two pointer walks it had before
+    ``neighbours`` replaced them."""
+
+    def next_free(self, i: int) -> int:
+        """Least free slot >= i; len(positions) when there is none."""
+        right_of = self._right
+        while right_of[i] != i:  # path halving
+            right_of[i] = i = right_of[right_of[i]]
+        return i
+
+    def prev_free(self, i: int) -> int:
+        """Greatest free slot < i; -1 when there is none."""
+        left_of = self._left
+        while left_of[i] != i:
+            left_of[i] = i = left_of[left_of[i]]
+        return i - 1
+
+
 class PoolGreedy:
     """Nearest available server; ties toward smaller position, then id.
 
@@ -69,7 +89,7 @@ class PoolGreedy:
     """
 
     def __init__(self, servers: Sequence, ids: Sequence[int] | None = None):
-        self.pool = LRState.for_servers(servers, ids)
+        self.pool = _WalkingPool.for_servers(servers, ids)
 
     def serve(self, request) -> int:
         pool = self.pool

@@ -35,6 +35,16 @@ def test_uniform_span_requests_stay_encodable():
         assert all(1 <= r <= inst.servers[-1] - 1 for r in inst.requests)
 
 
+def test_uniform_span_requests_lie_in_the_span():
+    # n = 1 puts every server at one position: the span is that point
+    for integer_mode in (False, True):
+        for n in range(1, 9):
+            for seed in range(50):
+                inst = gen_uniform(n, (0, 30), seed, integer_mode, request_range="span")
+                lo, hi = inst.servers[0], inst.servers[-1]
+                assert all(lo <= r <= hi for r in inst.requests), (integer_mode, n, seed)
+
+
 def test_uniform_rejects_bad_input():
     with pytest.raises(GeneratorError):
         gen_uniform(0, (0, 10), 0)

@@ -77,6 +77,10 @@ def test_run_algorithm_names():
     for algo in ALGORITHMS:  # k for DIVIDE_k and RESCALE only, as by the config
         with pytest.raises(ExperimentError):
             run_algorithm(inst, algo, k=None if algo in K_ALGORITHMS else 2)
+    for algo in ALGORITHMS:  # the subroutine name is checked for every algorithm
+        k = 2 if algo in K_ALGORITHMS else None
+        with pytest.raises(ExperimentError, match="unknown subroutine"):
+            run_algorithm(inst, algo, k=k, subroutine="nope")
 
 
 def test_config_validation():
@@ -100,7 +104,7 @@ def test_emit_csv_schema(tmp_path):
     reports = run_experiment(config)
     out = tmp_path / "r.csv"
     emit_report(reports, out, "csv")
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     # the column order is part of the report format
     assert rows[0] == [
         "instance_id",
@@ -121,7 +125,7 @@ def test_emit_csv_schema(tmp_path):
 def test_emit_empty_reports(tmp_path):
     csv_path = tmp_path / "empty.csv"
     emit_report([], csv_path, "csv")
-    assert list(csv.reader(csv_path.open())) == [list(REPORT_COLUMNS)]
+    assert list(csv.reader(csv_path.read_text().splitlines())) == [list(REPORT_COLUMNS)]
     json_path = tmp_path / "empty.json"
     emit_report([], json_path, "json")
     assert json.loads(json_path.read_text()) == []
@@ -349,7 +353,7 @@ def test_cli_run_csv_report(tmp_path):
          "--report", str(report), "--format", "csv"]
     )
     assert code == 0
-    rows = list(csv.reader(report.open()))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert rows[0] == list(REPORT_COLUMNS)
 
 
@@ -363,7 +367,7 @@ def test_cli_report_reformats(tmp_path):
         ["report", "--input", str(json_report), "--format", "csv", "--out", str(csv_report)]
     )
     assert code == 0
-    assert list(csv.reader(csv_report.open()))[0] == list(REPORT_COLUMNS)
+    assert list(csv.reader(csv_report.read_text().splitlines()))[0] == list(REPORT_COLUMNS)
 
 
 def test_cli_verify_passes(capsys):

@@ -148,6 +148,34 @@ def test_oracle_optimal_on_large_float_coordinates():
         assert result.bits_read <= n - 1
 
 
+@given(st.data())
+def test_neighbours_match_a_scan_of_the_free_slots(data):
+    # duplicate-heavy integers or floats, custom ids, takes between queries
+    coords = data.draw(
+        st.sampled_from(
+            [st.integers(min_value=0, max_value=4), st.floats(min_value=-50, max_value=50)]
+        )
+    )
+    servers = data.draw(st.lists(coords, min_size=1, max_size=30))
+    ids = data.draw(
+        st.lists(st.integers(-1000, 1000), min_size=len(servers), max_size=len(servers), unique=True)
+    )
+    pool = LRState.for_servers(servers, ids)
+    positions, free = pool.positions, set(range(len(servers)))
+    far = st.floats(min_value=-1e12, max_value=1e12)
+    for r in data.draw(st.lists(st.one_of(st.sampled_from(servers), coords, far), max_size=12)):
+        low, high = pool.neighbours(r)
+        assert low == max((j for j in free if positions[j] < r), default=-1)
+        assert high == min((j for j in free if positions[j] >= r), default=len(positions))
+        if low >= 0:
+            at_low = [pool.indices[j] for j in free if positions[j] == positions[low]]
+            assert pool.indices[pool.neighbours(positions[low])[1]] == min(at_low)
+        if free and data.draw(st.booleans()):
+            j = data.draw(st.sampled_from(sorted(free)))
+            pool.take(j)
+            free.discard(j)
+
+
 def test_pool_of_indexed_servers_returns_their_indices():
     state = LRState.for_servers([7, 3, 3, 9], indices=[40, 12, 10, 31])
     tape = AdviceTape((1,))

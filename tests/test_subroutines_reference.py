@@ -1,7 +1,7 @@
 """Differential tests: the greedy subroutine and ``Permutation``, both on
 LR's server pool, against the versions they replaced
 (``reference_subroutines``; greedy against both its full scan and its
-pointer walk through ``LRState``'s methods), plus the property that LR,
+pointer walk through ``next_free``/``prev_free``), plus the property that LR,
 greedy and ``Permutation`` each serve one of the request's two free
 neighbours.
 
