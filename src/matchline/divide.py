@@ -30,14 +30,14 @@ tape's shape, so a boundary crossed both ways cannot be written down. The
 oracle tape holds at most (k-1)(w(N) + 2w(n)) bits; only its bits count as
 advice.
 
-Serving goes block by block, then LR. ``classify_requests`` fixes every
-request's verdict, its block or a marking side, from positions and counters
-alone, before any subroutine chooses; and each block's subroutine and LR's
-pool own disjoint servers. So no choice depends on the order in which the
-pools are served: each block's subroutine is served its own requests in
-arrival order, one at a time, then LR the marked requests in arrival order.
-Every pool sees the same requests in the same order as in one interleaved
-pass, so the online model and every output are those of that pass.
+Serving goes block by block, then LR. ``classify_requests`` lists what
+each pool serves, each block's unmarked arrivals and the marked ones, from
+positions and counters alone, before any subroutine chooses; and the pools
+own disjoint servers. So no choice depends on the order in which the pools
+are served: each block's subroutine is served its own requests in arrival
+order, one at a time, then LR the marked requests in arrival order. Every
+pool sees the same requests in the same order as in one interleaved pass,
+so the online model and every output are those of that pass.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class BlockPlan:
 
 def plan_blocks(servers, k: int) -> BlockPlan:
     n = len(servers)
-    if not 1 <= k <= n:
-        raise DivideError(f"k={k} out of range 1..{n}")
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
+        raise DivideError(f"k={k!r} is not an int in 1..{n}")
     big, small = -(-n // k), n // k
     ell = n % k
     groups = []
@@ -292,17 +292,15 @@ def mark_servers(plan: BlockPlan, advice: DivideAdvice) -> MarkSets:
     return MarkSets(frozenset(marked_right), frozenset(marked_left))
 
 
-_SERVE_BLOCK = "block"
-_SERVE_MARK_RIGHT = "mark_right"
-_SERVE_MARK_LEFT = "mark_left"
-
-
 def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     """Replay the serving case analysis without any subroutine.
 
     The case guards depend only on positions and running counters, so the
     marked/unmarked split is fixed before A makes a single choice. Returns
-    one (verdict, block) per request in arrival order.
+    what each pool serves, as arrival indices: ``arrivals[b]``, ascending,
+    those of block b's unmarked requests, and ``marked_arrivals``, one
+    (t, b, right) per marked request in arrival order, ``right`` true when
+    it crosses its block's right boundary.
 
     Padded by an uncrossed word at each end, block b's words sit at b and
     b + 1. A request of block b lies in (p_{b-1}, p_b], so r <= q[b] holds
@@ -319,18 +317,14 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     # side lies strictly between the two values, so it is not counted.
     seen_left, seen_right = [0] * k, [0] * k
     eq_marked_left = [0] * k
-    serve_block, mark_left, mark_right = (
-        [(verdict, b) for b in range(k)]
-        for verdict in (_SERVE_BLOCK, _SERVE_MARK_LEFT, _SERVE_MARK_RIGHT)
-    )
-    verdicts = []
-    append = verdicts.append
-    for r, b in zip(requests, plan.blocks_of(requests)):
+    arrivals = [[] for _ in range(k)]
+    marked_arrivals = []
+    for t, (r, b) in enumerate(zip(requests, plan.blocks_of(requests))):
         ql, qr = q[b], q[b + 1]
         in_left = ql is not None and r <= ql
         in_right = qr is not None and r >= qr
         if not (in_left or in_right):
-            append(serve_block[b])
+            arrivals[b].append(t)
             continue
         right = in_right  # the side a marked request crosses
         eq_left, eq_right = r == ql, r == qr
@@ -349,22 +343,22 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
             if unmarked:
                 seen_left[b] += eq_left
                 seen_right[b] += eq_right
-                append(serve_block[b])
+                arrivals[b].append(t)
                 continue
         side = b + right
         if budget[side] <= 0:
             raise DivideError(f"corrupt advice: block {b} marking budget spent")
         budget[side] -= 1
-        append((mark_right if right else mark_left)[b])
-    return verdicts
+        marked_arrivals.append((t, b, right))
+    return arrivals, marked_arrivals
 
 
 @dataclass
 class DivideResult:
     """A DIVIDE_k run. ``matching``, ``lr_cost`` and ``block_costs`` are in the
-    caller's coordinates; ``plan`` (with its N), ``advice``, the tape and the
-    verdicts are in the planning coordinates (RESCALE's scaled ones);
-    ``marks`` are server indices, the same in both."""
+    caller's coordinates; ``plan`` (with its N), ``advice`` and the tape are
+    in the planning coordinates (RESCALE's scaled ones); server and arrival
+    indices (``marks``, ``arrivals``, ``marked_arrivals``) are the same in both."""
 
     matching: Matching
     plan: BlockPlan
@@ -375,7 +369,8 @@ class DivideResult:
     lr_cost: int | float
     block_costs: list
     tape: AdviceTape = field(repr=False, compare=False)  # the oracle tape
-    verdicts: list = field(repr=False)
+    arrivals: list = field(repr=False)
+    marked_arrivals: list = field(repr=False)
 
 
 def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) -> DivideResult:
@@ -392,34 +387,26 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
     tape = encode_divide_advice(advice, plan)
     decoded = decode_divide_advice(tape, plan)
     marks = mark_servers(plan, decoded)
-    verdicts = classify_requests(requests, plan, decoded)
+    arrivals, marked_arrivals = classify_requests(requests, plan, decoded)
 
     # callers[t] is the caller's request t, priced against its servers;
     # requests[t] is its planning image
     callers, priced = instance.requests, instance.servers
     assignment = [None] * instance.n
-    # arrival indices of each block's unmarked requests, and of the marked
-    arrivals_by_block = [[] for _ in range(k)]
-    marked_arrivals = []
-    for t, (verdict, b) in enumerate(verdicts):
-        if verdict == _SERVE_BLOCK:
-            arrivals_by_block[b].append(t)
-        else:
-            marked_arrivals.append(t)
 
     # each block's subroutine serves its own requests in arrival order, over
     # the unmarked servers of its group; a block that receives none needs none
     marked = marks.marked
     block_costs = [0] * k
-    for b, ((start, stop), arrivals) in enumerate(zip(plan.groups, arrivals_by_block)):
+    for b, ((start, stop), own) in enumerate(zip(plan.groups, arrivals)):
         ids = [j for j in range(start, stop) if j not in marked]
-        if len(ids) != len(arrivals):
+        if len(ids) != len(own):
             raise DivideError(
-                f"block {b}: {len(arrivals)} unmarked requests vs {len(ids)} unmarked servers"
+                f"block {b}: {len(own)} unmarked requests vs {len(ids)} unmarked servers"
             )
-        if not arrivals:
+        if not own:
             continue
-        sealed = [requests[t] for t in arrivals]
+        sealed = [requests[t] for t in own]
         sub = make_subroutine(
             subroutine,
             [servers[j] for j in ids],
@@ -430,7 +417,7 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
         if sorted(served) != ids:
             raise DivideError(f"subroutine left its block: block {b}")
         cost = 0
-        for t, j in zip(arrivals, served):
+        for t, j in zip(own, served):
             assignment[t] = j
             cost += abs(callers[t] - priced[j])
         block_costs[b] = cost
@@ -451,20 +438,17 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
     # rule, and the rest must split by the left share, not by which marking
     # budget admitted them.
     zeros_read = [0] * k
-    for t in marked_arrivals:
+    for t, b, right in marked_arrivals:
         c = requests[t]
-        verdict, b = verdicts[t]
         collision_value = c == collisions[b]
         if collision_value:
-            bit = 0 if zeros_read[b] < d_left[b] else 1
-        else:
-            bit = 1 if verdict == _SERVE_MARK_RIGHT else 0
-        aux.write_bit(bit)
+            right = zeros_read[b] >= d_left[b]
+        aux.write_bit(1 if right else 0)
         before = aux.cursor
         j = lr_serve(lr_state, c, aux)
         if aux.cursor == before:
             aux.remove_last()
-        elif collision_value and bit == 0:
+        elif collision_value and not right:
             zeros_read[b] += 1
         if j not in marked:
             raise DivideError("LR used an unmarked server")
@@ -482,8 +466,9 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
         aux_bits_written=len(aux),
         lr_cost=lr_cost,
         block_costs=block_costs,
-        verdicts=verdicts,
         tape=tape,
+        arrivals=arrivals,
+        marked_arrivals=marked_arrivals,
     )
 
 
@@ -503,9 +488,9 @@ def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divid
     and the planning requests floor(n^3 (r - s_1)) + 1. The plan's
     N = ceil(s'_n + 1), so s'_n = N - 1 when s'_n is integral and s'_n lies in
     (N - 2, N - 1) otherwise; requests are then clamped into
-    [1, ceil(s'_n)] = [1, N - 1]. The result's plan, advice, tape and
-    verdicts are in these scaled coordinates; its matching, lr_cost and
-    block_costs are priced on the caller's instance.
+    [1, ceil(s'_n)] = [1, N - 1]. The result's plan, advice and tape are in
+    these scaled coordinates; its matching, lr_cost and block_costs are
+    priced on the caller's instance.
     """
     scale = instance.n**3
     s1 = instance.servers[0]

@@ -139,4 +139,6 @@ def load_instance(path) -> Instance:
         raise InstanceError(f"malformed instance file {path}: {exc}") from exc
     if not isinstance(raw, dict) or "servers" not in raw or "requests" not in raw:
         raise InstanceError(f"{path}: expected an object with servers and requests")
+    if not (isinstance(raw["servers"], list) and isinstance(raw["requests"], list)):
+        raise InstanceError(f"{path}: servers and requests must be lists")
     return validate_instance(raw["servers"], raw["requests"])

@@ -9,9 +9,7 @@ and suites at its larger sizes.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .divide import _SERVE_BLOCK, DivideResult, divide_run
+from .divide import DivideResult, divide_run
 from .generators import VERIFY_FAMILY_MAX_N, gen_family, gen_uniform, verify_family
 from .lr import LRResult, lr_oracle, lr_run
 from .model import Instance, costs_equal
@@ -83,10 +81,9 @@ def marking_is_consistent(result: DivideResult) -> bool:
     if marks.marked_left & marks.marked_right:
         return False
     marked = marks.marked
-    sealed = Counter(b for verdict, b in result.verdicts if verdict == _SERVE_BLOCK)
     return all(
-        sum(1 for j in range(start, stop) if j not in marked) == sealed[b]
-        for b, (start, stop) in enumerate(result.plan.groups)
+        sum(1 for j in range(start, stop) if j not in marked) == len(own)
+        for (start, stop), own in zip(result.plan.groups, result.arrivals)
     )
 
 

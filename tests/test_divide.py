@@ -53,6 +53,10 @@ def test_k_out_of_range_rejected():
         plan_blocks([1, 2, 3], 0)
     with pytest.raises(DivideError):
         plan_blocks([1, 2, 3], 4)
+    # a bool is no k (True would plan as k = 1), nor a float
+    for k in (True, 2.0):
+        with pytest.raises(DivideError):
+            plan_blocks([1, 2, 3], k)
 
 
 def test_unknown_subroutine_rejected_before_any_work():
@@ -129,12 +133,10 @@ def test_worked_example_tape_layout():
 
 def test_worked_example_serving_trace():
     result = divide_run(WORKED, 2, "clairvoyant")
-    assert result.verdicts == [
-        ("block", 1),
-        ("mark_left", 1),
-        ("block", 0),
-        ("block", 1),
-    ]
+    # block 0 serves request 2 and block 1 requests 0 and 3; request 1 is
+    # marked, crossing block 1's left boundary
+    assert result.arrivals == [[2], [0, 3]]
+    assert result.marked_arrivals == [(1, 1, False)]
     assert sorted(result.marks.marked) == [1]
     # the single LR move is forced, so its direction bit is withdrawn
     assert result.aux_bits_written == 0
@@ -237,7 +239,8 @@ def test_spent_marking_budget_raises():
     # budget of block 2 is now empty
     plan = plan_blocks(WORKED.servers, 2)
     advice = compute_advice(WORKED.requests, plan)
-    assert classify_requests(WORKED.requests, plan, advice)[1] == ("mark_left", 1)
+    _arrivals, marked_arrivals = classify_requests(WORKED.requests, plan, advice)
+    assert marked_arrivals == [(1, 1, False)]
     spent = dataclasses.replace(advice, m=(0,))
     with pytest.raises(DivideError):
         classify_requests(WORKED.requests, plan, spent)
@@ -300,15 +303,12 @@ def test_block_conservation():
             plan = plan_blocks(inst.servers, k)
             advice = compute_advice(inst.requests, plan)
             marks = mark_servers(plan, advice)
-            verdicts = classify_requests(inst.requests, plan, advice)
-            for b, (start, stop) in enumerate(plan.groups):
+            arrivals, _marked_arrivals = classify_requests(inst.requests, plan, advice)
+            for (start, stop), own in zip(plan.groups, arrivals):
                 unmarked_servers = sum(
                     1 for j in range(start, stop) if j not in marks.marked
                 )
-                unmarked_requests = sum(
-                    1 for verdict, blk in verdicts if verdict == "block" and blk == b
-                )
-                assert unmarked_requests == unmarked_servers
+                assert len(own) == unmarked_servers
 
 
 def test_exact_on_in_span_instances():

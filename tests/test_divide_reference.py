@@ -2,10 +2,13 @@
 they replaced (``reference_divide``).
 
 On requests inside the servers' span nothing is clamped, so both give
-identical decoded advice, marks, verdicts, matchings and costs. The library's
-advice holds one (q, d, m) triple per boundary, the reference's six columns
-per block; ``unfold`` maps the first onto the second, and every comparison
-of advice goes through it. The tapes
+identical decoded advice, marks, classifications, matchings and costs. The
+library's advice holds one (q, d, m) triple per boundary, the reference's six
+columns per block; ``unfold`` maps the first onto the second, and every
+comparison of advice goes through it. The library's classification is what
+each pool serves (per-block arrivals and the marked arrivals), the
+reference's one (verdict, block) tag per request; ``verdicts_of`` maps the
+first onto the second, and every comparison of them goes through it. The tapes
 differ on purpose: the reference writes a q word for each side of each
 boundary at w(N) bits, the library one per boundary as an offset inside its
 two blocks, so the library's tape is held to its exact size instead
@@ -14,8 +17,8 @@ clamped version must not.
 
 The serving of ``_run_divide``, block by block and then LR, is held to the
 interleaved loop it replaced (``reference_divide.interleaved_serve``) on the
-same plan, advice, marks and verdicts, and each subroutine and LR are checked
-to receive exactly their own requests in arrival order.
+same plan, advice, marks and tags, and each subroutine and LR are checked to
+receive exactly their own requests in arrival order.
 """
 
 import dataclasses
@@ -86,6 +89,18 @@ def unfold(advice, plan):
     return ref.DivideAdvice(k, *map(tuple, columns))
 
 
+def verdicts_of(result):
+    """The library's per-pool arrivals as the reference's one (verdict,
+    block) per request, in arrival order."""
+    verdicts = [None] * len(result.matching.assignment)
+    for b, own in enumerate(result.arrivals):
+        for t in own:
+            verdicts[t] = (ref._SERVE_BLOCK, b)
+    for t, b, right in result.marked_arrivals:
+        verdicts[t] = (ref._SERVE_MARK_RIGHT if right else ref._SERVE_MARK_LEFT, b)
+    return verdicts
+
+
 def layout_bits(result):
     """The exact size of the library's tape: per boundary b a q word of
     w(p_{b+1} - p_{b-1}) bits (p_{-1} = 0, p_{k-1} = N - 1), plus a d/m pair
@@ -98,14 +113,15 @@ def layout_bits(result):
     )
 
 
-def outputs(result, advice):
+def outputs(result, advice, verdicts):
     """Everything a DIVIDE_k run reports but its tape, as plain comparable
-    values, with ``advice`` in the reference's per-block columns."""
+    values, with ``advice`` in the reference's per-block columns and
+    ``verdicts`` in its per-request tags."""
     return (
         dataclasses.astuple(advice),
         result.marks.marked_left,
         result.marks.marked_right,
-        result.verdicts,
+        verdicts,
         result.aux_bits_written,
         result.matching,
         result.lr_cost,
@@ -142,7 +158,9 @@ def assert_same(shape: str, instance, k: int, sub: str):
     else:
         new = divide.divide_run(instance, k, sub)
         old = ref.divide_run(instance, k, sub)
-    assert outputs(new, unfold(new.advice, new.plan)) == outputs(old, old.advice)
+    assert outputs(new, unfold(new.advice, new.plan), verdicts_of(new)) == outputs(
+        old, old.advice, old.verdicts
+    )
     assert new.oracle_bits_read == layout_bits(new) == len(new.tape)
 
 
@@ -255,7 +273,7 @@ def test_serving_matches_the_interleaved_reference(monkeypatch):
             old = ref.interleaved_serve(
                 instance, sub, servers, requests,
                 result.plan, unfold(result.advice, result.plan), result.marks,
-                result.verdicts,
+                verdicts_of(result),
             )
             new = (
                 list(result.matching.assignment),
@@ -269,8 +287,8 @@ def test_serving_matches_the_interleaved_reference(monkeypatch):
 
 def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
     # the online model behind block-by-block serving: block b's subroutine is
-    # served exactly the requests whose verdict is ("block", b), LR exactly
-    # the marked ones, each in arrival order
+    # served exactly the requests of arrivals[b], LR exactly the marked ones,
+    # each in arrival order
     for instance, k in serving_grid(2031):
         for sub in SUBROUTINE_NAMES:
             served, lr_served = [], []
@@ -302,8 +320,10 @@ def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
                 b = next(b for b, (start, stop) in enumerate(groups) if start <= ids[0] < stop)
                 assert b not in by_block
                 by_block[b] = log
-            verdicts = result.verdicts
-            for b in range(k):
-                own = [c for c, v in zip(requests, verdicts) if v == ("block", b)]
-                assert by_block.get(b, []) == own, (instance, k, sub, b)
-            assert lr_served == [c for c, v in zip(requests, verdicts) if v[0] != "block"]
+            # the pools partition the arrivals, each listed in arrival order
+            pools = [*result.arrivals, [t for t, _b, _right in result.marked_arrivals]]
+            assert sorted(t for pool in pools for t in pool) == list(range(len(requests)))
+            assert all(a < b for pool in pools for a, b in zip(pool, pool[1:]))
+            for b, own in enumerate(result.arrivals):
+                assert by_block.get(b, []) == [requests[t] for t in own], (instance, k, sub, b)
+            assert lr_served == [requests[t] for t in pools[-1]]

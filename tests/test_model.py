@@ -139,6 +139,15 @@ def test_load_rejects_malformed_files(tmp_path):
     path.write_text('{"servers": [1], "requests": ["abc"]}')
     with pytest.raises(InstanceError):
         load_instance(path)
+    # a key that is no list is malformed, not a TypeError from deep inside
+    for bad in ("5", "null"):
+        for text in (
+            f'{{"servers": {bad}, "requests": [1]}}',
+            f'{{"servers": [1], "requests": {bad}}}',
+        ):
+            path.write_text(text)
+            with pytest.raises(InstanceError):
+                load_instance(path)
 
 
 coords = st.integers(min_value=-50, max_value=50)
