@@ -13,17 +13,10 @@ from .lr import LRResult, lr_oracle, lr_run
 from .divide import DivideResult, divide_run, rescale_run
 from .subroutines import make_subroutine
 from .generators import gen_family, gen_uniform
-from .experiment import (
-    ExperimentConfig,
-    RunReport,
-    emit_report,
-    run_algorithm,
-    run_experiment,
-)
+from .experiment import RunReport, emit_report, run_algorithm, run_instance
 
 __all__ = [
     "DivideResult",
-    "ExperimentConfig",
     "Instance",
     "InstanceError",
     "LRResult",
@@ -41,7 +34,7 @@ __all__ = [
     "monotone_optimal",
     "rescale_run",
     "run_algorithm",
-    "run_experiment",
+    "run_instance",
     "save_instance",
     "validate_instance",
 ]

@@ -13,13 +13,7 @@ from pathlib import Path
 
 from . import verification
 from .divide import advice_words
-from .experiment import (
-    ALGORITHMS,
-    ExperimentConfig,
-    emit_report,
-    load_report,
-    run_instance,
-)
+from .experiment import ALGORITHMS, K_ALGORITHMS, emit_report, load_report, run_instance
 from .generators import gen_family, gen_uniform
 from .model import load_instance, save_instance
 from .subroutines import SUBROUTINE_NAMES
@@ -66,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sub", choices=SUBROUTINE_NAMES, help="divide and rescale only")
     run.add_argument("--input", required=True)
     run.add_argument("--report", default=None, help="report output file")
-    run.add_argument("--format", choices=("json", "csv"), default="json")
+    run.add_argument("--format", choices=("json", "csv"), help="with --report (default json)")
     run.add_argument("--verbose-tape", action="store_true", help="divide and rescale only")
 
     verify = sub.add_parser("verify", help="run a verification suite")
@@ -109,14 +103,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    instance = load_instance(args.input)
-    config = ExperimentConfig(
-        algo=args.algo,
-        k=args.k,
-        subroutine=args.sub or "greedy",
-        instances=[(Path(args.input).stem, None, instance)],
+    r, outcome = run_instance(
+        load_instance(args.input),
+        args.algo,
+        args.k,
+        args.sub or "greedy",
+        instance_id=Path(args.input).stem,
     )
-    r, outcome = run_instance(config, *config.instances[0])
     print(
         f"{r.algo}: cost={r.cost} opt={r.opt_cost} ratio={r.ratio:.6g} "
         f"advice_bits={r.oracle_bits_read} aux_bits={r.aux_bits}"
@@ -134,7 +127,7 @@ def _cmd_run(args) -> int:
                 label = f"{f}[{b + 1},R]" if q[b] <= boundaries[b] else f"{f}[{b + 2},L]"
             print(f"  {label:10s} width={width:2d} value={value}")
     if args.report:
-        emit_report([r], args.report, args.format)
+        emit_report([r], args.report, args.format or "json")
         print(f"wrote report to {args.report}")
     return 0
 
@@ -162,18 +155,22 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # options the chosen mode, algorithm or suite would not read
-    unread = ()
+    # options the chosen mode, algorithm, suite or output would not read
+    unread = []
     if args.command == "gen" and args.mode == "family":
-        unread, why = ("seed", "range", "integer", "in_span"), "family mode generates all of I_n"
-    elif args.command == "run" and args.algo not in ("divide", "rescale"):
-        unread, why = ("sub", "verbose_tape"), f"{args.algo} reads no block advice"
-    elif args.command == "verify" and args.suite == "family":
-        unread, why = ("seeds",), "the family suite checks every member"
-    for name in unread:
-        value = getattr(args, name)
-        if value is not None and value is not False:
-            args.usage_error(f"{why} and takes no --{name.replace('_', '-')}")
+        why = "family mode generates all of I_n"
+        unread.append((("seed", "range", "integer", "in_span"), why))
+    if args.command == "run" and args.algo not in K_ALGORITHMS:
+        unread.append((("sub", "verbose_tape"), f"{args.algo} reads no block advice"))
+    if args.command == "run" and args.report is None:
+        unread.append((("format",), "a run without --report writes no report"))
+    if args.command == "verify" and args.suite == "family":
+        unread.append((("seeds",), "the family suite checks every member"))
+    for names, why in unread:
+        for name in names:
+            value = getattr(args, name)
+            if value is not None and value is not False:
+                args.usage_error(f"{why} and takes no --{name.replace('_', '-')}")
     if args.command == "verify" and (args.n < 2 or (args.seeds is not None and args.seeds < 1)):
         args.usage_error("verify needs --n >= 2 and --seeds >= 1: a smaller grid checks nothing")
     handlers = {

@@ -1,20 +1,25 @@
-"""Experiment runner and report emission (JSON / CSV)."""
+"""One run of an algorithm on one instance, and its report (JSON / CSV).
+
+``run_algorithm`` is the one place that checks a run's algorithm, k and
+subroutine; ``run_instance`` times it and checks it against the optimum.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .divide import divide_run, rescale_run
-from .generators import gen_family, gen_uniform
 from .lr import lr_oracle, lr_run
 from .model import Instance, costs_equal, make_matching
 from .offline import brute_force_optimal, monotone_optimal
 from .subroutines import SUBROUTINE_NAMES, make_subroutine
 
 ALGORITHMS = ("lr", "divide", "rescale", "greedy", "permutation")
+#: the algorithms that take k and read block advice
+K_ALGORITHMS = ("divide", "rescale")
 
 
 class ExperimentError(ValueError):
@@ -44,19 +49,18 @@ def _ratio(cost, opt_cost) -> float:
     return 1.0 if cost == 0 else float("inf")
 
 
-def _check_k(algo: str, k) -> None:
-    if (k is None) == (algo in ("divide", "rescale")):
-        raise ExperimentError(f"{algo} needs k" if k is None else f"{algo} takes no k")
-
-
 def run_algorithm(
     instance: Instance,
     algo: str,
     k: int | None = None,
     subroutine: str = "greedy",
 ) -> dict:
-    """One run; returns cost, bit counts, and the matching."""
-    _check_k(algo, k)
+    """One run, once its algorithm, k and subroutine are checked; returns
+    cost, bit counts, and the matching."""
+    if algo not in ALGORITHMS:
+        raise ExperimentError(f"unknown algorithm {algo!r}")
+    if (k is None) == (algo in K_ALGORITHMS):
+        raise ExperimentError(f"{algo} needs k" if k is None else f"{algo} takes no k")
     if subroutine not in SUBROUTINE_NAMES:
         raise ExperimentError(f"unknown subroutine {subroutine!r}")
     if algo == "lr":
@@ -67,7 +71,7 @@ def run_algorithm(
             "oracle_bits_read": result.bits_read,
             "aux_bits": 0,
         }
-    if algo in ("divide", "rescale"):
+    if algo in K_ALGORITHMS:
         run = divide_run if algo == "divide" else rescale_run
         result = run(instance, k, subroutine)
         return {
@@ -77,72 +81,29 @@ def run_algorithm(
             "aux_bits": result.aux_bits_written,
             "divide": result,
         }
-    if algo in ("greedy", "permutation"):
-        sub = make_subroutine(algo, instance.servers)
-        assignment = [sub.serve(r) for r in instance.requests]
-        matching = make_matching(instance, assignment)
-        return {
-            "matching": matching,
-            "cost": matching.cost,
-            "oracle_bits_read": 0,
-            "aux_bits": 0,
-        }
-    raise ExperimentError(f"unknown algorithm {algo!r}")
+    sub = make_subroutine(algo, instance.servers)  # greedy or permutation
+    assignment = [sub.serve(r) for r in instance.requests]
+    matching = make_matching(instance, assignment)
+    return {
+        "matching": matching,
+        "cost": matching.cost,
+        "oracle_bits_read": 0,
+        "aux_bits": 0,
+    }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One algorithm over a list of instances; valid once constructed."""
-
-    algo: str
-    k: int | None = None
-    subroutine: str = "greedy"
-    instances: list = field(kw_only=True)  # (instance_id, seed, Instance)
-
-    def __post_init__(self):
-        if self.algo not in ALGORITHMS:
-            raise ExperimentError(f"unknown algorithm {self.algo!r}")
-        if not self.instances:
-            raise ExperimentError("no instances configured")
-        _check_k(self.algo, self.k)
-        if self.subroutine not in SUBROUTINE_NAMES:
-            raise ExperimentError(f"unknown subroutine {self.subroutine!r}")
-
-    @classmethod
-    def uniform(
-        cls,
-        algo: str,
-        n: int,
-        seeds,
-        position_range=(0, 100),
-        *,
-        integer_mode: bool,
-        request_range=None,
-        **kwargs,
-    ) -> "ExperimentConfig":
-        instances = [
-            (
-                f"uniform-n{n}-s{seed}",
-                seed,
-                gen_uniform(n, position_range, seed, integer_mode, request_range),
-            )
-            for seed in seeds
-        ]
-        return cls(algo=algo, instances=instances, **kwargs)
-
-    @classmethod
-    def family(cls, algo: str, n: int, **kwargs) -> "ExperimentConfig":
-        instances = [
-            (f"family-n{n}-m{i}", None, member.instance())
-            for i, member in enumerate(gen_family(n))
-        ]
-        return cls(algo=algo, instances=instances, **kwargs)
-
-
-def run_instance(config: ExperimentConfig, instance_id: str, seed, instance: Instance):
-    """One configured run checked against the optimum: (report, outcome)."""
+def run_instance(
+    instance: Instance,
+    algo: str,
+    k: int | None = None,
+    subroutine: str = "greedy",
+    *,
+    instance_id: str,
+    seed: int | None = None,
+):
+    """One run checked against the optimum: (report, outcome)."""
     start = time.perf_counter()
-    outcome = run_algorithm(instance, config.algo, config.k, config.subroutine)
+    outcome = run_algorithm(instance, algo, k, subroutine)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     opt = monotone_optimal(instance).cost
     if instance.n <= 10:
@@ -151,8 +112,8 @@ def run_instance(config: ExperimentConfig, instance_id: str, seed, instance: Ins
             raise ExperimentError(f"{instance_id}: oracle disagreement {brute} vs {opt}")
     report = RunReport(
         instance_id=instance_id,
-        algo=config.algo,
-        k=config.k,
+        algo=algo,
+        k=k,
         cost=outcome["cost"],
         opt_cost=opt,
         ratio=_ratio(outcome["cost"], opt),
@@ -162,10 +123,6 @@ def run_instance(config: ExperimentConfig, instance_id: str, seed, instance: Ins
         wall_time_ms=elapsed_ms,
     )
     return report, outcome
-
-
-def run_experiment(config: ExperimentConfig) -> list[RunReport]:
-    return [run_instance(config, *entry)[0] for entry in config.instances]
 
 
 def emit_report(reports, path, fmt: str = "json") -> None:
@@ -185,5 +142,17 @@ def emit_report(reports, path, fmt: str = "json") -> None:
 
 
 def load_report(path) -> list[RunReport]:
-    with open(path) as fh:
-        return [RunReport(**row) for row in json.load(fh)]
+    """The reports of a JSON report file: a list of objects, each with
+    exactly the report's columns as keys."""
+    try:
+        with open(path) as fh:
+            rows = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"malformed report file {path}: {exc}") from exc
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict) and row.keys() == set(REPORT_COLUMNS) for row in rows
+    ):
+        raise ExperimentError(
+            f"{path}: expected a list of objects with keys {', '.join(REPORT_COLUMNS)}"
+        )
+    return [RunReport(**row) for row in rows]

@@ -33,10 +33,21 @@ def _normalize(x) -> int | float:
 
 @dataclass(frozen=True)
 class Instance:
-    """Sorted servers plus an ordered request sequence (the online input)."""
+    """Sorted servers plus an ordered request sequence (the online input),
+    as many as servers and at least one; checked when built."""
 
     servers: tuple
     requests: tuple
+
+    def __post_init__(self):
+        if len(self.servers) != len(self.requests):
+            raise InstanceError(
+                f"size mismatch: {len(self.servers)} servers vs {len(self.requests)} requests"
+            )
+        if not self.servers:
+            raise InstanceError("instance must contain at least one server")
+        if self.servers != tuple(sorted(self.servers)):
+            raise InstanceError("servers must be sorted")
 
     @property
     def n(self) -> int:
@@ -60,12 +71,6 @@ def validate_instance(servers: Sequence, requests: Sequence) -> Instance:
     """Build a validated instance; servers are sorted if they arrive unsorted."""
     srv = sorted(_normalize(s) for s in servers)
     req = [_normalize(r) for r in requests]
-    if len(srv) != len(req):
-        raise InstanceError(
-            f"size mismatch: {len(srv)} servers vs {len(req)} requests"
-        )
-    if not srv:
-        raise InstanceError("instance must contain at least one server")
     return Instance(tuple(srv), tuple(req))
 
 

@@ -10,60 +10,67 @@ import pytest
 from matchline.cli import main
 from matchline.experiment import (
     ALGORITHMS,
+    K_ALGORITHMS,
     REPORT_COLUMNS,
-    ExperimentConfig,
     ExperimentError,
     RunReport,
     emit_report,
     load_report,
     run_algorithm,
-    run_experiment,
+    run_instance,
 )
-from matchline.generators import gen_uniform
+from matchline.generators import gen_family, gen_uniform
 from matchline.lr import LRError
 from matchline.model import load_instance, save_instance, validate_instance
 from matchline.subroutines import SubroutineError
 from matchline.tape import TapeUnderflow
 
 
+def run_all(algo, instances, k=None, subroutine="greedy"):
+    """The reports of one algorithm over (instance_id, seed, instance) entries."""
+    return [
+        run_instance(inst, algo, k, subroutine, instance_id=instance_id, seed=seed)[0]
+        for instance_id, seed, inst in instances
+    ]
+
+
+def uniform(n, seeds, position_range=(0, 100), *, integer_mode, request_range=None):
+    """One seeded uniform instance per seed, as run_all entries."""
+    return [
+        (
+            f"uniform-n{n}-s{seed}",
+            seed,
+            gen_uniform(n, position_range, seed, integer_mode, request_range),
+        )
+        for seed in seeds
+    ]
+
+
 def test_lr_on_family_is_optimal():
-    config = ExperimentConfig.family("lr", 6)
-    reports = run_experiment(config)
+    family = [(f"family-n6-m{i}", None, m.instance()) for i, m in enumerate(gen_family(6))]
+    reports = run_all("lr", family)
     assert len(reports) == 32
     assert all(r.ratio == 1 for r in reports)
     assert all(r.oracle_bits_read <= 5 for r in reports)
 
 
 def test_divide_with_singleton_blocks_is_optimal():
-    config = ExperimentConfig.uniform(
-        "divide",
-        8,
-        range(10),
-        integer_mode=True,
-        request_range="span",
-        k=8,
-        subroutine="greedy",
-    )
-    reports = run_experiment(config)
+    instances = uniform(8, range(10), integer_mode=True, request_range="span")
+    reports = run_all("divide", instances, k=8, subroutine="greedy")
     assert all(r.ratio == 1 for r in reports)
 
 
 def test_greedy_ratios_at_least_one():
-    config = ExperimentConfig.uniform("greedy", 8, range(50), integer_mode=True)
-    reports = run_experiment(config)
+    reports = run_all("greedy", uniform(8, range(50), integer_mode=True))
     assert all(r.ratio >= 1 for r in reports)
     assert max(r.ratio for r in reports) >= 1
 
 
 def test_ratio_is_one_when_cost_and_opt_are_zero():
     inst = validate_instance([1, 2], [2, 1])
-    config = ExperimentConfig("lr", instances=[("zero", None, inst)])
-    (report,) = run_experiment(config)
+    (report,) = run_all("lr", [("zero", None, inst)])
     assert report.cost == report.opt_cost == 0
     assert report.ratio == 1
-
-
-K_ALGORITHMS = ("divide", "rescale")
 
 
 def test_run_algorithm_names():
@@ -74,7 +81,7 @@ def test_run_algorithm_names():
         assert outcome["cost"] >= 0
     with pytest.raises(ExperimentError):
         run_algorithm(inst, "magic")
-    for algo in ALGORITHMS:  # k for DIVIDE_k and RESCALE only, as by the config
+    for algo in ALGORITHMS:  # k for DIVIDE_k and RESCALE only, the K_ALGORITHMS rule
         with pytest.raises(ExperimentError):
             run_algorithm(inst, algo, k=None if algo in K_ALGORITHMS else 2)
     for algo in ALGORITHMS:  # the subroutine name is checked for every algorithm
@@ -83,25 +90,9 @@ def test_run_algorithm_names():
             run_algorithm(inst, algo, k=k, subroutine="nope")
 
 
-def test_config_validation():
-    # a config is checked when it is built
-    with pytest.raises(ExperimentError):
-        ExperimentConfig("divide", instances=[("x", None, None)])
-    with pytest.raises(ExperimentError):
-        ExperimentConfig("lr", instances=[])
-    with pytest.raises(ExperimentError):
-        ExperimentConfig("magic", instances=[("x", None, None)])
-    for algo in ("lr", "greedy", "permutation"):
-        with pytest.raises(ExperimentError):
-            ExperimentConfig(algo, k=2, instances=[("x", None, None)])
-    with pytest.raises(ExperimentError, match="unknown subroutine"):
-        ExperimentConfig("divide", 2, "nope", instances=[("x", None, None)])
-
-
 def test_emit_csv_schema(tmp_path):
     inst = gen_uniform(3, (0, 9), 0, integer_mode=True, request_range="span")
-    config = ExperimentConfig("lr", instances=[("a", 0, inst)])
-    reports = run_experiment(config)
+    reports = run_all("lr", [("a", 0, inst)])
     out = tmp_path / "r.csv"
     emit_report(reports, out, "csv")
     rows = list(csv.reader(out.read_text().splitlines()))
@@ -133,8 +124,7 @@ def test_emit_empty_reports(tmp_path):
 
 def test_json_report_round_trip(tmp_path):
     inst = gen_uniform(4, (0, 12), 5, integer_mode=True, request_range="span")
-    config = ExperimentConfig("lr", instances=[("rt", 5, inst)])
-    reports = run_experiment(config)
+    reports = run_all("lr", [("rt", 5, inst)])
     out = tmp_path / "r.json"
     emit_report(reports, out, "json")
     back = load_report(out)
@@ -143,12 +133,10 @@ def test_json_report_round_trip(tmp_path):
 
 
 def test_reports_are_reproducible():
-    config_a = ExperimentConfig.uniform("lr", 5, range(5), integer_mode=True)
-    config_b = ExperimentConfig.uniform("lr", 5, range(5), integer_mode=True)
     strip = lambda r: (r.instance_id, r.cost, r.opt_cost, r.oracle_bits_read)
-    assert list(map(strip, run_experiment(config_a))) == list(
-        map(strip, run_experiment(config_b))
-    )
+    reports_a = run_all("lr", uniform(5, range(5), integer_mode=True))
+    reports_b = run_all("lr", uniform(5, range(5), integer_mode=True))
+    assert list(map(strip, reports_a)) == list(map(strip, reports_b))
 
 
 # --- CLI ---
@@ -370,6 +358,34 @@ def test_cli_report_reformats(tmp_path):
     assert list(csv.reader(csv_report.read_text().splitlines()))[0] == list(REPORT_COLUMNS)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{}", '{"servers": [1, 2], "requests": [2, 1]}', "[1]", '[{"cost": 1}]', "nope"],
+)
+def test_cli_report_refuses_a_file_that_is_not_a_report(tmp_path, capsys, text):
+    # a list of objects with exactly the report's columns, or an error; {}
+    # used to write a header-only CSV, the rest ended in a bare
+    # TypeError or JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "r.csv"
+    assert main(["report", "--input", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ExperimentError: ")
+    assert not out.exists()
+
+
+def test_cli_run_refuses_a_format_without_a_report(tmp_path, capsys):
+    inst_path = tmp_path / "i.json"
+    save_instance(validate_instance([1, 2, 3, 4], [3, 3, 1, 4]), inst_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--algo", "lr", "--input", str(inst_path), "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "usage: matchline run" in err
+    assert "takes no --format" in err
+
+
 def test_cli_verify_passes(capsys):
     code = main(["verify", "--suite", "family", "--n", "4"])
     assert code == 0
@@ -488,10 +504,7 @@ def test_cli_run_lr_on_large_float_coordinates(tmp_path, capsys):
 
 
 def test_experiment_cross_check_on_large_float_coordinates():
-    config = ExperimentConfig.uniform(
-        "lr", 6, range(30), position_range=(0.0, 1e15), integer_mode=False
-    )
-    reports = run_experiment(config)
+    reports = run_all("lr", uniform(6, range(30), (0.0, 1e15), integer_mode=False))
     assert len(reports) == 30
     assert all(r.oracle_bits_read <= 5 for r in reports)
 
@@ -500,5 +513,29 @@ def test_public_names_resolve():
     import matchline
 
     assert len(set(matchline.__all__)) == len(matchline.__all__)
+    # the public API, pinned: adding or removing a name is a deliberate edit
+    assert set(matchline.__all__) == {
+        "DivideResult",
+        "Instance",
+        "InstanceError",
+        "LRResult",
+        "Matching",
+        "RunReport",
+        "brute_force_optimal",
+        "divide_run",
+        "emit_report",
+        "gen_family",
+        "gen_uniform",
+        "load_instance",
+        "lr_oracle",
+        "lr_run",
+        "make_subroutine",
+        "monotone_optimal",
+        "rescale_run",
+        "run_algorithm",
+        "run_instance",
+        "save_instance",
+        "validate_instance",
+    }
     for name in matchline.__all__:
         assert getattr(matchline, name) is not None

@@ -34,11 +34,22 @@ def test_integral_floats_normalize_to_int():
 def test_size_mismatch_rejected():
     with pytest.raises(InstanceError):
         validate_instance([1, 2], [1])
+    with pytest.raises(InstanceError, match="size mismatch"):
+        Instance((1, 2), (1,))
 
 
 def test_empty_instance_rejected():
     with pytest.raises(InstanceError):
         validate_instance([], [])
+    with pytest.raises(InstanceError):
+        Instance((), ())
+
+
+def test_unsorted_servers_rejected_when_built_directly():
+    # Instance((5, 1), (1, 5)) used to construct: the monotone optimum then
+    # priced it at 8, the brute-force optimum and LR at 0
+    with pytest.raises(InstanceError, match="sorted"):
+        Instance((5, 1), (1, 5))
 
 
 def test_servers_sorted_on_validation():
