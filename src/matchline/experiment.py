@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -141,9 +142,33 @@ def emit_report(reports, path, fmt: str = "json") -> None:
         raise ExperimentError(f"unknown report format {fmt!r}")
 
 
+def _finite(x) -> bool:
+    """A finite number; JSON numbers are plain ints and floats, never bools."""
+    return type(x) is int or (type(x) is float and math.isfinite(x))
+
+
+def _count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+#: what each report column holds; a loaded row must fit every one
+_COLUMN_FITS = {
+    "instance_id": lambda x: type(x) is str,
+    "algo": lambda x: x in ALGORITHMS,
+    "k": lambda x: x is None or (type(x) is int and x > 0),
+    "cost": _finite,
+    "opt_cost": _finite,
+    "ratio": lambda x: _finite(x) or x == math.inf,
+    "oracle_bits_read": _count,
+    "aux_bits": _count,
+    "seed": lambda x: x is None or type(x) is int,
+    "wall_time_ms": lambda x: _finite(x) and x >= 0,
+}
+
+
 def load_report(path) -> list[RunReport]:
     """The reports of a JSON report file: a list of objects, each with
-    exactly the report's columns as keys."""
+    exactly the report's columns as keys and values that fit them."""
     try:
         with open(path) as fh:
             rows = json.load(fh)
@@ -155,4 +180,8 @@ def load_report(path) -> list[RunReport]:
         raise ExperimentError(
             f"{path}: expected a list of objects with keys {', '.join(REPORT_COLUMNS)}"
         )
+    for i, row in enumerate(rows):
+        for column in REPORT_COLUMNS:
+            if not _COLUMN_FITS[column](row[column]):
+                raise ExperimentError(f"{path}: row {i} has a bad {column}: {row[column]!r}")
     return [RunReport(**row) for row in rows]

@@ -5,12 +5,21 @@ sequence rho_0 with r_i = n - 2^-i and branches by replacing a suffix with a
 member of a smaller family; it has exactly 2^(n-1) members, and every optimum
 of a member with branch depth k sends the top server to request n-k. All
 family positions are dyadic, hence exact in binary floating point.
+
+``gen_uniform`` draws the streams of ``Random.randint`` and
+``Random.uniform`` (CPython 3.11's rejection sampling on ``getrandbits``, and
+``lo + (hi - lo) * random()``) a batch at a time, with no interpreted
+function call per coordinate: each seed gives the coordinates those methods
+give and leaves the generator in the same state.
+``tests/test_instances_reference.py`` pins this against the per-draw
+generator.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat, starmap
 
 from .model import Instance, costs_equal, validate_instance
 from .offline import monotone_cost
@@ -33,6 +42,27 @@ def _as_ints(bounds) -> tuple:
     return ints
 
 
+def _randints(rng: random.Random, lo: int, hi: int, n: int) -> list:
+    """n draws of ``rng.randint(lo, hi)``: ``_randbelow``'s rejection sampling
+    on ``getrandbits``, run over the whole stream. Each round draws exactly
+    as many candidates as draws are still missing, so none is drawn past the
+    last accepted one."""
+    width = hi - lo + 1
+    bits = width.bit_length()
+    draws = []
+    while len(draws) < n:
+        candidates = map(rng.getrandbits, repeat(bits, n - len(draws)))
+        draws += [lo + r for r in candidates if r < width]
+    return draws
+
+
+def _uniforms(rng: random.Random, lo, hi, n: int) -> list:
+    """n draws of ``rng.uniform(lo, hi)``, by its formula
+    ``lo + (hi - lo) * random()``."""
+    span = hi - lo
+    return [lo + span * r for r in starmap(rng.random, repeat((), n))]
+
+
 def gen_uniform(
     n: int,
     position_range: tuple,
@@ -45,38 +75,38 @@ def gen_uniform(
     In integer mode positions are integers, drawn between integral bounds,
     and servers are shifted so that s_1 = 1 (requests shift with them).
     ``request_range`` optionally draws the requests from a different
-    interval, interpreted after the shift; pass ``"span"`` to keep requests
-    inside the servers' span ([1, s_n - 1] in integer mode, [1, 1] when
-    s_n = 1).
+    interval, interpreted after the shift, whose low end must not exceed its
+    high end; pass ``"span"`` to keep requests inside the servers' span
+    ([1, s_n - 1] in integer mode, [1, 1] when s_n = 1).
     """
     if n < 1:
         raise GeneratorError("n must be at least 1")
     lo, hi = position_range
     if not lo < hi:
         raise GeneratorError(f"empty position range {position_range!r}")
-    rng = random.Random(seed)
     if integer_mode:
         lo, hi = _as_ints((lo, hi))
-        servers = sorted(rng.randint(lo, hi) for _ in range(n))
+    if request_range is not None and request_range != "span":
+        rlo, rhi = _as_ints(request_range) if integer_mode else request_range
+        if rlo > rhi:
+            raise GeneratorError(f"empty request range {request_range!r}")
+    rng = random.Random(seed)
+    if integer_mode:
+        servers = sorted(_randints(rng, lo, hi, n))
         shift = 1 - servers[0]
         servers = [s + shift for s in servers]
         if request_range == "span":
-            top = max(servers[-1] - 1, 1)
-            requests = [rng.randint(1, top) for _ in range(n)]
-        elif request_range is not None:
-            rlo, rhi = _as_ints(request_range)
-            requests = [rng.randint(rlo, rhi) for _ in range(n)]
-        else:
-            requests = [rng.randint(lo, hi) + shift for _ in range(n)]
+            rlo, rhi = 1, max(servers[-1] - 1, 1)
+        elif request_range is None:
+            rlo, rhi = lo + shift, hi + shift
+        requests = _randints(rng, rlo, rhi, n)
     else:
-        servers = sorted(rng.uniform(lo, hi) for _ in range(n))
+        servers = sorted(_uniforms(rng, lo, hi, n))
         if request_range == "span":
             rlo, rhi = servers[0], servers[-1]
-        elif request_range is not None:
-            rlo, rhi = request_range
-        else:
+        elif request_range is None:
             rlo, rhi = lo, hi
-        requests = [rng.uniform(rlo, rhi) for _ in range(n)]
+        requests = _uniforms(rng, rlo, rhi, n)
     return validate_instance(servers, requests)
 
 

@@ -3,12 +3,16 @@
 Positions are plain Python numbers. Integral floats are normalized to int so
 that integer instances compute with exact integer arithmetic end to end; this
 keeps advice words and cost comparisons exact in integer mode.
+``validate_instance`` checks each coordinate list in a few builtin passes
+and applies ``_normalize``, the one rule, per coordinate only to a list that
+holds something to convert or to refuse.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +50,7 @@ class Instance:
             )
         if not self.servers:
             raise InstanceError("instance must contain at least one server")
-        if self.servers != tuple(sorted(self.servers)):
+        if any(map(operator.gt, self.servers, self.servers[1:])):
             raise InstanceError("servers must be sorted")
 
     @property
@@ -67,11 +71,25 @@ class Instance:
         )
 
 
+def _normalized(coords: Sequence) -> tuple:
+    """The coordinates under ``_normalize``. A list of plain ints and of
+    finite, non-integral plain floats is its own normalization; any other
+    list goes through the rule one coordinate at a time, which raises on the
+    first it refuses."""
+    coords = tuple(coords)
+    kinds = set(map(type, coords))
+    if kinds <= {int}:
+        return coords
+    if kinds <= {int, float}:  # isfinite would overflow on a large int
+        floats = coords if kinds == {float} else [x for x in coords if type(x) is float]
+        if all(map(math.isfinite, floats)) and not any(map(float.is_integer, floats)):
+            return coords
+    return tuple(map(_normalize, coords))
+
+
 def validate_instance(servers: Sequence, requests: Sequence) -> Instance:
     """Build a validated instance; servers are sorted if they arrive unsorted."""
-    srv = sorted(_normalize(s) for s in servers)
-    req = [_normalize(r) for r in requests]
-    return Instance(tuple(srv), tuple(req))
+    return Instance(tuple(sorted(_normalized(servers))), _normalized(requests))
 
 
 def _is_permutation(assignment: Sequence, n: int) -> bool:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matchline.generators import (
@@ -50,6 +52,17 @@ def test_uniform_rejects_bad_input():
         gen_uniform(0, (0, 10), 0)
     with pytest.raises(GeneratorError):
         gen_uniform(3, (5, 5), 0)
+
+
+@pytest.mark.parametrize("integer_mode", [False, True])
+def test_uniform_refuses_a_reversed_request_range_before_drawing(integer_mode, monkeypatch):
+    # rejection sampling never ends on an empty range; integer mode used to
+    # leak random's ValueError, float mode drew from the swapped interval
+    seeded = []
+    monkeypatch.setattr(random, "Random", seeded.append)
+    with pytest.raises(GeneratorError, match="empty request range"):
+        gen_uniform(3, (0, 9), 0, integer_mode, request_range=(5, 1))
+    assert seeded == []
 
 
 def test_uniform_integer_mode_refuses_fractional_bounds():

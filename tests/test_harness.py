@@ -124,7 +124,10 @@ def test_emit_empty_reports(tmp_path):
 
 def test_json_report_round_trip(tmp_path):
     inst = gen_uniform(4, (0, 12), 5, integer_mode=True, request_range="span")
-    reports = run_all("lr", [("rt", 5, inst)])
+    reports = run_all("lr", [("rt", 5, inst)]) + [
+        # a positive cost on a zero optimum: the one ratio that is not finite
+        RunReport("inf", "greedy", None, 2.5, 0, float("inf"), 0, 0, None, 0.0)
+    ]
     out = tmp_path / "r.json"
     emit_report(reports, out, "json")
     back = load_report(out)
@@ -371,6 +374,56 @@ def test_cli_report_refuses_a_file_that_is_not_a_report(tmp_path, capsys, text):
     out = tmp_path / "r.csv"
     assert main(["report", "--input", str(bad), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ExperimentError: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "algo, options",
+    [("lr", []), ("greedy", []), ("permutation", []),
+     ("divide", ["--k", "2"]), ("rescale", ["--k", "2", "--sub", "clairvoyant"])],
+)
+def test_cli_run_report_round_trips(algo, options, tmp_path):
+    inst_path = tmp_path / "i.json"
+    save_instance(gen_uniform(6, (0, 10), 3, integer_mode=True), inst_path)
+    report = tmp_path / "r.json"
+    args = ["run", "--algo", algo, *options, "--input", str(inst_path), "--report", str(report)]
+    assert main(args) == 0
+    again = tmp_path / "again.json"
+    emit_report(load_report(report), again)
+    assert again.read_text() == report.read_text()
+
+
+GOOD_ROW = {
+    "instance_id": "i", "algo": "divide", "k": 2, "cost": 3, "opt_cost": 2.5,
+    "ratio": 1.2, "oracle_bits_read": 4, "aux_bits": 0, "seed": 7, "wall_time_ms": 0.5,
+}
+BAD_VALUES = [
+    ("instance_id", 3), ("algo", "magic"), ("k", "many"), ("k", 0), ("k", True),
+    ("cost", "cheap"), ("cost", float("nan")), ("opt_cost", False), ("ratio", []),
+    ("ratio", float("-inf")), ("oracle_bits_read", -3), ("aux_bits", 1.0),
+    ("seed", "7"), ("wall_time_ms", -0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [
+        ({**GOOD_ROW, "algo": "magic", "k": "many", "cost": "cheap", "ratio": [],
+          "oracle_bits_read": -3}, "algo"),
+        *(({**GOOD_ROW, column: value}, column) for column, value in BAD_VALUES),
+    ],
+    ids=["many-bad-values", *(f"{column}={value!r}" for column, value in BAD_VALUES)],
+)
+def test_cli_report_refuses_a_row_whose_values_do_not_fit(row, column, tmp_path, capsys):
+    # a row with the report's keys used to load whatever its values were, and
+    # report wrote them into the CSV
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([GOOD_ROW, row]))
+    out = tmp_path / "r.csv"
+    assert main(["report", "--input", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ExperimentError: ")
+    assert f"row 1 has a bad {column}: " in err
     assert not out.exists()
 
 
