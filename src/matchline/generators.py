@@ -17,6 +17,7 @@ generator.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import repeat, starmap
@@ -31,6 +32,13 @@ VERIFY_FAMILY_MAX_N = 8
 
 class GeneratorError(ValueError):
     pass
+
+
+def _check_finite(name: str, bounds) -> None:
+    """Refuse an infinite or NaN bound: no draw from it is a coordinate.
+    An int of any size is finite (``isfinite`` would overflow on it)."""
+    if not all(isinstance(x, int) or math.isfinite(x) for x in bounds):
+        raise GeneratorError(f"{name} is not finite: {tuple(bounds)!r}")
 
 
 def _as_ints(bounds) -> tuple:
@@ -77,16 +85,19 @@ def gen_uniform(
     ``request_range`` optionally draws the requests from a different
     interval, interpreted after the shift, whose low end must not exceed its
     high end; pass ``"span"`` to keep requests inside the servers' span
-    ([1, s_n - 1] in integer mode, [1, 1] when s_n = 1).
+    ([1, s_n - 1] in integer mode, [1, 1] when s_n = 1). Every bound must be
+    finite.
     """
     if n < 1:
         raise GeneratorError("n must be at least 1")
+    _check_finite("position range", position_range)
     lo, hi = position_range
     if not lo < hi:
         raise GeneratorError(f"empty position range {position_range!r}")
     if integer_mode:
         lo, hi = _as_ints((lo, hi))
     if request_range is not None and request_range != "span":
+        _check_finite("request range", request_range)
         rlo, rhi = _as_ints(request_range) if integer_mode else request_range
         if rlo > rhi:
             raise GeneratorError(f"empty request range {request_range!r}")

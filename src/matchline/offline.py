@@ -8,21 +8,32 @@ Two independent routes to the optimum are kept side by side:
 * ``monotone_optimal`` sorts the requests and matches them to the sorted
   servers in order.
 
-Tests assert the two agree; production callers use the monotone route.
+The two exhaustive routes read one distance table per call, ``rows[i][j] =
+|r_i - s_j|``, instead of recomputing a distance at every step; the
+enumeration still prices every permutation and shares nothing with the DP
+but that table. Tests assert the routes agree; production callers use the
+monotone route.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, Sequence
 
-from .model import Instance, Matching, costs_equal, make_matching, total_cost
+from .model import Instance, Matching, costs_equal, make_matching
 
 BRUTE_FORCE_MAX_N = 12
 
 
 class OracleError(ValueError):
     pass
+
+
+def _distances(instance: Instance) -> list[list]:
+    """The distance table ``rows[i][j] = |r_i - s_j|``."""
+    servers = instance.servers
+    return [[abs(r - s) for s in servers] for r in instance.requests]
 
 
 def brute_force_optimal(instance: Instance) -> Matching:
@@ -32,41 +43,39 @@ def brute_force_optimal(instance: Instance) -> Matching:
     lexicographically smallest permutation so the output is deterministic.
     The subset DP explores exactly the space of all bijections;
     ``enumerate_assignments`` is the literal factorial loop used to validate
-    it on small inputs.
+    it on small inputs. Each step reads its distances from the table and
+    visits only the servers its subset leaves free, in ascending order.
     """
     n = instance.n
     if n > BRUTE_FORCE_MAX_N:
         raise OracleError(f"n={n} too large for exhaustive optimum")
-    servers, requests = instance.servers, instance.requests
+    rows = _distances(instance)
 
     full = (1 << n) - 1
     # best[mask] = optimal cost of matching requests[popcount(mask):] to the
     # servers outside mask.
     best = [0] * (1 << n)
     for mask in range(full - 1, -1, -1):
-        i = mask.bit_count()
-        r = requests[i]
+        row = rows[mask.bit_count()]
+        free = full ^ mask
         acc = None
-        for j in range(n):
-            if mask >> j & 1:
-                continue
-            c = abs(r - servers[j]) + best[mask | 1 << j]
+        while free:
+            bit = free & -free  # the lowest free server
+            free ^= bit
+            c = row[bit.bit_length() - 1] + best[mask | bit]
             if acc is None or c < acc:
                 acc = c
         best[mask] = acc
     # Lexicographically smallest optimal permutation, greedy reconstruction.
     assignment = []
     mask = 0
-    for i in range(n):
-        r = requests[i]
+    for row in rows:
         target = best[mask]
-        for j in range(n):
-            if mask >> j & 1:
-                continue
-            c = abs(r - servers[j]) + best[mask | 1 << j]
-            if costs_equal(c, target, n):
+        for j, d in enumerate(row):
+            bit = 1 << j
+            if not mask & bit and costs_equal(d + best[mask | bit], target, n):
                 assignment.append(j)
-                mask |= 1 << j
+                mask |= bit
                 break
     return make_matching(instance, assignment)
 
@@ -79,9 +88,12 @@ def enumerate_assignments(instance: Instance) -> Iterator[tuple]:
 
 
 def all_optimal_assignments(instance: Instance) -> list[tuple]:
-    """Every minimum-cost assignment, by literal enumeration."""
+    """Every minimum-cost assignment, by literal enumeration, independent of
+    the DP: each permutation is priced as one sum over the distance table,
+    the terms of ``total_cost`` in its order."""
     perms = enumerate_assignments(instance)
-    costs = [(total_cost(instance, perm), perm) for perm in perms]
+    rows = _distances(instance)
+    costs = [(sum(map(operator.getitem, rows, perm)), perm) for perm in perms]
     opt = min(c for c, _ in costs)
     return [perm for c, perm in costs if costs_equal(c, opt, instance.n)]
 
@@ -102,6 +114,10 @@ def monotone_assignment(requests: Sequence) -> list[int]:
 
 def monotone_cost(servers: Sequence, requests: Sequence) -> int | float:
     """Optimal offline cost for equal-size pools on the line."""
+    if len(servers) != len(requests):
+        raise OracleError(
+            f"pools of unequal size: {len(servers)} servers vs {len(requests)} requests"
+        )
     return sum(
         abs(r - s) for r, s in zip(sorted(requests), sorted(servers))
     )

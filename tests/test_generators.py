@@ -65,6 +65,38 @@ def test_uniform_refuses_a_reversed_request_range_before_drawing(integer_mode, m
     assert seeded == []
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("integer_mode", [False, True])
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        ((0, INF), None),
+        ((-INF, 0), None),
+        ((NAN, 1.0), None),
+        ((0, 9), (0.0, INF)),
+        ((0, 9), (NAN, 1.0)),
+        ((0, 9), (-INF, INF)),
+    ],
+)
+def test_uniform_refuses_a_non_finite_bound_before_drawing(integer_mode, ranges, monkeypatch):
+    # float mode used to draw from (0, inf) and fail in validation with an
+    # InstanceError; integer mode leaked int()'s OverflowError or ValueError
+    position_range, request_range = ranges
+    seeded = []
+    monkeypatch.setattr(random, "Random", seeded.append)
+    with pytest.raises(GeneratorError, match="range is not finite"):
+        gen_uniform(3, position_range, 0, integer_mode, request_range=request_range)
+    assert seeded == []
+
+
+def test_uniform_takes_integer_bounds_past_the_float_range():
+    # an int bound is finite at any size: isfinite would overflow on it
+    inst = gen_uniform(3, (0, 10**400), 0, integer_mode=True)
+    assert inst.n == 3 and inst.integer_mode
+
+
 def test_uniform_integer_mode_refuses_fractional_bounds():
     assert gen_uniform(3, (0.0, 9.0), 0, integer_mode=True) == gen_uniform(
         3, (0, 9), 0, integer_mode=True

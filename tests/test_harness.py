@@ -165,6 +165,18 @@ def test_cli_gen_integer_refuses_a_fractional_range(bounds, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("bounds", ["0:inf", "-inf:0", "nan:1"])
+def test_cli_gen_refuses_a_non_finite_range(bounds, integer, tmp_path, capsys):
+    # `--range 0:inf --integer` used to print OverflowError, without
+    # --integer an InstanceError after drawing
+    out = tmp_path / "inst.json"
+    args = ["gen", "--mode", "uniform", "--n", "3", f"--range={bounds}"]
+    assert main([*args, *["--integer"] * integer, "--out", str(out)]) == 2
+    assert "error: GeneratorError: position range is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_python_m_matchline_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(

@@ -96,6 +96,13 @@ def test_monotone_cost_on_pools():
     assert monotone_cost([0, 10], [5, 5]) == 10
 
 
+def test_monotone_cost_refuses_pools_of_unequal_size():
+    # zip used to truncate: three servers against one request cost 0
+    for servers, requests in (([1, 2, 3], [1]), ([1], [1, 2]), ([], [4])):
+        with pytest.raises(OracleError, match="unequal size"):
+            monotone_cost(servers, requests)
+
+
 def test_classify_lr_straddle():
     inst = validate_instance([0, 10], [4, 6])
     m = monotone_optimal(inst)
