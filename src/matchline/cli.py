@@ -17,12 +17,13 @@ from .experiment import ALGORITHMS, K_ALGORITHMS, emit_report, load_report, run_
 from .generators import gen_family, gen_uniform
 from .model import load_instance, save_instance
 from .subroutines import SUBROUTINE_NAMES
+from .tape import word_width
 
 #: the verify suites that read ``--seeds`` (default 50), by name
 SEEDED_SUITES = {
-    "lr-optimal": "verify_lr_optimal",
-    "divide-exact": "verify_divide_exact",
-    "props": "verify_order_properties",
+    "lr-optimal": verification.verify_lr_optimal,
+    "divide-exact": verification.verify_divide_exact,
+    "props": verification.verify_order_properties,
 }
 
 
@@ -119,13 +120,14 @@ def _cmd_run(args) -> int:
         q, boundaries = divide.advice.q, divide.plan.boundaries
         print(f"advice tape: {divide.tape.dump()}")
         # one row per boundary (named by the block and side a crossing leaves
-        # by, or - when none does; the value is q - p_{b-1}), then the d/m rows
-        for f, b, value, width in advice_words(divide.advice, divide.plan):
+        # by, or - when none does; the value is q - p_{b-1}), then the d/m
+        # rows; each word is w(bound) bits wide
+        for f, b, value, bound in advice_words(divide.advice, divide.plan):
             if q[b] is None:
                 label = f"q[{b + 1}|{b + 2},-]"
             else:
                 label = f"{f}[{b + 1},R]" if q[b] <= boundaries[b] else f"{f}[{b + 2},L]"
-            print(f"  {label:10s} width={width:2d} value={value}")
+            print(f"  {label:10s} width={word_width(bound):2d} bound={bound} value={value}")
     if args.report:
         emit_report([r], args.report, args.format or "json")
         print(f"wrote report to {args.report}")
@@ -136,8 +138,7 @@ def _cmd_verify(args) -> int:
     if args.suite == "family":
         failures = verification.verify_family_suite(n_max=args.n, log=print)
     else:
-        suite = getattr(verification, SEEDED_SUITES[args.suite])
-        failures = suite(n_max=args.n, seeds=args.seeds or 50, log=print)
+        failures = SEEDED_SUITES[args.suite](n_max=args.n, seeds=args.seeds or 50, log=print)
     if failures:
         print(f"FAIL: {failures} check(s) failed")
         return 1

@@ -23,12 +23,27 @@ The tape layout (``_tape_slots``) is rigid: one q word per boundary, then
 d/m pairs exactly for the crossed boundaries, in the two marking orders. The
 monotone optimum crosses each boundary one way only (see ``compute_advice``),
 so boundary b's one word carries either side: with p_{-1} = 0 and
-p_{k-1} = N - 1, it is q - p_{b-1} at width w(p_{b+1} - p_{b-1}), 0 when
-nothing crosses, and a right crossing (q in block b) is told from a left
-one (q in block b+1) by comparing q with p_b. The decoded advice has the
-tape's shape, so a boundary crossed both ways cannot be written down. The
-oracle tape holds at most (k-1)(w(N) + 2w(n)) bits; only its bits count as
-advice.
+p_{k-1} = N - 1, it is q - p_{b-1}, 0 when nothing crosses, and a right
+crossing (q in block b) is told from a left one (q in block b+1) by
+comparing q with p_b. The decoded advice has the tape's shape, so a
+boundary crossed both ways cannot be written down.
+
+Each word is only as wide as the largest value it can hold, its bound: a
+word with bound B is w(B) bits wide. The reader reads the q words first, so
+it knows every bound from the plan and the q words before it reads a count.
+With group b the servers start_b..stop_b - 1, boundary b's words have the
+bounds
+- q: p_{b+1} - p_{b-1}, the span of blocks b and b+1;
+- right crossing (q <= p_b): d <= |group b|, since each request at q that
+  stays in block b takes one of its servers; m <= n - stop_b, since in the
+  monotone optimum the crossers take the server ranks stop_b and up;
+- left crossing (q > p_b): d <= |group b+1|, as for a right crossing;
+  m <= start_{b+1}, since the crossers take the server ranks below
+  start_{b+1}; at a q collision (q[b] == q[b+1]) d instead carries the left
+  share of the q-valued crossers (see ``DivideAdvice``), so there
+  d <= m <= start_{b+1}.
+Each bound is at most n, so the oracle tape holds at most
+(k-1)(w(N) + 2w(n)) bits; only its bits count as advice.
 
 Serving goes block by block, then LR. ``classify_requests`` lists what
 each pool serves, each block's unmarked arrivals and the marked ones, from
@@ -50,7 +65,7 @@ from functools import cached_property
 from .model import Instance, InstanceError, Matching, make_matching
 from .lr import LRState, lr_serve
 from .subroutines import SUBROUTINE_NAMES, SubroutineError, make_subroutine
-from .tape import AdviceTape, AuxTape, word_width
+from .tape import AdviceTape, AuxTape
 
 
 class DivideError(RuntimeError):
@@ -145,40 +160,56 @@ def _crossings(plan: BlockPlan, q) -> tuple:
 
 
 def _tape_slots(plan: BlockPlan, q):
-    """The advice tape layout: (field, boundary, width) per word.
+    """The advice tape layout: (field, boundary, bound) per word, the word
+    w(bound) bits wide.
 
-    First one q word per boundary b at width w(p_{b+1} - p_{b-1}), then a
-    d/m pair for each crossed boundary: right crossings by ascending
-    boundary, left crossings by descending boundary, the two marking orders.
-    The q list is first looked at after the last q slot is handed out, so a
-    reader can pass the list it is filling.
+    First one q word per boundary, then a d/m pair for each crossed
+    boundary: right crossings by ascending boundary, left crossings by
+    descending boundary, the two marking orders. The bounds are those of the
+    module docstring, each with its reason there:
+
+        q of boundary b     p_{b+1} - p_{b-1}
+        right crossing      d <= |group b|,    m <= n - stop_b
+        left crossing       d <= |group b+1|,  m <= start_{b+1}
+        left, q collision   d <= start_{b+1}
+
+    They read only the plan and the q words, and the q list is first looked
+    at after the last q slot is handed out, so a reader can pass the list it
+    is filling.
     """
     for b, (low, _mid, high) in enumerate(plan.frames):
-        yield "q", b, word_width(high - low)
-    w_cnt = word_width(plan.n)
+        yield "q", b, high - low
+    groups, n = plan.groups, plan.n
     right, left = _crossings(plan, q)
-    for b in right + left:
-        yield "d", b, w_cnt
-        yield "m", b, w_cnt
+    for b in right:
+        start, stop = groups[b]
+        yield "d", b, stop - start
+        yield "m", b, n - stop
+    last = len(q) - 1
+    for b in left:
+        start, stop = groups[b + 1]
+        yield "d", b, start if b < last and q[b + 1] == q[b] else stop - start
+        yield "m", b, start
 
 
 def advice_words(advice: DivideAdvice, plan: BlockPlan):
-    """(field, boundary, value, width) per advice word, in tape order.
+    """(field, boundary, value, bound) per advice word, in tape order; the
+    word is w(bound) bits wide.
 
-    A q word's value is its offset q - p_{b-1}, 0 when boundary b is not
-    crossed.
+    A q word's value is its offset q - p_{b-1}, in 1..bound, and 0 when
+    boundary b is not crossed; a d or m word's value is the count, in
+    0..bound.
     """
     frames = plan.frames
-    for f, b, width in _tape_slots(plan, advice.q):
-        value = getattr(advice, f)[b]
-        if value is None:  # the q word of an uncrossed boundary
-            value = 0
-        elif f == "q":
-            low, _mid, high = frames[b]
-            if not low < value <= high:
-                raise DivideError(f"q word {value} outside its frame ({low}, {high}]")
-            value -= low
-        yield f, b, value, width
+    for f, b, bound in _tape_slots(plan, advice.q):
+        value, least = getattr(advice, f)[b], 0
+        if f == "q":
+            value, least = (0, 0) if value is None else (value - frames[b][0], 1)
+        if not least <= value <= bound:
+            raise DivideError(
+                f"{f} word of boundary {b}: {value} outside {least}..{bound}"
+            )
+        yield f, b, value, bound
 
 
 def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
@@ -226,24 +257,29 @@ def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
 
 def encode_divide_advice(advice: DivideAdvice, plan: BlockPlan) -> AdviceTape:
     tape = AdviceTape()
-    tape.write_words((value, width) for _f, _b, value, width in advice_words(advice, plan))
+    # bound.bit_length() is w(bound), ``word_width`` without its call
+    tape.write_words(
+        (value, bound.bit_length()) for _f, _b, value, bound in advice_words(advice, plan)
+    )
     return tape
 
 
 def decode_divide_advice(tape: AdviceTape, plan: BlockPlan) -> DivideAdvice:
-    """Sequential reader of the layout in ``_tape_slots``."""
+    """Sequential reader of the layout in ``_tape_slots``; a word that fits
+    its width but exceeds its bound is corrupt advice."""
     k = plan.k
     fields = {"q": [None] * (k - 1), "d": [0] * (k - 1), "m": [0] * (k - 1)}
     q, frames = fields["q"], plan.frames
-    for f, b, width in _tape_slots(plan, q):
-        value = tape.read_word(width)
+    for f, b, bound in _tape_slots(plan, q):
+        value = tape.read_word(bound.bit_length())  # w(bound)
+        if value > bound:
+            raise DivideError(
+                f"corrupt advice: {f} word of boundary {b}: {value} above its bound {bound}"
+            )
         if f != "q":
             fields[f][b] = value
         elif value:
-            low, _mid, high = frames[b]
-            if value > high - low:
-                raise DivideError(f"corrupt advice: q word {low + value} above block {b + 2}")
-            q[b] = low + value
+            q[b] = frames[b][0] + value
     return DivideAdvice(k, *map(tuple, fields.values()))
 
 

@@ -115,13 +115,6 @@ def _cost(instance: Instance, assignment: Sequence[int]) -> int | float:
     )
 
 
-def total_cost(instance: Instance, assignment: Sequence[int]) -> int | float:
-    """Sum of |r_i - s_{pi(i)}| over all requests."""
-    if not _is_permutation(assignment, instance.n):
-        raise InstanceError("assignment is not a bijection on the servers")
-    return _cost(instance, assignment)
-
-
 def make_matching(instance: Instance, assignment: Sequence[int]) -> Matching:
     """The matching and its cost. The permutation is checked once, by
     ``Matching``; with the length checked here it is a bijection on the

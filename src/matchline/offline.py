@@ -90,7 +90,7 @@ def enumerate_assignments(instance: Instance) -> Iterator[tuple]:
 def all_optimal_assignments(instance: Instance) -> list[tuple]:
     """Every minimum-cost assignment, by literal enumeration, independent of
     the DP: each permutation is priced as one sum over the distance table,
-    the terms of ``total_cost`` in its order."""
+    the terms of a ``make_matching`` cost in its order."""
     perms = enumerate_assignments(instance)
     rows = _distances(instance)
     costs = [(sum(map(operator.getitem, rows, perm)), perm) for perm in perms]

@@ -80,9 +80,6 @@ class AdviceTape:
             digits.append(bin(value | 1 << width)[3:])
         self._bits += "".join(digits).encode().translate(_BITS)
 
-    def write_word(self, value: int, width: int) -> None:
-        self.write_words(((value, width),))
-
     def read_bit(self) -> int:
         if self.cursor >= len(self._bits):
             raise TapeUnderflow("tape underflow: no unread bits left")

@@ -191,7 +191,7 @@ def compute_advice(instance: Instance, plan: BlockPlan, span_bound: int) -> Divi
 def encode_divide_advice(advice: DivideAdvice, span_bound: int, n: int) -> AdviceTape:
     tape = AdviceTape()
     for _label, value, width in _advice_schedule(advice, span_bound, n):
-        tape.write_word(value, width)
+        tape.write_words(((value, width),))
     return tape
 
 

@@ -1,7 +1,8 @@
 """The exhaustive oracles as they were before the distance table: the subset
 DP recomputes ``abs(r - servers[j])`` and tests every server against the
 mask at each step, and the enumeration prices each permutation through
-``total_cost``. Kept verbatim as the differential reference for
+``total_cost``, the pricing function the package then had, kept here with
+them. Kept verbatim as the differential reference for
 ``matchline.offline.brute_force_optimal`` and
 ``matchline.offline.all_optimal_assignments``; nothing in the package uses
 it.
@@ -10,9 +11,9 @@ it.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from matchline.model import Instance, Matching, costs_equal, make_matching, total_cost
+from matchline.model import Instance, InstanceError, Matching, costs_equal, make_matching
 from matchline.offline import OracleError
 
 BRUTE_FORCE_MAX_N = 12
@@ -69,6 +70,14 @@ def enumerate_assignments(instance: Instance) -> Iterator[tuple]:
     if instance.n > 8:
         raise OracleError("literal enumeration capped at n=8")
     return itertools.permutations(range(instance.n))
+
+
+def total_cost(instance: Instance, assignment: Sequence[int]) -> int | float:
+    """Sum of |r_i - s_{pi(i)}| over all requests."""
+    n = instance.n
+    if len(assignment) != n or set(assignment) != set(range(n)):
+        raise InstanceError("assignment is not a bijection on the servers")
+    return sum(abs(r - instance.servers[j]) for r, j in zip(instance.requests, assignment))
 
 
 def all_optimal_assignments(instance: Instance) -> list[tuple]:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import reference_divide
-from test_divide_reference import unfold
+from test_divide_reference import count_bounds, unfold
 from matchline import divide, verification
 from matchline.cli import main
 from matchline.divide import (
@@ -124,11 +124,12 @@ def test_worked_example_tape_layout():
     # servers 1..4 at k = 2: p_0 = (2 + 3) // 2 = 2 and N = 5, so the one
     # boundary's frame is (p_{-1}, p_1] = (0, 4] and its q word is 3 bits
     # wide. q[2,L] = 3 is written as its offset 3 - 0 = 3 (011; 3 > p_0 says
-    # it crosses left), then d = 1 (001) and m = 1 (001) at w(n = 4) = 3:
-    # 011001001, 9 bits, hex 648 after padding to 12
+    # it crosses left out of group 1, servers 2..3), then d = 1 (01) at
+    # w(|group 1| = 2) = 2 and m = 1 (01) at w(start_1 = 2) = 2: 0110101,
+    # 7 bits, hex 6a after padding to 8
     result = divide_run(WORKED, 2, "clairvoyant")
-    assert result.tape.dump() == {"hex": "648", "bit_length": 9}
-    assert result.oracle_bits_read == 9
+    assert result.tape.dump() == {"hex": "6a", "bit_length": 7}
+    assert result.oracle_bits_read == 7
 
 
 def test_worked_example_serving_trace():
@@ -161,23 +162,35 @@ def test_advice_round_trip_random():
 
 
 def test_every_representable_advice_round_trips():
-    # any q in its frame (p_{b-1}, p_{b+1}] or None, with any d and m of
-    # w(n) bits where q is present: the reader returns the advice the writer
-    # was given and reads the tape whole
+    # any q in its frame (p_{b-1}, p_{b+1}] or None, with any d and m within
+    # their bounds where q is present, half the time at the bound itself:
+    # the reader returns the advice the writer was given and reads the tape
+    # whole. Counts above their bounds are refused (see
+    # test_over_bound_count_words_are_refused).
     rng = random.Random(15)
+
+    def draw(bound):
+        return bound if rng.random() < 0.5 else rng.randint(0, bound)
+
     for _ in range(1500):
         n = rng.randint(1, 20)
         top = rng.choice((max(1, n // 3), 10**6))
         servers = sorted(rng.randint(1, top) for _ in range(n))
         servers = [s - servers[0] + 1 for s in servers]
-        cap = 2 ** word_width(n) - 1
         for k in range(1, n + 1):
             plan = plan_blocks(servers, k)
             q = tuple(
                 rng.randint(low + 1, high) if high > low and rng.random() < 0.7 else None
                 for low, _mid, high in plan.frames
             )
-            d, m = (tuple(0 if w is None else rng.randint(0, cap) for w in q) for _ in "dm")
+            # now and then a q collision: one position carries both words
+            for b in range(k - 2):
+                low, high = plan.boundaries[b], plan.boundaries[b + 1]
+                if high > low and rng.random() < 0.2:
+                    q = (*q[:b], *(rng.randint(low + 1, high),) * 2, *q[b + 2 :])
+            bounds = count_bounds(plan, q)
+            d = tuple(draw(bounds[b][0]) if b in bounds else 0 for b in range(k - 1))
+            m = tuple(draw(bounds[b][1]) if b in bounds else 0 for b in range(k - 1))
             advice = DivideAdvice(k, q, d, m)
             tape = encode_divide_advice(advice, plan)
             assert decode_divide_advice(tape, plan) == advice
@@ -220,6 +233,50 @@ def test_reader_rejects_q_word_past_its_frame():
     plan = plan_blocks(WORKED.servers, 2)
     with pytest.raises(DivideError, match="corrupt advice"):
         decode_divide_advice(AdviceTape([1, 0, 1]), plan)
+
+
+# servers 1..8 at k = 4: groups of two servers, p = (2, 4, 6), N = 9
+EIGHT = plan_blocks(list(range(1, 9)), 4)
+
+
+@pytest.mark.parametrize(
+    "q, field, b, bound",
+    [
+        # boundary 0 crossed right at 2: d <= |group 0| = 2 (2 bits: 3 fits),
+        # m <= n - stop_0 = 6 (3 bits: 7 fits)
+        ((2, None, None), "d", 0, 2),
+        ((2, None, None), "m", 0, 6),
+        # boundary 1 crossed left at 5: d <= |group 2| = 2, m <= start_2 = 4
+        ((None, 5, None), "d", 1, 2),
+        ((None, 5, None), "m", 1, 4),
+        # 5 also crosses boundary 2 right: a q collision, where d[1] counts
+        # crossers, d <= m <= start_2 = 4 (3 bits: 5 fits)
+        ((None, 5, 5), "d", 1, 4),
+    ],
+)
+def test_over_bound_count_words_are_refused(q, field, b, bound):
+    def advice(value):
+        counts = {"d": [0, 0, 0], "m": [0, 0, 0]}
+        counts[field][b] = value
+        return DivideAdvice(4, q, tuple(counts["d"]), tuple(counts["m"]))
+
+    # the bound itself round-trips
+    at_bound = advice(bound)
+    tape = encode_divide_advice(at_bound, EIGHT)
+    assert decode_divide_advice(tape, EIGHT) == at_bound
+    # one more is refused by the writer
+    with pytest.raises(DivideError, match=f"{field} word of boundary {b}: {bound + 1} outside"):
+        encode_divide_advice(advice(bound + 1), EIGHT)
+    # and, written into the same bits, by the reader
+    words = [
+        (bound + 1 if (f, c) == (field, b) else value, word_width(word_bound))
+        for f, c, value, word_bound in divide.advice_words(at_bound, EIGHT)
+    ]
+    assert bound + 1 < 2 ** word_width(bound)
+    corrupt = AdviceTape()
+    corrupt.write_words(words)
+    with pytest.raises(DivideError, match=f"corrupt advice: {field} word of boundary {b}"):
+        decode_divide_advice(corrupt, EIGHT)
 
 
 def test_boundaries_are_ints_on_non_integral_planning_servers():

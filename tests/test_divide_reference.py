@@ -101,15 +101,37 @@ def verdicts_of(result):
     return verdicts
 
 
+def count_bounds(plan, q):
+    """{b: (d bound, m bound)} for every crossed boundary b, with group b
+    the servers start_b..stop_b - 1: a right crossing (q[b] <= p_b) keeps
+    d <= |group b| requests in block b and sends m <= n - stop_b to the
+    server ranks stop_b and up; a left crossing keeps d <= |group b+1| in
+    block b+1 and sends m <= start_{b+1} below it, and at a q collision
+    (q[b] == q[b+1]) its d is the left share of the crossers, so d <= m."""
+    bounds = {}
+    for b, word in enumerate(q):
+        if word is None:
+            continue
+        if word <= plan.boundaries[b]:
+            start, stop = plan.groups[b]
+            bounds[b] = (stop - start, plan.n - stop)
+        else:
+            start, stop = plan.groups[b + 1]
+            collision = b + 1 < len(q) and q[b + 1] == word
+            bounds[b] = (start if collision else stop - start, start)
+    return bounds
+
+
 def layout_bits(result):
     """The exact size of the library's tape: per boundary b a q word of
-    w(p_{b+1} - p_{b-1}) bits (p_{-1} = 0, p_{k-1} = N - 1), plus a d/m pair
-    of w(n) bits each for every boundary crossed."""
+    w(p_{b+1} - p_{b-1}) bits (p_{-1} = 0, p_{k-1} = N - 1), plus a d and
+    an m word for every boundary crossed, each w(bound) bits wide
+    (``count_bounds``)."""
     plan = result.plan
     p = (0, *plan.boundaries, plan.span_bound - 1)
-    crossed = sum(q is not None for q in result.advice.q)
-    return sum(word_width(p[b + 2] - p[b]) for b in range(plan.k - 1)) + (
-        2 * word_width(plan.n) * crossed
+    counts = count_bounds(plan, result.advice.q).values()
+    return sum(word_width(p[b + 2] - p[b]) for b in range(plan.k - 1)) + sum(
+        word_width(d) + word_width(m) for d, m in counts
     )
 
 
@@ -199,7 +221,8 @@ def test_workload_scale_runs_are_bit_identical():
 
 def test_tape_size_is_exact_on_every_shape():
     # clamped shapes included: oracle_bits_read is the sum of the boundary
-    # frames' widths plus 2 w(n) per crossed boundary, and within the budget
+    # frames' widths plus the widths of each crossed boundary's count
+    # bounds, and within the budget
     rng = random.Random(9)
     for n in range(1, 11):
         for shape in (*IN_SPAN_SHAPES, "out-of-span", "out-of-span-float"):

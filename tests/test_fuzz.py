@@ -1,8 +1,10 @@
 """Differential fuzz: every algorithm against ``monotone_optimal`` on the
 adversarial shapes (duplicates, n = 1, k = n, coordinates near 10^15,
 integer coordinates past 2^53, requests far outside the servers' span), plus
-the CLI's exit codes on the same instances and on malformed files."""
+the CLI's exit codes on the same instances and on malformed files, and
+DIVIDE_k's reader on corrupted oracle tapes of the same instances."""
 
+import math
 import tempfile
 from itertools import combinations
 from pathlib import Path
@@ -12,10 +14,17 @@ from hypothesis import strategies as st
 
 from matchline import verification
 from matchline.cli import main
+from matchline.divide import (
+    DivideError,
+    classify_requests,
+    decode_divide_advice,
+    mark_servers,
+)
 from matchline.experiment import run_algorithm
 from matchline.model import costs_equal, save_instance, validate_instance
 from matchline.offline import monotone_cost, monotone_optimal
 from matchline.subroutines import SUBROUTINE_NAMES, Permutation
+from matchline.tape import AdviceTape, TapeUnderflow
 
 BIG = 10**15
 HUGE = 2**60  # past 2^53, where a float midpoint of two integers can round
@@ -92,6 +101,51 @@ def test_permutation_keeps_an_optimal_server_set(instance):
         history = requests[:t]
         least = min(monotone_cost(subset, history) for subset in combinations(servers, t))
         assert costs_equal(monotone_cost(used, history), least, t)
+
+
+def planning_requests(instance, algo: str, plan) -> list:
+    """The requests as a DIVIDE_k run plans on them: on RESCALE's n^3-scaled
+    image for "rescale", and clamped into [1, N - 1]."""
+    requests = instance.requests
+    if algo == "rescale":
+        scale, s1 = instance.n**3, instance.servers[0]
+        requests = [math.floor(scale * (r - s1)) + 1 for r in requests]
+    top = plan.span_bound - 1
+    return [min(max(r, 1), top) for r in requests]
+
+
+@settings(max_examples=200)
+@given(instances(max_n=10), st.data())
+def test_a_corrupt_oracle_tape_gives_a_named_error_or_advice(instance, data):
+    # flip, drop or append bits of a run's oracle tape: reading, marking and
+    # classifying what is left raises DivideError or TapeUnderflow, or goes
+    # through, and nothing else escapes
+    algos = ("divide", "rescale") if instance.integer_mode else ("rescale",)
+    algo = data.draw(st.sampled_from(algos))
+    k = data.draw(st.integers(1, instance.n))
+    result = run_algorithm(instance, algo, k, "greedy")["divide"]
+    plan, bits = result.plan, list(result.tape.bits)
+    requests = planning_requests(instance, algo, plan)
+    assert classify_requests(requests, plan, result.advice) == (
+        result.arrivals,
+        result.marked_arrivals,
+    )
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(("flip", "drop", "append")))
+        if edit == "append":
+            bits += data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+        elif bits:
+            i = data.draw(st.integers(0, len(bits) - 1))
+            if edit == "flip":
+                bits[i] ^= 1
+            else:
+                del bits[i]
+    try:
+        advice = decode_divide_advice(AdviceTape(bits), plan)
+        mark_servers(plan, advice)
+        classify_requests(requests, plan, advice)
+    except (DivideError, TapeUnderflow):
+        pass
 
 
 @settings(max_examples=30)

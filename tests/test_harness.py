@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from matchline.generators import gen_family, gen_uniform
 from matchline.lr import LRError
 from matchline.model import load_instance, save_instance, validate_instance
 from matchline.subroutines import SubroutineError
-from matchline.tape import TapeUnderflow
+from matchline.tape import TapeUnderflow, word_width
 
 
 def run_all(algo, instances, k=None, subroutine="greedy"):
@@ -233,7 +234,7 @@ def test_cli_run_divide_verbose_tape(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "648" in out  # the 9-bit advice tape in hex
+    assert "6a" in out  # the 7-bit advice tape in hex
     assert "q[2,L]" in out
 
 
@@ -313,7 +314,23 @@ def test_cli_verbose_tape_widths_sum_to_the_advice_bits(tmp_path, capsys):
     q_rows = [row[0] for row in rows if row[0].startswith("q[")]
     assert len(q_rows) == 4 and "q[4|5,-]" in q_rows
     widths = [int(line.split("width=")[1].split()[0]) for line in lines[2:]]
-    assert sum(widths) == bits == 43
+    assert sum(widths) == bits == 33
+
+
+@pytest.mark.parametrize("algo, k", [("divide", 3), ("divide", 7), ("rescale", 5)])
+def test_cli_verbose_tape_rows_hold_their_bounds(tmp_path, capsys, algo, k):
+    # every row is w(bound) bits wide and its value lies within the bound
+    inst_path = tmp_path / "i.json"
+    save_instance(gen_uniform(20, (0, 30), 2, integer_mode=True), inst_path)
+    code = main(["run", "--algo", algo, "--k", str(k), "--input", str(inst_path), "--verbose-tape"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    rows = [dict(re.findall(r"(\w+)= *(\d+)", line)) for line in lines[2:]]
+    assert len(rows) > k - 1  # some boundary is crossed
+    for row in rows:
+        width, bound, value = int(row["width"]), int(row["bound"]), int(row["value"])
+        assert width == word_width(bound)
+        assert 0 <= value <= bound
 
 
 @pytest.mark.parametrize("algo", ["lr", "greedy", "permutation"])
@@ -514,10 +531,11 @@ def test_cli_verify_usage_error_shows_the_verify_usage(capsys):
      ("props", "verify_order_properties")],
 )
 def test_cli_verify_seeded_suites_default_to_50_seeds(monkeypatch, suite, name):
-    from matchline import verification
+    from matchline import cli, verification
 
+    assert cli.SEEDED_SUITES[suite] is getattr(verification, name)
     calls = []
-    monkeypatch.setattr(verification, name, lambda **kwargs: calls.append(kwargs) or 0)
+    monkeypatch.setitem(cli.SEEDED_SUITES, suite, lambda **kwargs: calls.append(kwargs) or 0)
     assert main(["verify", "--suite", suite, "--n", "3"]) == 0
     assert main(["verify", "--suite", suite, "--n", "3", "--seeds", "7"]) == 0
     assert [c["seeds"] for c in calls] == [50, 7]

@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module of ``matchline`` imports a
 private name (one starting with ``_``) from another, so what a module keeps
-private cannot leak into another's code; and the package imports nothing but
-itself and the standard library."""
+private cannot leak into another's code; the package imports nothing but
+itself and the standard library; and every top-level def and class is
+reached from the package or exported, so nothing in it is test-only."""
 
 import ast
 import sys
@@ -72,3 +73,57 @@ def test_the_package_imports_only_itself_and_the_standard_library():
         if (found := foreign_imports(path.read_text()))
     }
     assert foreign == {}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def referenced_names(node) -> set:
+    """Every name ``node`` reads, imports or looks up as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def unreachable(sources: dict, exported) -> list:
+    """``module.name`` of every top-level def and class of ``sources``
+    (module name -> source) that no top-level statement but its own
+    definition references and that ``exported`` does not list."""
+    statements = [
+        (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
+    ]
+    references = [(stmt, referenced_names(stmt)) for _module, stmt in statements]
+    return [
+        f"{module}.{stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, DEFINITIONS)
+        and stmt.name not in exported
+        and not any(stmt.name in names for other, names in references if other is not stmt)
+    ]
+
+
+def test_the_reachability_check_flags_only_unreferenced_definitions():
+    sources = {
+        "a": (
+            "def called(): pass\n"
+            "def looked_up(): pass\n"
+            "def helper(): pass\n"
+            "def user(): return helper()\n"
+            "def recursive(): return recursive()\n"
+            "class Unused: pass\n"
+            "def exported(): pass\n"
+        ),
+        "b": "from .a import called\nfrom . import a\nTABLE = {'x': a.looked_up}\n",
+    }
+    assert unreachable(sources, {"exported"}) == ["a.user", "a.recursive", "a.Unused"]
+
+
+def test_every_top_level_name_is_reached_from_the_package_or_exported():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreachable(sources, set(matchline.__all__)) == []

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from lr_partition import classify_lr
 from matchline.generators import gen_uniform
-from matchline.model import total_cost, validate_instance
+from matchline.model import make_matching, validate_instance
 from matchline.offline import (
     OracleError,
     all_optimal_assignments,
@@ -43,7 +43,7 @@ def test_brute_force_rejects_large_n():
 def test_brute_force_matches_literal_enumeration():
     for seed in range(30):
         inst = gen_uniform(5, (0, 20), seed, integer_mode=True)
-        literal = min(total_cost(inst, p) for p in enumerate_assignments(inst))
+        literal = min(make_matching(inst, p).cost for p in enumerate_assignments(inst))
         assert brute_force_optimal(inst).cost == literal
 
 
@@ -59,7 +59,7 @@ def test_brute_force_ties_split_by_rounding_resolve_lexicographically():
         [112957170176163.03, 130852166903432.48],
         [597260890246121, 178045423525621.03],
     )
-    assert total_cost(inst, [0, 1]) != total_cost(inst, [1, 0])
+    assert make_matching(inst, [0, 1]).cost != make_matching(inst, [1, 0]).cost
     assert brute_force_optimal(inst).assignment == (0, 1)
     assert all_optimal_assignments(inst) == [(0, 1), (1, 0)]
 

@@ -18,26 +18,26 @@ def test_word_width_rejects_negative():
 
 def test_word_round_trip():
     tape = AdviceTape()
-    tape.write_word(5, 4)
+    tape.write_words(((5, 4),))
     assert tape.read_word(4) == 5
     assert tape.bits_read == 4
 
 
 def test_write_word_zero_pads():
     tape = AdviceTape()
-    tape.write_word(0, 3)
+    tape.write_words(((0, 3),))
     assert tape.bits == (0, 0, 0)
 
 
 def test_write_word_rejects_overflow():
     tape = AdviceTape()
     with pytest.raises(TapeError):
-        tape.write_word(9, 3)
+        tape.write_words(((9, 3),))
 
 
 def test_word_is_most_significant_first():
     tape = AdviceTape()
-    tape.write_word(5, 3)
+    tape.write_words(((5, 3),))
     assert tape.bits == (1, 0, 1)
 
 
@@ -102,7 +102,7 @@ def test_codec_round_trip(max_value, data):
     value = data.draw(st.integers(min_value=0, max_value=max_value))
     width = word_width(max_value)
     tape = AdviceTape()
-    tape.write_word(value, width)
+    tape.write_words(((value, width),))
     assert tape.read_word(width) == value
 
 
@@ -174,7 +174,7 @@ def test_bulk_writer_rejects_overflow_and_writes_nothing(words, width, data):
     with pytest.raises(TapeError):
         tape.write_words(words + [(value, width)] + words)
     with pytest.raises(TapeError):
-        tape.write_word(value, width)
+        tape.write_words(((value, width),))
     assert tape.bits == before
 
 
