@@ -7,8 +7,10 @@ the extremal position of the requests whose optimal pair lies across it, d
 the requests equal to q that stay inside their block, m the requests
 matched across. Requests whose pair is inside their own block go to the
 plug-in subroutine A; crossing requests are marked and served by LR over
-the marked servers, fed direction bits through a self-written auxiliary
-tape.
+the marked servers. That LR's pool sits on an exact integer image of their
+positions (``_image_pool``), and its direction bits are DIVIDE_k's own: no
+auxiliary tape holds them, LR reads each from the side the classification
+fixed, and the reads are counted.
 
 A run plans on one set of coordinates and prices on the caller's: divide_run
 plans on the instance itself, RESCALE on its n^3-scaled integer image. Every
@@ -65,7 +67,7 @@ from functools import cached_property
 from .model import Instance, InstanceError, Matching, make_matching
 from .lr import LRState, lr_serve
 from .subroutines import SUBROUTINE_NAMES, SubroutineError, make_subroutine
-from .tape import AdviceTape, AuxTape
+from .tape import AdviceTape
 
 
 class DivideError(RuntimeError):
@@ -198,8 +200,17 @@ def advice_words(advice: DivideAdvice, plan: BlockPlan):
 
     A q word's value is its offset q - p_{b-1}, in 1..bound, and 0 when
     boundary b is not crossed; a d or m word's value is the count, in
-    0..bound.
+    0..bound. The layout has no d or m word for an uncrossed boundary, so a
+    nonzero count there is refused before the first word is yielded, as it
+    could not be written down.
     """
+    for b, word in enumerate(advice.q):
+        if word is None:
+            for f in ("d", "m"):
+                if value := getattr(advice, f)[b]:
+                    raise DivideError(
+                        f"{f} word of boundary {b}: {value} but the boundary is not crossed"
+                    )
     frames = plan.frames
     for f, b, bound in _tape_slots(plan, advice.q):
         value, least = getattr(advice, f)[b], 0
@@ -389,12 +400,60 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     return arrivals, marked_arrivals
 
 
+def _image_pool(positions, ids) -> LRState:
+    """LR's pool of the servers ``ids`` at ``positions`` on their integer
+    image: x maps to 2x when x is integral and to 2 floor(x) + 1 otherwise,
+    and an integer request r is served as 2r.
+
+    Precondition: ``positions`` ascend and ``ids`` ascend with them, as the
+    marked servers' do (servers are sorted, ids are their ranks).
+
+    Lemma: LR takes the same ids and reads the same bits on the image as on
+    the positions. LR reads the positions only through ``bisect_left`` and
+    the exact-match test, so it suffices that the image keeps the slot order
+    and, for every integer r, both x < r and x = r.
+    - x < r iff image(x) < 2r. Integral x: 2x < 2r iff x < r. Otherwise
+      x < r iff floor(x) <= r - 1 iff 2 floor(x) + 1 <= 2r - 1 iff
+      2 floor(x) + 1 < 2r, the image being odd and 2r even.
+    - x = r iff image(x) = 2r: an odd image never equals 2r, and for an
+      integral x, 2x = 2r iff x = r.
+    - The slot order (position, id) is ascending id, by the precondition.
+      The image is monotone (x <= y gives image(x) <= image(y)), so its
+      (image, id) order is ascending id too: the pools' slots hold the same
+      ids in the same order, and neither needs a sort.
+    Every compare LR then makes is int against int, where RESCALE's
+    non-integral planning servers would compare floats with int requests.
+    """
+    floors = list(map(math.floor, positions))
+    return LRState([2 * f + (f != x) for f, x in zip(floors, positions)], list(ids))
+
+
+class _Sides:
+    """LR's direction bits inside DIVIDE_k: ``read_bit`` returns the side
+    set for the request being served (1, True: right) and counts the read.
+    The bits are DIVIDE_k's own, not advice."""
+
+    __slots__ = ("right", "reads")
+
+    def __init__(self):
+        self.right = False
+        self.reads = 0
+
+    def read_bit(self) -> int:
+        self.reads += 1
+        return self.right
+
+
 @dataclass
 class DivideResult:
     """A DIVIDE_k run. ``matching``, ``lr_cost`` and ``block_costs`` are in the
     caller's coordinates; ``plan`` (with its N), ``advice`` and the tape are
     in the planning coordinates (RESCALE's scaled ones); server and arrival
-    indices (``marks``, ``arrivals``, ``marked_arrivals``) are the same in both."""
+    indices (``marks``, ``arrivals``, ``marked_arrivals``) are the same in both.
+
+    ``aux_bits_written`` counts the direction bits LR read; the marked moves
+    LR made without a bit (an exact match or a forced edge) number
+    ``len(marked_arrivals) - aux_bits_written``."""
 
     matching: Matching
     plan: BlockPlan
@@ -458,10 +517,11 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
             cost += abs(callers[t] - priced[j])
         block_costs[b] = cost
 
-    # then LR serves the marked requests in arrival order
+    # then LR serves the marked requests in arrival order, on the integer
+    # image of its pool: each request r as 2r (see _image_pool)
     marked_ids = sorted(marked)
-    lr_state = LRState.for_servers([servers[j] for j in marked_ids], indices=marked_ids)
-    aux = AuxTape()
+    lr_state = _image_pool([servers[j] for j in marked_ids], marked_ids)
+    sides = _Sides()
     # the q value that both words of a block share, None without a collision
     q = (None, *decoded.q, None)
     collisions = [ql if ql is not None and ql == qr else None for ql, qr in zip(q, q[1:])]
@@ -479,19 +539,15 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
         collision_value = c == collisions[b]
         if collision_value:
             right = zeros_read[b] >= d_left[b]
-        aux.write_bit(1 if right else 0)
-        before = aux.cursor
-        j = lr_serve(lr_state, c, aux)
-        if aux.cursor == before:
-            aux.remove_last()
-        elif collision_value and not right:
+            reads = sides.reads
+        sides.right = right
+        j = lr_serve(lr_state, 2 * c, sides)
+        if collision_value and not right and sides.reads != reads:
             zeros_read[b] += 1
         if j not in marked:
             raise DivideError("LR used an unmarked server")
         lr_cost += abs(callers[t] - priced[j])
         assignment[t] = j
-    if aux.unread:
-        raise DivideError("stray unread bits on the auxiliary tape")
 
     return DivideResult(
         matching=make_matching(instance, assignment),
@@ -499,7 +555,7 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
         advice=decoded,
         marks=marks,
         oracle_bits_read=tape.bits_read,
-        aux_bits_written=len(aux),
+        aux_bits_written=sides.reads,
         lr_cost=lr_cost,
         block_costs=block_costs,
         tape=tape,

@@ -1,9 +1,9 @@
 """Bit tapes for the advice model.
 
 An :class:`AdviceTape` is written once by the oracle and read sequentially by
-the algorithm; ``bits_read`` is the advice complexity. The :class:`AuxTape`
-additionally supports removing the last written bit while it is still unread,
-which DIVIDE_k uses when its internal LR move turned out to be forced.
+the algorithm; ``bits_read`` is the advice complexity. Only advice goes on a
+tape: DIVIDE_k fixes its internal LR's direction bits itself, hands them
+over through a reader of its own and counts the ones LR reads.
 
 A tape keeps its bits as the bytes 0 and 1 of one ``bytearray``, so writing
 and reading a word, checking a written sequence and dumping the tape each
@@ -74,6 +74,8 @@ class AdviceTape:
         """
         digits = []
         for value, width in words:
+            if width < 0:
+                raise TapeError(f"negative word width {width}")
             if value < 0 or value >> width:
                 raise TapeError(f"value {value} does not fit in {width} bits")
             # the leading 1 zero-pads the word, and a width-0 word to ""
@@ -89,7 +91,9 @@ class AdviceTape:
 
     def read_word(self, width: int) -> int:
         """The next ``width`` bits as an unsigned integer, most significant
-        first; a short tape raises and consumes nothing."""
+        first; a short tape or a negative width raises and consumes nothing."""
+        if width < 0:
+            raise TapeError(f"negative word width {width}")
         end = self.cursor + width
         if end > len(self._bits):
             raise TapeUnderflow("tape underflow: no unread bits left")
@@ -103,12 +107,3 @@ class AdviceTape:
         value = int(self._bits.translate(_DIGITS) or b"0", 2)
         nibbles = max(1, (n + 3) // 4)
         return {"hex": format(value << (nibbles * 4 - n), f"0{nibbles}x"), "bit_length": n}
-
-
-class AuxTape(AdviceTape):
-    """Self-written tape; the bits here do not count as advice."""
-
-    def remove_last(self) -> None:
-        if self.cursor >= len(self._bits):
-            raise TapeError("cannot remove: last bit was already read")
-        self._bits.pop()

@@ -4,7 +4,9 @@ out once for the writer and once for the reader, and a marking fallback that
 lets the other side's budget absorb a request. Kept verbatim as the
 differential reference for ``matchline.divide``; nothing in the package uses
 it. Its ``make_subroutine`` call no longer passes ``exact=``, which the
-package's subroutines dropped (they compare costs by their types).
+package's subroutines dropped (they compare costs by their types). It keeps
+its own verbatim copy of ``AuxTape``, the self-written tape with
+``remove_last`` that the package no longer has.
 
 ``interleaved_serve`` is the serving loop of the clamped version, before it
 served block by block: one pass in arrival order that calls each request's
@@ -22,7 +24,17 @@ from matchline.model import Instance, InstanceError, Matching, make_matching
 from matchline.offline import monotone_optimal
 from matchline.lr import LRState, lr_serve
 from matchline.subroutines import make_subroutine
-from matchline.tape import AdviceTape, AuxTape, word_width
+from matchline.tape import AdviceTape, TapeError, word_width
+
+
+class AuxTape(AdviceTape):
+    """Self-written tape; the bits here do not count as advice."""
+
+    def remove_last(self) -> None:
+        if self.cursor >= len(self._bits):
+            raise TapeError("cannot remove: last bit was already read")
+        self._bits.pop()
+
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")

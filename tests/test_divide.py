@@ -1,7 +1,10 @@
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_divide
 from test_divide_reference import count_bounds, unfold
@@ -20,6 +23,7 @@ from matchline.divide import (
     rescale_run,
 )
 from matchline.generators import gen_uniform
+from matchline.lr import LRState, lr_serve
 from matchline.model import InstanceError, costs_equal, save_instance, validate_instance
 from matchline.offline import brute_force_optimal
 from matchline.subroutines import SubroutineError
@@ -139,7 +143,7 @@ def test_worked_example_serving_trace():
     assert result.arrivals == [[2], [0, 3]]
     assert result.marked_arrivals == [(1, 1, False)]
     assert sorted(result.marks.marked) == [1]
-    # the single LR move is forced, so its direction bit is withdrawn
+    # the single LR move is forced, so LR reads no direction bit
     assert result.aux_bits_written == 0
     assert result.matching.cost == 1 == brute_force_optimal(WORKED).cost
 
@@ -225,6 +229,26 @@ def test_writer_rejects_q_word_outside_its_block():
         bad = DivideAdvice(3, q, (0, 0), m)
         with pytest.raises(DivideError, match="outside"):
             encode_divide_advice(bad, plan)
+
+
+@pytest.mark.parametrize(
+    "servers, advice, field, b",
+    [
+        ([1, 2, 3, 4], DivideAdvice(2, (None,), (5,), (0,)), "d", 0),
+        ([1, 2, 3, 4], DivideAdvice(2, (None,), (0,), (3,)), "m", 0),
+        ([1, 2, 3, 4], DivideAdvice(2, (None,), (5,), (3,)), "d", 0),
+        (list(range(1, 9)), DivideAdvice(4, (2, None, None), (0, 0, 0), (1, 0, 2)), "m", 2),
+    ],
+)
+def test_writer_refuses_counts_of_an_uncrossed_boundary(servers, advice, field, b):
+    # the layout holds no d or m word for an uncrossed boundary, so a nonzero
+    # count there would be dropped from the tape and decode as 0
+    plan = plan_blocks(servers, advice.k)
+    words = divide.advice_words(advice, plan)
+    with pytest.raises(DivideError, match=f"{field} word of boundary {b}: .* not crossed"):
+        next(words)
+    with pytest.raises(DivideError, match=f"{field} word of boundary {b}"):
+        encode_divide_advice(advice, plan)
 
 
 def test_reader_rejects_q_word_past_its_frame():
@@ -542,3 +566,59 @@ def test_rescale_span_bound_past_2_53():
     plan = rescale_run(inst, 2, "clairvoyant").plan
     top = 4**3 * (inst.servers[-1] - inst.servers[0]) + 1
     assert plan.span_bound == int(top) + 1 == 37472326478853425
+
+
+# LR's pool positions: ints, non-integral floats (several per unit interval),
+# integral floats, and ints on both sides of 2^53
+POOL_VALUES = st.one_of(
+    st.integers(-6, 6),
+    st.builds(lambda i, f: i + f, st.integers(-6, 6), st.floats(0.001, 0.999)),
+    st.integers(-6, 6).map(float),
+    st.integers(2**53 - 3, 2**53 + 3),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(POOL_VALUES, min_size=1, max_size=12), st.data())
+def test_lr_on_the_integer_image_takes_the_same_ids_and_bits(values, data):
+    # LR over (positions, r) and over (image, 2r): same ids taken, same bits
+    # read, under any tape, for ids ascending with position
+    pool = sorted(values + data.draw(st.lists(st.sampled_from(values), max_size=4)))
+    n = len(pool)
+    ids = sorted(data.draw(st.sets(st.integers(0, 3 * n), min_size=n, max_size=n)))
+    # integer requests equal to, next to, between and outside the positions
+    near = sorted({v + e for x in pool for v in (math.floor(x), math.ceil(x)) for e in (-1, 0, 1)})
+    requests = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from(near), st.integers(near[0] - 4, near[-1] + 4)),
+            max_size=n,
+        )
+    )
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    plain, image = LRState.for_servers(pool, ids), divide._image_pool(pool, ids)
+    assert all(type(p) is int for p in image.positions)
+    plain_tape, image_tape = AdviceTape(bits), AdviceTape(bits)
+    taken = [lr_serve(plain, r, plain_tape) for r in requests]
+    assert [lr_serve(image, 2 * r, image_tape) for r in requests] == taken
+    assert image_tape.bits_read == plain_tape.bits_read
+
+
+def test_lr_inside_rescale_compares_ints_only(monkeypatch):
+    # RESCALE's planning servers are non-integral floats here; the pool LR
+    # searches and every request it is served are ints all the same
+    inst = gen_uniform(60, (0.0, 1000.0), 3)
+    scale = inst.n**3
+    assert any(
+        not float(scale * (s - inst.servers[0])).is_integer() for s in inst.servers
+    )
+    calls = []
+
+    def recording(state, request, tape):
+        calls.append((request, state.positions))
+        return lr_serve(state, request, tape)
+
+    monkeypatch.setattr(divide, "lr_serve", recording)
+    result = rescale_run(inst, 6, "clairvoyant")
+    assert len(calls) == len(result.marked_arrivals) > 0
+    assert all(type(r) is int for r, _positions in calls)
+    assert all(type(p) is int for p in calls[0][1])

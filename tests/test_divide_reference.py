@@ -311,7 +311,7 @@ def test_serving_matches_the_interleaved_reference(monkeypatch):
 def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
     # the online model behind block-by-block serving: block b's subroutine is
     # served exactly the requests of arrivals[b], LR exactly the marked ones,
-    # each in arrival order
+    # each in arrival order (LR on its pool's integer image: request r as 2r)
     for instance, k in serving_grid(2031):
         for sub in SUBROUTINE_NAMES:
             served, lr_served = [], []
@@ -349,4 +349,4 @@ def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
             assert all(a < b for pool in pools for a, b in zip(pool, pool[1:]))
             for b, own in enumerate(result.arrivals):
                 assert by_block.get(b, []) == [requests[t] for t in own], (instance, k, sub, b)
-            assert lr_served == [requests[t] for t in pools[-1]]
+            assert lr_served == [2 * requests[t] for t in pools[-1]]

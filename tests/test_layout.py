@@ -1,8 +1,9 @@
 """Module boundaries of the package: no module of ``matchline`` imports a
 private name (one starting with ``_``) from another, so what a module keeps
 private cannot leak into another's code; the package imports nothing but
-itself and the standard library; and every top-level def and class is
-reached from the package or exported, so nothing in it is test-only."""
+itself and the standard library; no module imports a name it never uses;
+and every top-level def and class is reached from the package or exported,
+so nothing in it is test-only."""
 
 import ast
 import sys
@@ -73,6 +74,47 @@ def test_the_package_imports_only_itself_and_the_standard_library():
         if (found := foreign_imports(path.read_text()))
     }
     assert foreign == {}
+
+
+def unused_imports(source: str) -> list:
+    """Every name a module imports but never reads, neither as a name nor as
+    an entry of its ``__all__``. The reachability check below counts an
+    import as a reference, so an unused import would keep its target
+    "reached"."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [name for name in imported if name not in read]
+
+
+def test_the_unused_import_check_flags_only_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\nimport json as j\nfrom .tape import AdviceTape, AuxTape\n"
+        "from .lr import lr_serve as serve, LRState\nfrom .model import Instance\n"
+        "__all__ = ['Instance']\n"
+        "def f(x: LRState):\n    return math.floor(os.path.sep + serve(AdviceTape()))\n"
+    )
+    assert unused_imports(source) == ["j", "AuxTape"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := unused_imports(path.read_text()))
+    }
+    assert unused == {}
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

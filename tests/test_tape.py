@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchline.tape import AdviceTape, AuxTape, TapeError, TapeUnderflow, word_width
+from matchline.tape import AdviceTape, TapeError, TapeUnderflow, word_width
+from reference_divide import AuxTape  # the differential reference's tape
 
 
 def test_word_width_values():
@@ -190,3 +191,20 @@ def test_short_read_raises_and_consumes_nothing(words, read, short):
         tape.read_word(tape.unread + short)
     assert tape.cursor == cursor
     assert [tape.read_word(width) for _, width in words[read:]] == [v for v, _ in words[read:]]
+
+
+def test_negative_read_width_raises_and_keeps_the_cursor():
+    tape = AdviceTape([1, 0, 1, 1])
+    assert tape.read_word(2) == 2
+    with pytest.raises(TapeError):
+        tape.read_word(-2)
+    assert tape.bits_read == 2
+    assert tape.read_word(2) == 3
+
+
+@pytest.mark.parametrize("words", [[(0, -1)], [(5, 3), (0, -1)], [(1, 1), (3, -2), (0, 2)]])
+def test_negative_write_width_raises_and_writes_nothing(words):
+    tape = AdviceTape([1, 0])
+    with pytest.raises(TapeError):
+        tape.write_words(words)
+    assert tape.bits == (1, 0)
