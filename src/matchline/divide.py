@@ -409,18 +409,22 @@ def _image_pool(positions, ids) -> LRState:
     marked servers' do (servers are sorted, ids are their ranks).
 
     Lemma: LR takes the same ids and reads the same bits on the image as on
-    the positions. LR reads the positions only through ``bisect_left`` and
-    the exact-match test, so it suffices that the image keeps the slot order
-    and, for every integer r, both x < r and x = r.
+    the positions. LR reads the positions only through ``bisect_left`` (over
+    the runs' last positions and inside a run) and the exact-match test, so
+    it suffices that the image keeps the run order, the (position, id) order
+    in which the pool holds its free servers, and, for every integer r, both
+    x < r and x = r.
     - x < r iff image(x) < 2r. Integral x: 2x < 2r iff x < r. Otherwise
       x < r iff floor(x) <= r - 1 iff 2 floor(x) + 1 <= 2r - 1 iff
       2 floor(x) + 1 < 2r, the image being odd and 2r even.
     - x = r iff image(x) = 2r: an odd image never equals 2r, and for an
       integral x, 2x = 2r iff x = r.
-    - The slot order (position, id) is ascending id, by the precondition.
+    - The run order (position, id) is ascending id, by the precondition.
       The image is monotone (x <= y gives image(x) <= image(y)), so its
-      (image, id) order is ascending id too: the pools' slots hold the same
-      ids in the same order, and neither needs a sort.
+      (image, id) order is ascending id too: both pools cut the same ids in
+      the same order into the same runs, and neither needs a sort. The
+      runs' last positions map to their images, so the bisect over them
+      picks the same run.
     Every compare LR then makes is int against int, where RESCALE's
     non-integral planning servers would compare floats with int requests.
     """

@@ -55,18 +55,6 @@ class AdviceTape:
     def bits_read(self) -> int:
         return self.cursor
 
-    @property
-    def unread(self) -> int:
-        return len(self._bits) - self.cursor
-
-    def write_bit(self, bit) -> None:
-        if bit not in (0, 1):
-            raise TapeError(f"not a bit: {bit!r}")
-        try:
-            self._bits.append(bit)
-        except TypeError as exc:  # 1.0 equals 1 but is no int
-            raise TapeError(f"not a bit: {bit!r}") from exc
-
     def write_words(self, words) -> None:
         """Append each (value, width) word, most significant bit first.
 
@@ -83,9 +71,10 @@ class AdviceTape:
         self._bits += "".join(digits).encode().translate(_BITS)
 
     def read_bit(self) -> int:
-        if self.cursor >= len(self._bits):
-            raise TapeUnderflow("tape underflow: no unread bits left")
-        b = self._bits[self.cursor]
+        try:
+            b = self._bits[self.cursor]
+        except IndexError:
+            raise TapeUnderflow("tape underflow: no unread bits left") from None
         self.cursor += 1
         return b
 

@@ -24,7 +24,8 @@ from matchline.model import Instance, InstanceError, Matching, make_matching
 from matchline.offline import monotone_optimal
 from matchline.lr import LRState, lr_serve
 from matchline.subroutines import make_subroutine
-from matchline.tape import AdviceTape, TapeError, word_width
+from matchline.tape import TapeError, word_width
+from writable_tape import AdviceTape
 
 
 class AuxTape(AdviceTape):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from matchline.lr import LRError
 from matchline.model import Instance
 from matchline.offline import monotone_cost
-from matchline.tape import AdviceTape
+from writable_tape import AdviceTape
 
 FLOAT_TOL = 1e-9
 

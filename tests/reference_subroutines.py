@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 from typing import Sequence
 
-from matchline.lr import LRState
+from reference_pool import LRState
 from matchline.model import costs_equal
 from matchline.subroutines import SubroutineError
 

@@ -198,7 +198,7 @@ def test_every_representable_advice_round_trips():
             advice = DivideAdvice(k, q, d, m)
             tape = encode_divide_advice(advice, plan)
             assert decode_divide_advice(tape, plan) == advice
-            assert tape.unread == 0
+            assert tape.bits_read == len(tape)
 
 
 def test_tape_one_bit_short_underflows():
@@ -596,7 +596,7 @@ def test_lr_on_the_integer_image_takes_the_same_ids_and_bits(values, data):
     )
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     plain, image = LRState.for_servers(pool, ids), divide._image_pool(pool, ids)
-    assert all(type(p) is int for p in image.positions)
+    assert all(type(p) is int for run in image.runs for p in run)
     plain_tape, image_tape = AdviceTape(bits), AdviceTape(bits)
     taken = [lr_serve(plain, r, plain_tape) for r in requests]
     assert [lr_serve(image, 2 * r, image_tape) for r in requests] == taken
@@ -614,7 +614,7 @@ def test_lr_inside_rescale_compares_ints_only(monkeypatch):
     calls = []
 
     def recording(state, request, tape):
-        calls.append((request, state.positions))
+        calls.append((request, [p for run in state.runs for p in run]))
         return lr_serve(state, request, tape)
 
     monkeypatch.setattr(divide, "lr_serve", recording)

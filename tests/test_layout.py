@@ -2,8 +2,9 @@
 private name (one starting with ``_``) from another, so what a module keeps
 private cannot leak into another's code; the package imports nothing but
 itself and the standard library; no module imports a name it never uses;
-and every top-level def and class is reached from the package or exported,
-so nothing in it is test-only."""
+every top-level def and class is reached from the package or exported; and
+every method and property of its classes is looked up by name somewhere in
+the package. So nothing in it is test-only."""
 
 import ast
 import sys
@@ -169,3 +170,55 @@ def test_the_reachability_check_flags_only_unreferenced_definitions():
 def test_every_top_level_name_is_reached_from_the_package_or_exported():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreachable(sources, set(matchline.__all__)) == []
+
+
+def unreferenced_members(sources: dict) -> list:
+    """``module.Class.name`` of every method and property (dunders aside) of
+    a class in ``sources`` whose name no attribute lookup outside its own
+    definition reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def lookups(node, name):
+        return sum(
+            isinstance(sub, ast.Attribute) and sub.attr == name for sub in ast.walk(node)
+        )
+
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                name = getattr(member, "name", "")
+                if (
+                    isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (name.startswith("__") and name.endswith("__"))
+                    and sum(lookups(t, name) for t in trees.values()) == lookups(member, name)
+                ):
+                    found.append(f"{module}.{cls.name}.{name}")
+    return found
+
+
+def test_the_member_check_flags_only_unreferenced_methods_and_properties():
+    sources = {
+        "a": (
+            "class Pool:\n"
+            "    def __len__(self): return 0\n"
+            "    def take(self): return self.size\n"
+            "    @property\n"
+            "    def size(self): return 0\n"
+            "    @property\n"
+            "    def spare(self): return 0\n"
+            "    def unused(self): pass\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    @classmethod\n"
+            "    def built(cls): return cls()\n"
+        ),
+        "b": "from .a import Pool\nPool.built().take()\nNAMES = ['unused']\n",
+    }
+    assert unreferenced_members(sources) == ["a.Pool.spare", "a.Pool.unused", "a.Pool.recursive"]
+
+
+def test_every_method_and_property_is_looked_up_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_members(sources) == []

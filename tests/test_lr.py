@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchline import verification
+from matchline import lr, verification
 from matchline.generators import gen_uniform, rho_zero
 from matchline.lr import LRError, LRState, lr_oracle, lr_run, lr_serve
 from matchline.model import validate_instance
@@ -148,9 +148,25 @@ def test_oracle_optimal_on_large_float_coordinates():
         assert result.bits_read <= n - 1
 
 
+def flat_index(pool, handle) -> int:
+    """The place of the entry at ``handle`` among the pool's free entries."""
+    k, i = handle
+    return sum(map(len, pool.runs[:k])) + i
+
+
+def handle_of(pool, j) -> tuple:
+    """The handle of the pool's j-th free entry."""
+    k = 0
+    while j >= len(pool.runs[k]):
+        j -= len(pool.runs[k])
+        k += 1
+    return k, j
+
+
 @given(st.data())
 def test_neighbours_match_a_scan_of_the_free_slots(data):
-    # duplicate-heavy integers or floats, custom ids, takes between queries
+    # duplicate-heavy integers or floats, custom ids, takes between queries,
+    # runs of one to three entries as well as RUN's
     coords = data.draw(
         st.sampled_from(
             [st.integers(min_value=0, max_value=4), st.floats(min_value=-50, max_value=50)]
@@ -160,20 +176,32 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
     ids = data.draw(
         st.lists(st.integers(-1000, 1000), min_size=len(servers), max_size=len(servers), unique=True)
     )
-    pool = LRState.for_servers(servers, ids)
-    positions, free = pool.positions, set(range(len(servers)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lr, "RUN", data.draw(st.sampled_from([1, 2, 3, lr.RUN])))
+        pool = LRState.for_servers(servers, ids)
+    free = sorted(zip(servers, ids))  # the scan's (position, id) entries
     far = st.floats(min_value=-1e12, max_value=1e12)
     for r in data.draw(st.lists(st.one_of(st.sampled_from(servers), coords, far), max_size=12)):
-        low, high = pool.neighbours(r)
-        assert low == max((j for j in free if positions[j] < r), default=-1)
-        assert high == min((j for j in free if positions[j] >= r), default=len(positions))
-        if low >= 0:
-            at_low = [pool.indices[j] for j in free if positions[j] == positions[low]]
-            assert pool.indices[pool.neighbours(positions[low])[1]] == min(at_low)
+        assert all(pool.runs) and pool.lasts == [run[-1] for run in pool.runs]
+        assert [e for run, sid in zip(pool.runs, pool.ids) for e in zip(run, sid)] == free
+        below = sum(p < r for p, _ in free)
+        # the least free entry >= r, with the greatest free entry < r before it
+        high = pool.neighbours(r)
+        assert flat_index(pool, high) == below == pool.rank(r)
+        if below:
+            at_low = [sid for p, sid in free if p == free[below - 1][0]]
+            k, i = pool.neighbours(free[below - 1][0])
+            assert pool.ids[k][i] == min(at_low)
         if free and data.draw(st.booleans()):
-            j = data.draw(st.sampled_from(sorted(free)))
-            pool.take(j)
-            free.discard(j)
+            if data.draw(st.booleans()):
+                j = data.draw(st.integers(0, len(free) - 1))
+                assert pool.take(*handle_of(pool, j)) == free.pop(j)[1]
+            elif below < len(free):
+                assert pool.pop_rank(r) == below
+                free.pop(below)
+            else:
+                with pytest.raises(LRError):
+                    pool.pop_rank(r)
 
 
 def test_pool_of_indexed_servers_returns_their_indices():
@@ -184,3 +212,11 @@ def test_pool_of_indexed_servers_returns_their_indices():
     assert tape.bits_read == 1
     with pytest.raises(LRError):
         lr_serve(state, 0, tape)
+
+
+def test_pool_refuses_ids_of_another_length():
+    # zip would truncate the pool to its shorter argument
+    with pytest.raises(ValueError, match="3 servers but 1 ids"):
+        LRState.for_servers([1, 2, 3], [7])
+    with pytest.raises(ValueError, match="2 servers but 3 ids"):
+        LRState([1, 2], [0, 1, 2])

@@ -142,3 +142,13 @@ def test_permutation_on_large_float_coordinates():
     inst = gen_uniform(4, (0.0, 1e15), 7)
     outcome = run_algorithm(inst, "permutation")
     assert outcome["cost"] >= monotone_optimal(inst).cost
+
+
+@pytest.mark.parametrize("name", SUBROUTINE_NAMES)
+def test_pools_refuse_ids_of_another_length(name):
+    # zip would truncate the pool: greedy once served 7 from [1, 2, 3] and
+    # then ran out of servers
+    with pytest.raises(ValueError, match="3 servers but 1 ids"):
+        make_subroutine(name, [1, 2, 3], ids=[7], sealed=[2])
+    with pytest.raises(ValueError, match="1 servers but 2 ids"):
+        make_subroutine(name, [1], ids=[7, 8], sealed=[2])

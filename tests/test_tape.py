@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchline.tape import AdviceTape, TapeError, TapeUnderflow, word_width
+from matchline.tape import TapeError, TapeUnderflow, word_width
+from writable_tape import AdviceTape
 from reference_divide import AuxTape  # the differential reference's tape
 
 
