@@ -14,25 +14,27 @@ inside a run: it finds the least free entry at or above a request, and the
 greatest free entry below it is the entry just before. LR and the
 ``greedy`` and ``permutation`` subroutines are each a rule over that pair.
 ``take`` deletes an entry, a C-level move of at most ``RUN`` pointers, and
-drops a run once it is empty; ``rank`` counts the free entries below a
-position by adding a Fenwick prefix over the runs' sizes.
+drops a run once it is empty.
 
 The oracle writes the bits by the rank rule, the exchange argument behind
 the monotone optimum: when request r falls strictly between its unmatched
 neighbours, the bit is 0 exactly when the free servers below r outnumber
 the unserved requests below r, i.e. when r's partner in the monotone
-matching of what remains lies below r. Both counts are ranks: the first in
-LR's pool, the second in a second pool of the (request, arrival) pairs, from
-which each arrival removes itself with one call (``pop_rank``) that returns
-its rank. Its run is checked once at the end against ``monotone_cost`` under
-``costs_equal``.
+matching of what remains lies below r. The oracle serves with LR's cases
+and one pool search per request, and reads the first count off the handle
+(k, i) that search found: i plus a Fenwick prefix over the sizes of the
+runs before k. The second count does not depend on LR's choices, as every
+request is served on arrival whatever LR does; so ``take_ranks`` takes all
+of them up front, in one pass over a second pool, of the (request,
+arrival) pairs, from which each arrival in turn removes itself. Its run is
+checked once at the end against ``monotone_cost`` under ``costs_equal``.
 
 Cost: O(log n) compares and Fenwick steps per request, plus one deletion of
 at most ``RUN`` entries. Dropping an emptied run moves the entries after it
 in the pool's three index lists, and rebuilds the Fenwick tree of a ranked
 pool in O(n/RUN) steps: at most (n/RUN)^2 of each over a whole run, about
-10^6 at n = 10^6. At n = 10^6 on a 2-core host the oracle takes about 10 s
-and a run about 2.8 s (``BENCH_23.json``).
+10^6 at n = 10^6. At n = 10^6 on a 2-core host the oracle takes about
+9.6 s and a run about 2.8 s (``BENCH_24.json``).
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ class LRState:
     ``neighbours(p)`` is the handle of its smallest free id.
 
     ``tree`` is a Fenwick tree over the runs' sizes, built by the first
-    ``rank`` or ``pop_rank`` and kept from then on (rebuilt when a run
-    drops, as the runs after it move down one). Pools that are never ranked
-    (LR's run, ``greedy``, ``permutation``) never build it, which keeps a
-    pool of a few servers about as cheap to build as two lists."""
+    rank the oracle reads or by ``take_ranks``, and kept from then on
+    (rebuilt when a run drops, as the runs after it move down one). Pools
+    that are never ranked (LR's run, ``greedy``, ``permutation``) never
+    build it, which keeps a pool of a few servers about as cheap to build as
+    two lists."""
 
     __slots__ = ("runs", "ids", "lasts", "tree")
 
@@ -123,44 +126,38 @@ class LRState:
             return k, 0
         return k, bisect_left(self.runs[k], x)
 
-    def rank(self, x) -> int:
-        """The number of free entries whose position is < x."""
-        lasts = self.lasts
-        k = bisect_left(lasts, x)
-        rank = bisect_left(self.runs[k], x) if k < len(lasts) else 0
+    def take_ranks(self, xs) -> list:
+        """For each x of ``xs`` in turn, take the least free entry whose
+        position is >= x; returns the rank of each, the number of free
+        entries below it when it was taken."""
+        runs, ids, lasts = self.runs, self.ids, self.lasts
         tree = self.tree or self._index()
-        while k:
-            rank += tree[k]
-            k &= k - 1
-        return rank
-
-    def pop_rank(self, x) -> int:
-        """Take the least free entry whose position is >= x; returns its
-        rank, the number of free entries below it."""
-        lasts = self.lasts
-        k = bisect_left(lasts, x)
-        if k == len(lasts):
-            raise LRError(f"no free entry at or above {x!r}")
-        run = self.runs[k]
-        rank = i = bisect_left(run, x)
-        tree = self.tree or self._index()
-        del run[i]
-        c, top = k, len(tree)
-        while c:
-            rank += tree[c]
-            c &= c - 1
-        c = k + 1
-        while c < top:
-            tree[c] -= 1
-            c += c & -c
-        if run:
-            del self.ids[k][i]
-            if i == len(run):
-                lasts[k] = run[-1]
-        else:
-            del self.runs[k], lasts[k], self.ids[k]
-            self._index()  # the runs after k moved down one
-        return rank
+        ranks = []
+        for x in xs:
+            k = bisect_left(lasts, x)
+            try:
+                run = runs[k]
+            except IndexError:
+                raise LRError(f"no free entry at or above {x!r}") from None
+            rank = i = bisect_left(run, x)
+            del run[i]
+            c = k
+            while c:
+                rank += tree[c]
+                c &= c - 1
+            c, top = k + 1, len(tree)
+            while c < top:
+                tree[c] -= 1
+                c += c & -c
+            if run:
+                del ids[k][i]
+                if i == len(run):
+                    lasts[k] = run[-1]
+            else:
+                del runs[k], lasts[k], ids[k]
+                tree = self._index()  # the runs after k moved down one
+            ranks.append(rank)
+        return ranks
 
     def take(self, k: int, i: int) -> int:
         """Match the server at handle (k, i); returns its original index."""
@@ -186,7 +183,8 @@ def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
     """Match one request; returns the chosen server's original index.
 
     The search is ``LRState.neighbours``, inlined: that saves a call and a
-    tuple per request, about 7% of an oracle and a run at n = 1000."""
+    tuple per request. ``lr_oracle`` repeats this search and these cases in
+    its own loop."""
     runs, lasts = state.runs, state.lasts
     k = bisect_left(lasts, request)
     if k == len(lasts):
@@ -208,42 +206,59 @@ def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
     return state.take(k, i)
 
 
-class _RankRule:
-    """The oracle's side of the tape: each bit LR asks for is decided by the
-    rank rule and recorded. ``rank`` counts LR's free servers below a
-    position; ``below`` is the number of unserved requests below
-    ``request``, the request being served."""
-
-    __slots__ = ("rank", "request", "below", "bits")
-
-    def __init__(self, servers: LRState):
-        self.rank = servers.rank
-        self.request = None
-        self.below = 0
-        self.bits: list[int] = []
-
-    def read_bit(self) -> int:
-        bit = 0 if self.rank(self.request) > self.below else 1
-        self.bits.append(bit)
-        return bit
-
-
 def lr_oracle(instance: Instance) -> AdviceTape:
-    """Advice bits under which lr_run reproduces an optimal matching."""
+    """Advice bits under which lr_run reproduces an optimal matching.
+
+    Each request is served by ``lr_serve``'s cases after one search of LR's
+    pool, and an ambiguous one's bit is read off the handle (k, i) that
+    search found: the free servers below r number i plus the Fenwick prefix
+    of the runs before k. The unserved requests below r, the other side of
+    the rank rule, are those of r's arrival or later whatever LR chose, so
+    they are counted for every request before the loop, by one
+    ``take_ranks`` pass. O(log n) steps per request (about 9.6 s at
+    n = 10^6, ``BENCH_24.json``)."""
     servers, requests = instance.servers, instance.requests
     state = LRState.for_servers(servers)
-    unserved = LRState.for_servers(requests)  # by (position, arrival)
-    rule, pop_rank = _RankRule(state), unserved.pop_rank
+    # by (position, arrival): r is the least unserved entry >= r, as earlier
+    # arrivals at r are served
+    belows = LRState.for_servers(requests).take_ranks(requests)
+    runs, lasts, take = state.runs, state.lasts, state.take
+    bits = []
     cost = 0
-    for r in requests:
-        # r is the least unserved entry >= r: earlier arrivals at r are served
-        rule.request, rule.below = r, pop_rank(r)
-        s = servers[lr_serve(state, r, rule)]
-        cost += abs(r - s)
+    for r, below in zip(requests, belows):
+        k = bisect_left(lasts, r)
+        if k == len(lasts):
+            # all free servers are less: largest of them (one is left, as
+            # there are as many servers as requests)
+            k -= 1
+            run = runs[k]
+            i = len(run) - 1
+        else:
+            run = runs[k]
+            i = bisect_left(run, r)
+            if (i or k) and run[i] != r:
+                # strictly between two free servers: the rank rule
+                rank, c = i, k
+                tree = state.tree or state._index()
+                while c:
+                    rank += tree[c]
+                    c &= c - 1
+                if rank > below:
+                    bits.append(0)
+                    if i:
+                        i -= 1
+                    else:
+                        k -= 1
+                        run = runs[k]
+                        i = len(run) - 1
+                else:
+                    bits.append(1)
+        cost += abs(r - run[i])
+        take(k, i)
     opt = monotone_cost(servers, requests)
     if not costs_equal(cost, opt, instance.n):
         raise LRError(f"oracle advice missed the optimum: cost {cost!r} vs {opt!r}")
-    return AdviceTape(rule.bits)
+    return AdviceTape(bits)
 
 
 @dataclass(frozen=True)

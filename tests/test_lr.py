@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from matchline.lr import LRError, LRState, lr_oracle, lr_run, lr_serve
 from matchline.model import validate_instance
 from matchline.offline import brute_force_optimal, monotone_optimal
 from matchline.tape import AdviceTape, TapeUnderflow
+from test_pool_reference import RUNS, make_case
 
 
 def serve_one(servers, request, bits=()):
@@ -154,6 +156,16 @@ def flat_index(pool, handle) -> int:
     return sum(map(len, pool.runs[:k])) + i
 
 
+def fenwick_rank(pool, handle) -> int:
+    """The rank of the entry at ``handle`` as the oracle reads it: its
+    offset plus the Fenwick prefix of the runs before it."""
+    k, rank = handle
+    while k:
+        rank += pool.tree[k]
+        k &= k - 1
+    return rank
+
+
 def handle_of(pool, j) -> tuple:
     """The handle of the pool's j-th free entry."""
     k = 0
@@ -179,6 +191,9 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lr, "RUN", data.draw(st.sampled_from([1, 2, 3, lr.RUN])))
         pool = LRState.for_servers(servers, ids)
+        ranked = data.draw(st.booleans())
+        if ranked:  # the tree the oracle builds; takes keep it from then on
+            pool._index()
     free = sorted(zip(servers, ids))  # the scan's (position, id) entries
     far = st.floats(min_value=-1e12, max_value=1e12)
     for r in data.draw(st.lists(st.one_of(st.sampled_from(servers), coords, far), max_size=12)):
@@ -187,7 +202,9 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
         below = sum(p < r for p, _ in free)
         # the least free entry >= r, with the greatest free entry < r before it
         high = pool.neighbours(r)
-        assert flat_index(pool, high) == below == pool.rank(r)
+        assert flat_index(pool, high) == below
+        if ranked:
+            assert fenwick_rank(pool, high) == below
         if below:
             at_low = [sid for p, sid in free if p == free[below - 1][0]]
             k, i = pool.neighbours(free[below - 1][0])
@@ -197,11 +214,30 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
                 j = data.draw(st.integers(0, len(free) - 1))
                 assert pool.take(*handle_of(pool, j)) == free.pop(j)[1]
             elif below < len(free):
-                assert pool.pop_rank(r) == below
+                assert pool.take_ranks([r]) == [below]
                 free.pop(below)
+                ranked = True
             else:
                 with pytest.raises(LRError):
-                    pool.pop_rank(r)
+                    pool.take_ranks([r])
+
+
+@given(
+    st.sampled_from(RUNS),
+    st.sampled_from(("duplicates", "float", "huge-int", "out-of-span")),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_take_ranks_counts_the_later_entries_below_each(run, shape, n, seed):
+    # the oracle's below-counts: #{u >= t : x_u < x_t}, by a quadratic count
+    _, xs = make_case(shape, n, random.Random(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lr, "RUN", run)
+        pool = LRState.for_servers(xs)
+    assert pool.take_ranks(xs) == [sum(x < xs[t] for x in xs[t:]) for t in range(n)]
+    assert pool.runs == pool.ids == pool.lasts == []
+    with pytest.raises(LRError, match="no free entry at or above"):
+        pool.take_ranks(xs[:1])
 
 
 def test_pool_of_indexed_servers_returns_their_indices():
