@@ -33,8 +33,9 @@ Cost: O(log n) compares and Fenwick steps per request, plus one deletion of
 at most ``RUN`` entries. Dropping an emptied run moves the entries after it
 in the pool's three index lists, and rebuilds the Fenwick tree of a ranked
 pool in O(n/RUN) steps: at most (n/RUN)^2 of each over a whole run, about
-10^6 at n = 10^6. At n = 10^6 on a 2-core host the oracle takes about
-9.6 s and a run about 2.8 s (``BENCH_24.json``).
+10^6 at n = 10^6. At n = 10^6 on a 2-core host the oracle took about
+11 s and a run about 4.7 s in one session (``BENCH_24.json``; the host's
+speed drifts between sessions).
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def lr_oracle(instance: Instance) -> AdviceTape:
     of the runs before k. The unserved requests below r, the other side of
     the rank rule, are those of r's arrival or later whatever LR chose, so
     they are counted for every request before the loop, by one
-    ``take_ranks`` pass. O(log n) steps per request (about 9.6 s at
+    ``take_ranks`` pass. O(log n) steps per request (about 11 s at
     n = 10^6, ``BENCH_24.json``)."""
     servers, requests = instance.servers, instance.requests
     state = LRState.for_servers(servers)
