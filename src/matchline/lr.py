@@ -7,35 +7,37 @@ greatest unmatched server strictly below the request, 1 = least unmatched
 server strictly above). The last move is always forced, so at most n-1 bits
 are read.
 
-The server pool (``LRState``) keeps the free servers themselves, sorted by
-(position, original index), in runs of at most ``RUN`` entries. Its one
-search, ``neighbours``, is a bisect over the runs' last positions and one
-inside a run: it finds the least free entry at or above a request, and the
-greatest free entry below it is the entry just before. LR and the
+The server pool (``LRState``) is only a pool: the free servers themselves,
+sorted by (position, original index), in runs of at most ``RUN`` entries.
+Its one search, ``neighbours``, is a bisect over the runs' last positions
+and one inside a run: it finds the least free entry at or above a request,
+and the greatest free entry below it is the entry just before. LR and the
 ``greedy`` and ``permutation`` subroutines are each a rule over that pair.
 ``take`` deletes an entry, a C-level move of at most ``RUN`` pointers, and
-drops a run once it is empty.
+drops a run once it is empty. A pool of an ``Instance``'s servers is built
+without a sort, as they are already in (position, place) order.
 
 The oracle writes the bits by the rank rule, the exchange argument behind
 the monotone optimum: when request r falls strictly between its unmatched
 neighbours, the bit is 0 exactly when the free servers below r outnumber
 the unserved requests below r, i.e. when r's partner in the monotone
-matching of what remains lies below r. The oracle serves with LR's cases
-and one pool search per request, and reads the first count off the handle
-(k, i) that search found: i plus a Fenwick prefix over the sizes of the
-runs before k. The second count does not depend on LR's choices, as every
-request is served on arrival whatever LR does; so ``take_ranks`` takes all
-of them up front, in one pass over a second pool, of the (request,
-arrival) pairs, from which each arrival in turn removes itself. Its run is
-checked once at the end against ``monotone_cost`` under ``costs_equal``.
+matching of what remains lies below r. Both counts are the oracle's own.
+It serves with LR's cases, one pool search per request, and reads the
+first off the handle (k, i) found: i plus the prefix of the runs before k
+in its Fenwick tree over LR's runs. The second does not depend on LR's
+choices, as every request is served on arrival whatever LR does, so
+``_later_below`` counts them all up front, on a pool of the sorted
+requests. The oracle's run is checked once at the end against
+``monotone_cost`` under ``costs_equal``.
 
-Cost: O(log n) compares and Fenwick steps per request, plus one deletion of
-at most ``RUN`` entries. Dropping an emptied run moves the entries after it
-in the pool's three index lists, and rebuilds the Fenwick tree of a ranked
-pool in O(n/RUN) steps: at most (n/RUN)^2 of each over a whole run, about
-10^6 at n = 10^6. At n = 10^6 on a 2-core host the oracle took about
-11 s and a run about 4.7 s in one session (``BENCH_24.json``; the host's
-speed drifts between sessions).
+Cost: O(log n) compares per request, plus for the oracle O(log n) Fenwick
+steps in each of its two trees, plus one deletion of at most ``RUN``
+entries per take. Dropping an emptied run moves the entries after it in
+the pool's three index lists and rebuilds the oracle's tree of that pool
+in O(n/RUN) steps: at most (n/RUN)^2 of each over a whole run, about 10^6
+at n = 10^6. At n = 10^6 on a 2-core host the oracle took about 11 s and
+a run about 4.7 s in one session (``BENCH_24.json``; the host's speed
+drifts between sessions).
 """
 
 from __future__ import annotations
@@ -57,62 +59,45 @@ RUN = 1024
 
 
 class LRState:
-    """Server pool: the free servers, sorted by (position, id), in runs of at
+    """Server pool: the free servers in (position, id) order, in runs of at
     most ``RUN`` entries: ``runs`` and ``ids`` hold the positions and the
     ids of what is still free, run by run, and ``lasts`` the last position
     of each run. No run is empty.
 
     An entry is named by its handle (k, i), offset i of run k. Entries are
     ordered by (position, id), so when position p holds a free server,
-    ``neighbours(p)`` is the handle of its smallest free id.
+    ``neighbours(p)`` is the handle of its smallest free id. LR's run, its
+    oracle, ``greedy``, ``permutation`` and DIVIDE_k's inner LR all use the
+    pool through ``neighbours`` and ``take`` alone."""
 
-    ``tree`` is a Fenwick tree over the runs' sizes, built by the first
-    rank the oracle reads or by ``take_ranks``, and kept from then on
-    (rebuilt when a run drops, as the runs after it move down one). Pools
-    that are never ranked (LR's run, ``greedy``, ``permutation``) never
-    build it, which keeps a pool of a few servers about as cheap to build as
-    two lists."""
+    __slots__ = ("runs", "ids", "lasts")
 
-    __slots__ = ("runs", "ids", "lasts", "tree")
-
-    def __init__(self, positions: list, indices: list):
-        """The pool of the servers ``indices`` at ``positions``, both already
-        in (position, id) order."""
+    def __init__(self, positions, ids=None):
+        """The pool of the servers ``ids`` (default: their places) at
+        ``positions``, both already in (position, id) order, as the servers
+        of an ``Instance`` are with their places."""
         n = len(positions)
-        if len(indices) != n:
-            raise ValueError(f"{n} servers but {len(indices)} ids")
+        if ids is None:
+            ids = range(n)
+        elif len(ids) != n:
+            raise ValueError(f"{n} servers but {len(ids)} ids")
         # one loop, not three comprehensions: DIVIDE_k builds thousands of
         # tiny pools
-        runs, ids, lasts = self.runs, self.ids, self.lasts = [], [], []
+        runs, runs_ids, lasts = self.runs, self.ids, self.lasts = [], [], []
         for a in range(0, n, RUN):
-            run = positions[a : a + RUN]
+            run = list(positions[a : a + RUN])
             runs.append(run)
-            ids.append(indices[a : a + RUN])
+            runs_ids.append(list(ids[a : a + RUN]))
             lasts.append(run[-1])
-        self.tree = []
-
-    def _index(self) -> list:
-        """Build ``tree`` from the runs' sizes: node c holds the summed sizes
-        of runs c - lowbit(c) .. c - 1."""
-        tree = [0, *map(len, self.runs)]
-        top = len(tree)
-        for c in range(1, top):
-            up = c + (c & -c)
-            if up < top:
-                tree[up] += tree[c]
-        self.tree = tree
-        return tree
 
     @classmethod
     def for_servers(cls, servers, indices=None) -> "LRState":
-        """The pool of ``servers``, whose ids are ``indices`` (default: their
-        places in ``servers``). Without ids, a stable sort of the places by
-        position gives the (position, id) order without a tuple per server."""
+        """The pool of ``servers``, in any order, whose ids are ``indices``
+        (default: their places in ``servers``)."""
         n = len(servers)
         if indices is None:
-            order = sorted(range(n), key=servers.__getitem__)
-            return cls(list(map(servers.__getitem__, order)), order)
-        if len(indices) != n:
+            indices = range(n)
+        elif len(indices) != n:
             raise ValueError(f"{n} servers but {len(indices)} ids")
         pool = sorted(zip(servers, indices))
         return cls([s for s, _ in pool], [i for _, i in pool])
@@ -127,57 +112,59 @@ class LRState:
             return k, 0
         return k, bisect_left(self.runs[k], x)
 
-    def take_ranks(self, xs) -> list:
-        """For each x of ``xs`` in turn, take the least free entry whose
-        position is >= x; returns the rank of each, the number of free
-        entries below it when it was taken."""
-        runs, ids, lasts = self.runs, self.ids, self.lasts
-        tree = self.tree or self._index()
-        ranks = []
-        for x in xs:
-            k = bisect_left(lasts, x)
-            try:
-                run = runs[k]
-            except IndexError:
-                raise LRError(f"no free entry at or above {x!r}") from None
-            rank = i = bisect_left(run, x)
-            del run[i]
-            c = k
-            while c:
-                rank += tree[c]
-                c &= c - 1
-            c, top = k + 1, len(tree)
-            while c < top:
-                tree[c] -= 1
-                c += c & -c
-            if run:
-                del ids[k][i]
-                if i == len(run):
-                    lasts[k] = run[-1]
-            else:
-                del runs[k], lasts[k], ids[k]
-                tree = self._index()  # the runs after k moved down one
-            ranks.append(rank)
-        return ranks
-
     def take(self, k: int, i: int) -> int:
-        """Match the server at handle (k, i); returns its original index."""
+        """Match the server at handle (k, i); returns its original index.
+        An emptied run drops, and the runs after it move down one."""
         run = self.runs[k]
         del run[i]
-        tree = self.tree
-        if tree:
-            c, top = k + 1, len(tree)
-            while c < top:
-                tree[c] -= 1
-                c += c & -c
         if run:
             if i == len(run):
                 self.lasts[k] = run[-1]
             return self.ids[k].pop(i)
         del self.runs[k], self.lasts[k]
-        if tree:
-            self._index()  # the runs after k moved down one
         return self.ids.pop(k)[0]
+
+
+def _fenwick(sizes) -> list:
+    """Fenwick tree over ``sizes``: node c sums sizes c - lowbit(c) .. c - 1,
+    so the sizes before k sum over k, k & (k - 1), ... down to 0."""
+    tree = [0, *sizes]
+    top = len(tree)
+    for c in range(1, top):
+        up = c + (c & -c)
+        if up < top:
+            tree[up] += tree[c]
+    return tree
+
+
+def _later_below(requests) -> list:
+    """#{u >= t : r_u < r_t} for each t: each r_t in turn is counted, then
+    taken, from a pool of the sorted requests (which of equal entries goes
+    does not change a count of smaller ones)."""
+    pool = LRState(sorted(requests))
+    runs, lasts, take = pool.runs, pool.lasts, pool.take
+    tree = _fenwick(map(len, runs))
+    top = len(tree)
+    belows = []
+    for r in requests:
+        k = bisect_left(lasts, r)
+        run = runs[k]
+        below = i = bisect_left(run, r)
+        c = k
+        while c:
+            below += tree[c]
+            c &= c - 1
+        belows.append(below)
+        take(k, i)
+        if run:
+            c = k + 1
+            while c < top:
+                tree[c] -= 1
+                c += c & -c
+        else:
+            tree = _fenwick(map(len, runs))  # the runs after k moved down one
+            top = len(tree)
+    return belows
 
 
 def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
@@ -210,20 +197,18 @@ def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
 def lr_oracle(instance: Instance) -> AdviceTape:
     """Advice bits under which lr_run reproduces an optimal matching.
 
-    Each request is served by ``lr_serve``'s cases after one search of LR's
-    pool, and an ambiguous one's bit is read off the handle (k, i) that
-    search found: the free servers below r number i plus the Fenwick prefix
-    of the runs before k. The unserved requests below r, the other side of
-    the rank rule, are those of r's arrival or later whatever LR chose, so
-    they are counted for every request before the loop, by one
-    ``take_ranks`` pass. O(log n) steps per request (about 11 s at
-    n = 10^6, ``BENCH_24.json``)."""
+    Serves with ``lr_serve``'s cases after one search of LR's pool per
+    request, and reads an ambiguous request's bit by the rank rule off the
+    handle (k, i) found, against ``_later_below``'s count. Its Fenwick tree
+    over LR's runs is built once, decremented from k + 1 by each take, and
+    rebuilt when a take drops run k. About 11 s at n = 10^6
+    (``BENCH_24.json``)."""
     servers, requests = instance.servers, instance.requests
-    state = LRState.for_servers(servers)
-    # by (position, arrival): r is the least unserved entry >= r, as earlier
-    # arrivals at r are served
-    belows = LRState.for_servers(requests).take_ranks(requests)
+    state = LRState(servers)
+    belows = _later_below(requests)
     runs, lasts, take = state.runs, state.lasts, state.take
+    tree = _fenwick(map(len, runs))
+    top = len(tree)
     bits = []
     cost = 0
     for r, below in zip(requests, belows):
@@ -240,7 +225,6 @@ def lr_oracle(instance: Instance) -> AdviceTape:
             if (i or k) and run[i] != r:
                 # strictly between two free servers: the rank rule
                 rank, c = i, k
-                tree = state.tree or state._index()
                 while c:
                     rank += tree[c]
                     c &= c - 1
@@ -256,6 +240,14 @@ def lr_oracle(instance: Instance) -> AdviceTape:
                     bits.append(1)
         cost += abs(r - run[i])
         take(k, i)
+        if run:
+            c = k + 1
+            while c < top:
+                tree[c] -= 1
+                c += c & -c
+        else:
+            tree = _fenwick(map(len, runs))  # the runs after k moved down one
+            top = len(tree)
     opt = monotone_cost(servers, requests)
     if not costs_equal(cost, opt, instance.n):
         raise LRError(f"oracle advice missed the optimum: cost {cost!r} vs {opt!r}")
@@ -271,7 +263,7 @@ class LRResult:
 def lr_run(instance: Instance, tape: AdviceTape) -> LRResult:
     """Serve the whole request sequence against the given advice tape;
     ``bits_read`` counts the tape reads this run made."""
-    state = LRState.for_servers(instance.servers)
+    state = LRState(instance.servers)
     start = tape.bits_read
     assignment = [lr_serve(state, r, tape) for r in instance.requests]
     return LRResult(make_matching(instance, assignment), tape.bits_read - start)

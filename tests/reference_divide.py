@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from matchline.model import Instance, InstanceError, Matching, make_matching
 from matchline.offline import monotone_optimal
-from matchline.lr import LRState, lr_serve
+from reference_pool import LRState, lr_serve
 from matchline.subroutines import make_subroutine
 from matchline.tape import TapeError, word_width
 from writable_tape import AdviceTape

@@ -156,12 +156,12 @@ def flat_index(pool, handle) -> int:
     return sum(map(len, pool.runs[:k])) + i
 
 
-def fenwick_rank(pool, handle) -> int:
+def fenwick_rank(tree, handle) -> int:
     """The rank of the entry at ``handle`` as the oracle reads it: its
-    offset plus the Fenwick prefix of the runs before it."""
+    offset plus the prefix in ``tree`` of the runs before it."""
     k, rank = handle
     while k:
-        rank += pool.tree[k]
+        rank += tree[k]
         k &= k - 1
     return rank
 
@@ -191,9 +191,6 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lr, "RUN", data.draw(st.sampled_from([1, 2, 3, lr.RUN])))
         pool = LRState.for_servers(servers, ids)
-        ranked = data.draw(st.booleans())
-        if ranked:  # the tree the oracle builds; takes keep it from then on
-            pool._index()
     free = sorted(zip(servers, ids))  # the scan's (position, id) entries
     far = st.floats(min_value=-1e12, max_value=1e12)
     for r in data.draw(st.lists(st.one_of(st.sampled_from(servers), coords, far), max_size=12)):
@@ -203,8 +200,7 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
         # the least free entry >= r, with the greatest free entry < r before it
         high = pool.neighbours(r)
         assert flat_index(pool, high) == below
-        if ranked:
-            assert fenwick_rank(pool, high) == below
+        assert fenwick_rank(lr._fenwick(map(len, pool.runs)), high) == below
         if below:
             at_low = [sid for p, sid in free if p == free[below - 1][0]]
             k, i = pool.neighbours(free[below - 1][0])
@@ -214,12 +210,7 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
                 j = data.draw(st.integers(0, len(free) - 1))
                 assert pool.take(*handle_of(pool, j)) == free.pop(j)[1]
             elif below < len(free):
-                assert pool.take_ranks([r]) == [below]
-                free.pop(below)
-                ranked = True
-            else:
-                with pytest.raises(LRError):
-                    pool.take_ranks([r])
+                assert pool.take(*high) == free.pop(below)[1]
 
 
 @given(
@@ -228,16 +219,12 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=0, max_value=2**32),
 )
-def test_take_ranks_counts_the_later_entries_below_each(run, shape, n, seed):
+def test_later_below_counts_the_later_entries_below_each(run, shape, n, seed):
     # the oracle's below-counts: #{u >= t : x_u < x_t}, by a quadratic count
     _, xs = make_case(shape, n, random.Random(seed))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lr, "RUN", run)
-        pool = LRState.for_servers(xs)
-    assert pool.take_ranks(xs) == [sum(x < xs[t] for x in xs[t:]) for t in range(n)]
-    assert pool.runs == pool.ids == pool.lasts == []
-    with pytest.raises(LRError, match="no free entry at or above"):
-        pool.take_ranks(xs[:1])
+        assert lr._later_below(xs) == [sum(x < xs[t] for x in xs[t:]) for t in range(n)]
 
 
 def test_pool_of_indexed_servers_returns_their_indices():
