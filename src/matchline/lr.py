@@ -14,8 +14,8 @@ and one inside a run: it finds the least free entry at or above a request,
 and the greatest free entry below it is the entry just before. LR and the
 ``greedy`` and ``permutation`` subroutines are each a rule over that pair.
 ``take`` deletes an entry, a C-level move of at most ``RUN`` pointers, and
-drops a run once it is empty. A pool of an ``Instance``'s servers is built
-without a sort, as they are already in (position, place) order.
+drops a run once it is empty. A pool has one constructor, which sorts
+nothing: every caller holds its servers in (position, id) order already.
 
 The oracle writes the bits by the rank rule, the exchange argument behind
 the monotone optimum: when request r falls strictly between its unmatched
@@ -74,8 +74,8 @@ class LRState:
 
     def __init__(self, positions, ids=None):
         """The pool of the servers ``ids`` (default: their places) at
-        ``positions``, both already in (position, id) order, as the servers
-        of an ``Instance`` are with their places."""
+        ``positions``, both already in (position, id) order: an
+        ``Instance``'s servers with their places, a DIVIDE_k block's."""
         n = len(positions)
         if ids is None:
             ids = range(n)
@@ -89,18 +89,6 @@ class LRState:
             runs.append(run)
             runs_ids.append(list(ids[a : a + RUN]))
             lasts.append(run[-1])
-
-    @classmethod
-    def for_servers(cls, servers, indices=None) -> "LRState":
-        """The pool of ``servers``, in any order, whose ids are ``indices``
-        (default: their places in ``servers``)."""
-        n = len(servers)
-        if indices is None:
-            indices = range(n)
-        elif len(indices) != n:
-            raise ValueError(f"{n} servers but {len(indices)} ids")
-        pool = sorted(zip(servers, indices))
-        return cls([s for s, _ in pool], [i for _, i in pool])
 
     def neighbours(self, x) -> tuple[int, int]:
         """Handle of the least free entry whose position is >= x, (len(runs),

@@ -1,16 +1,17 @@
 """Advice-free online matching algorithms usable inside DIVIDE_k blocks.
 
-Each subroutine owns a fixed server pool and serves requests one at a time,
-always returning a still-available server from that pool. ``greedy`` and
-``permutation`` run on LR's server pool (``LRState``: the free servers in
-sorted runs of at most ``RUN`` entries) and, like LR, serve one of the two
-free neighbours of each request that ``LRState.neighbours`` finds, the
-nearest free server at or below it or the nearest at or above it.
-``greedy`` takes the nearer one, O(log n) compares and one deletion of at
-most ``RUN`` entries per request; ``permutation`` prices the two, O(t) for
-the t-th request and O(n^2) per run. Both serve the ids of the full scans
-they replaced except at float-rounding ties. ``clairvoyant`` reads its
-block's future requests and replays their offline optimum, so it is a
+Each subroutine owns a fixed server pool in (position, id) order, ids
+defaulting to the places (``_ordered`` refuses any other order; nothing
+sorts a pool), and serves requests one at a time, always returning a
+still-available server from that pool. ``greedy`` and ``permutation`` run on
+LR's server pool (``LRState``) and, like LR, serve one of the two free
+neighbours of each request that ``LRState.neighbours`` finds, the nearest
+free server at or below it or the nearest at or above it. ``greedy`` takes
+the nearer one, O(log n) compares and one deletion of at most ``RUN``
+entries per request; ``permutation`` prices the two, O(t) for the t-th
+request and O(n^2) per run. Both serve the ids of the full scans they
+replaced except at float-rounding ties. ``clairvoyant``, alone given its
+block's sealed future requests, replays their offline optimum, so it is a
 verification device, not an online algorithm, for DIVIDE_k's exact checks.
 """
 
@@ -31,6 +32,17 @@ class SubroutineError(RuntimeError):
     pass
 
 
+def _ordered(servers: Sequence, ids: Sequence[int] | None) -> Sequence[int]:
+    """``ids`` (default: the places), once the (position, id) pairs strictly rise."""
+    ids = range(len(servers)) if ids is None else ids
+    if len(ids) != len(servers):
+        raise ValueError(f"{len(servers)} servers but {len(ids)} ids")
+    pairs = list(zip(servers, ids))
+    if any(map(operator.ge, pairs, pairs[1:])):
+        raise SubroutineError("servers out of (position, id) order")
+    return ids
+
+
 class Greedy:
     """Nearest available server; ties toward smaller position, then id.
 
@@ -49,7 +61,8 @@ class Greedy:
     """
 
     def __init__(self, servers: Sequence, ids: Sequence[int] | None = None):
-        self.pool = LRState.for_servers(servers, ids)
+        """``servers`` in (position, id) order, or ``SubroutineError``."""
+        self.pool = LRState(servers, _ordered(servers, ids))
 
     def serve(self, request) -> int:
         pool = self.pool
@@ -114,7 +127,8 @@ class Permutation:
     """
 
     def __init__(self, servers, ids=None):
-        self.pool = LRState.for_servers(servers, ids)
+        """``servers`` in (position, id) order, or ``SubroutineError``."""
+        self.pool = LRState(servers, _ordered(servers, ids))
         self.history: list = []  # the requests seen so far, sorted
         self.used: list = []  # positions of the servers served so far, sorted
 
@@ -149,11 +163,8 @@ class Clairvoyant:
     """Reads its block's future requests: a verification device, not online."""
 
     def __init__(self, servers, ids=None, sealed: Sequence = ()):
-        if ids is None:
-            ids = range(len(servers))
-        elif len(ids) != len(servers):
-            raise ValueError(f"{len(servers)} servers but {len(ids)} ids")
-        self.ids = [sid for _pos, sid in sorted(zip(servers, ids))]
+        """As ``Greedy``'s; the request at rank t in ``sealed`` gets ``ids[t]``."""
+        self.ids = _ordered(servers, ids)
         self.sealed = list(sealed)
         if len(self.sealed) > len(self.ids):
             raise SubroutineError("sealed sequence longer than the pool")
@@ -174,12 +185,12 @@ class Clairvoyant:
 
 
 def make_subroutine(name: str, servers, ids=None, sealed=None):
-    if name == "greedy":
-        return Greedy(servers, ids)
-    if name == "permutation":
-        return Permutation(servers, ids)
     if name == "clairvoyant":
         if sealed is None:
             raise SubroutineError("clairvoyant needs the sealed request sequence")
         return Clairvoyant(servers, ids, sealed)
-    raise SubroutineError(f"unknown subroutine {name!r}")
+    if name not in SUBROUTINE_NAMES:
+        raise SubroutineError(f"unknown subroutine {name!r}")
+    if sealed is not None:
+        raise SubroutineError(f"{name} is online: it takes no sealed sequence")
+    return (Greedy if name == "greedy" else Permutation)(servers, ids)

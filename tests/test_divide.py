@@ -124,6 +124,13 @@ def test_worked_example_advice_words():
     assert advice == DivideAdvice(2, q=(3,), d=(1,), m=(1,))
 
 
+def test_advice_refuses_a_request_count_other_than_n():
+    plan = plan_blocks(WORKED.servers, 2)
+    for requests in (WORKED.requests[:-1], [*WORKED.requests, 2]):
+        with pytest.raises(InstanceError, match="4 servers vs"):
+            compute_advice(requests, plan)
+
+
 def test_worked_example_tape_layout():
     # servers 1..4 at k = 2: p_0 = (2 + 3) // 2 = 2 and N = 5, so the one
     # boundary's frame is (p_{-1}, p_1] = (0, 4] and its q word is 3 bits
@@ -595,7 +602,7 @@ def test_lr_on_the_integer_image_takes_the_same_ids_and_bits(values, data):
         )
     )
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    plain, image = LRState.for_servers(pool, ids), divide._image_pool(pool, ids)
+    plain, image = LRState(pool, ids), divide._image_pool(pool, ids)
     assert all(type(p) is int for run in image.runs for p in run)
     plain_tape, image_tape = AdviceTape(bits), AdviceTape(bits)
     taken = [lr_serve(plain, r, plain_tape) for r in requests]

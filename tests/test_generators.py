@@ -135,6 +135,8 @@ def test_family_cardinality():
 def test_family_cap():
     with pytest.raises(GeneratorError):
         gen_family(FAMILY_MAX_N + 1)
+    with pytest.raises(GeneratorError, match="at least 1"):
+        gen_family(0)
 
 
 def test_family_members_are_distinct_and_share_prefix():

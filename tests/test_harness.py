@@ -123,6 +123,12 @@ def test_emit_empty_reports(tmp_path):
     assert json.loads(json_path.read_text()) == []
 
 
+def test_emit_refuses_an_unknown_format(tmp_path):
+    with pytest.raises(ExperimentError, match="unknown report format 'xml'"):
+        emit_report([], tmp_path / "r.xml", "xml")
+    assert not (tmp_path / "r.xml").exists()
+
+
 def test_json_report_round_trip(tmp_path):
     inst = gen_uniform(4, (0, 12), 5, integer_mode=True, request_range="span")
     reports = run_all("lr", [("rt", 5, inst)]) + [
@@ -539,6 +545,16 @@ def test_cli_verify_seeded_suites_default_to_50_seeds(monkeypatch, suite, name):
     assert main(["verify", "--suite", suite, "--n", "3"]) == 0
     assert main(["verify", "--suite", suite, "--n", "3", "--seeds", "7"]) == 0
     assert [c["seeds"] for c in calls] == [50, 7]
+
+
+def test_verify_divide_exact_counts_each_failed_check(monkeypatch):
+    from matchline import verification
+
+    assert verification.verify_divide_exact(n_max=5, seeds=3) == 0
+    assert main(["verify", "--suite", "divide-exact", "--n", "4", "--seeds", "2"]) == 0
+    monkeypatch.setattr(verification, "divide_is_exact", lambda result, opt: False)
+    # one failed cost check per (n, k, seed): k = 1..n for n = 2 and 3
+    assert verification.verify_divide_exact(n_max=3, seeds=2) == 2 * (2 + 3)
 
 
 def test_cli_missing_input_exits_two(tmp_path):

@@ -11,12 +11,13 @@ from matchline.lr import LRError, LRState, lr_oracle, lr_run, lr_serve
 from matchline.model import validate_instance
 from matchline.offline import brute_force_optimal, monotone_optimal
 from matchline.tape import AdviceTape, TapeUnderflow
+from ordered_pool import in_order
 from test_pool_reference import RUNS, make_case
 
 
 def serve_one(servers, request, bits=()):
     tape = AdviceTape(bits)
-    j = lr_serve(LRState.for_servers(servers), request, tape)
+    j = lr_serve(LRState(*in_order(servers)), request, tape)
     return servers[j], tape.bits_read
 
 
@@ -41,7 +42,7 @@ def test_exact_match_reads_no_bit():
 
 
 def test_exact_match_prefers_smallest_index():
-    state = LRState.for_servers([4, 4])
+    state = LRState([4, 4])
     assert lr_serve(state, 4, AdviceTape()) == 0
 
 
@@ -56,7 +57,7 @@ def test_all_less_takes_greatest():
 
 
 def test_ambiguous_without_bits_underflows():
-    state = LRState.for_servers([0, 10])
+    state = LRState([0, 10])
     with pytest.raises(TapeUnderflow):
         lr_serve(state, 4, AdviceTape())
 
@@ -110,7 +111,7 @@ def test_last_request_never_reads_a_bit():
     for seed in range(30):
         inst = gen_uniform(6, (0, 25), seed, integer_mode=True)
         tape = lr_oracle(inst)
-        state = LRState.for_servers(inst.servers)
+        state = LRState(inst.servers)
         for r in inst.requests[:-1]:
             lr_serve(state, r, tape)
         before = tape.bits_read
@@ -190,7 +191,7 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lr, "RUN", data.draw(st.sampled_from([1, 2, 3, lr.RUN])))
-        pool = LRState.for_servers(servers, ids)
+        pool = LRState(*in_order(servers, ids))
     free = sorted(zip(servers, ids))  # the scan's (position, id) entries
     far = st.floats(min_value=-1e12, max_value=1e12)
     for r in data.draw(st.lists(st.one_of(st.sampled_from(servers), coords, far), max_size=12)):
@@ -228,7 +229,9 @@ def test_later_below_counts_the_later_entries_below_each(run, shape, n, seed):
 
 
 def test_pool_of_indexed_servers_returns_their_indices():
-    state = LRState.for_servers([7, 3, 3, 9], indices=[40, 12, 10, 31])
+    # servers 7, 3, 3, 9 with ids 40, 12, 10, 31, put in (position, id)
+    # order: no pool sorts them, and test_make_subroutine_refuses them unsorted
+    state = LRState([3, 3, 7, 9], [10, 12, 40, 31])
     tape = AdviceTape((1,))
     served = [lr_serve(state, r, tape) for r in (3, 8, 3, 5)]
     assert served == [10, 31, 12, 40]
@@ -240,6 +243,6 @@ def test_pool_of_indexed_servers_returns_their_indices():
 def test_pool_refuses_ids_of_another_length():
     # zip would truncate the pool to its shorter argument
     with pytest.raises(ValueError, match="3 servers but 1 ids"):
-        LRState.for_servers([1, 2, 3], [7])
+        LRState([1, 2, 3], [7])
     with pytest.raises(ValueError, match="2 servers but 3 ids"):
         LRState([1, 2], [0, 1, 2])

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_lr as ref
+from ordered_pool import in_order
 from matchline import lr
 from matchline.model import validate_instance
 from matchline.tape import AdviceTape
@@ -28,7 +29,7 @@ def make_instance(shape: str, n: int, rng: random.Random):
 
 
 def serve_all(module, instance, bits, indices):
-    state = module.LRState.for_servers(instance.servers, indices)
+    state = module.LRState(*in_order(instance.servers, indices))
     tape = AdviceTape(bits)
     served = [module.lr_serve(state, r, tape) for r in instance.requests]
     return served, tape.bits_read

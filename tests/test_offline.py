@@ -156,6 +156,9 @@ def test_order_violations_flag_bad_matchings():
     # r0=0 matched far right across r1's server: a detectable crossing
     inst = validate_instance([1, 10], [0, 9])
     assert order_condition_violations(inst, [1, 0])
+    # the mirror: r0 = 11 matched far left across r1's server
+    inst = validate_instance([1, 10], [11, 2])
+    assert order_condition_violations(inst, [0, 1]) == [(0, 1)]
 
 
 @given(st.integers(min_value=2, max_value=6), st.data())

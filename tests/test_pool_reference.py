@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_pool as ref
+from ordered_pool import in_order
 from test_divide_reference import IN_SPAN_SHAPES, SERVING_SHAPES, assert_same, make_instance
 from matchline import divide, lr
 from matchline.model import validate_instance
@@ -59,7 +60,7 @@ def test_same_ids_bits_and_tapes_on_both_pools(run, shape, n, custom_ids, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lr, "RUN", run)
         tapes = AdviceTape(bits), AdviceTape(bits)
-        pools = lr.LRState.for_servers(servers, ids), ref.LRState.for_servers(servers, ids)
+        pools = lr.LRState(*in_order(servers, ids)), ref.LRState.for_servers(servers, ids)
         served = [
             [serve(pool, r, tape) for r in requests]
             for serve, pool, tape in zip((lr.lr_serve, ref.lr_serve), pools, tapes)
@@ -69,7 +70,7 @@ def test_same_ids_bits_and_tapes_on_both_pools(run, shape, n, custom_ids, seed):
         instance = validate_instance(servers, requests)
         assert lr.lr_oracle(instance).bits == ref.lr_oracle(instance).bits
         for new, old in ((Greedy, ref.Greedy), (Permutation, ref.Permutation)):
-            new, old = new(servers, ids), old(servers, ids)
+            new, old = new(*in_order(servers, ids)), old(servers, ids)
             assert [new.serve(r) for r in requests] == [old.serve(r) for r in requests]
 
 

@@ -9,6 +9,7 @@ from matchline.subroutines import (
     SubroutineError,
     make_subroutine,
 )
+from ordered_pool import in_order
 
 
 def test_greedy_picks_nearest():
@@ -48,6 +49,8 @@ def test_permutation_serves_newly_used_server():
 def test_permutation_singleton_pool():
     sub = make_subroutine("permutation", [5])
     assert sub.serve(123) == 0
+    with pytest.raises(SubroutineError, match="no available server"):
+        sub.serve(5)
 
 
 def test_permutation_respects_custom_ids():
@@ -117,7 +120,8 @@ def test_every_serve_returns_a_fresh_pool_member(name, servers, data):
     requests = data.draw(
         st.lists(st.integers(min_value=-10, max_value=50), min_size=n, max_size=n)
     )
-    sub = make_subroutine(name, servers, sealed=requests)
+    sealed = requests if name == "clairvoyant" else None
+    sub = make_subroutine(name, *in_order(servers), sealed=sealed)
     served = [sub.serve(r) for r in requests]
     assert sorted(served) == sorted(range(n))  # injective, within the pool
 
@@ -148,7 +152,34 @@ def test_permutation_on_large_float_coordinates():
 def test_pools_refuse_ids_of_another_length(name):
     # zip would truncate the pool: greedy once served 7 from [1, 2, 3] and
     # then ran out of servers
+    sealed = [2] if name == "clairvoyant" else None
     with pytest.raises(ValueError, match="3 servers but 1 ids"):
-        make_subroutine(name, [1, 2, 3], ids=[7], sealed=[2])
+        make_subroutine(name, [1, 2, 3], ids=[7], sealed=sealed)
     with pytest.raises(ValueError, match="1 servers but 2 ids"):
-        make_subroutine(name, [1], ids=[7, 8], sealed=[2])
+        make_subroutine(name, [1], ids=[7, 8], sealed=sealed)
+
+
+@pytest.mark.parametrize(
+    "name, servers, ids, sealed, match",
+    [
+        # a pool sorts nothing: servers out of (position, id) order, by
+        # position or by id at one position, are refused, not reordered
+        *(
+            (name, servers, ids, [3, 8, 3, 5] if name == "clairvoyant" else None, "order")
+            for name in SUBROUTINE_NAMES
+            for servers, ids in (
+                ([7, 3, 3, 9], [40, 12, 10, 31]),
+                ([3, 3, 7, 9], [12, 10, 40, 31]),
+                ([3, 3, 7, 9], [10, 10, 40, 31]),
+                ([2, 1], None),
+            )
+        ),
+        # greedy and permutation are online: neither reads the future
+        ("greedy", [1, 2], None, [5, 6], "takes no sealed"),
+        ("permutation", [1, 2], None, [5, 6], "takes no sealed"),
+        ("clairvoyant", [1], None, [1, 2], "longer than the pool"),
+    ],
+)
+def test_make_subroutine_refuses(name, servers, ids, sealed, match):
+    with pytest.raises(SubroutineError, match=match):
+        make_subroutine(name, servers, ids, sealed)

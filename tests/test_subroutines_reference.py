@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_subroutines as ref
+from ordered_pool import in_order
 from matchline.generators import gen_uniform
 from matchline.lr import LRState, lr_serve
 from matchline.model import costs_equal
@@ -51,7 +52,7 @@ def make_case(shape: str, n: int, rng: random.Random):
 def assert_same(servers, requests, rng: random.Random, cls):
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
-        new = cls(servers, ids)
+        new = cls(*in_order(servers, ids))
         olds = [old_cls(servers, ids) for old_cls in REFERENCES[cls]]
         for r in requests:
             served = new.serve(r)
@@ -82,7 +83,7 @@ def assert_least_price(servers, requests, rng: random.Random, cls):
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
         free = dict(zip(range(n) if ids is None else ids, servers))
-        sub, used, history = cls(servers, ids), [], []
+        sub, used, history = cls(*in_order(servers, ids)), [], []
         for r in requests:
             history.append(r)
             sid = sub.serve(r)
@@ -169,11 +170,11 @@ def test_lr_greedy_and_permutation_serve_a_free_neighbour(shape, n, seed):
     # server has the least computed distance over the free servers
     rng = random.Random(seed)
     servers, requests = make_case(shape, n, rng)
-    pool, bits = LRState.for_servers(servers), AdviceTape(rng.choices((0, 1), k=n))
+    pool, bits = LRState(*in_order(servers)), AdviceTape(rng.choices((0, 1), k=n))
     serves = {
         "lr": lambda r: lr_serve(pool, r, bits),
-        "greedy": Greedy(servers).serve,
-        "permutation": Permutation(servers).serve,
+        "greedy": Greedy(*in_order(servers)).serve,
+        "permutation": Permutation(*in_order(servers)).serve,
     }
     for name, serve in serves.items():
         free = list(servers)
