@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from matchline.model import Instance, InstanceError, Matching, make_matching
-from matchline.offline import monotone_optimal
+from matchline.model import Instance, InstanceError, Matching
+from reference_common import make_matching, monotone_optimal
 from reference_pool import LRState, lr_serve
 from matchline.subroutines import make_subroutine
 from matchline.tape import TapeError, word_width

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from matchline.lr import LRError
 from matchline.model import Instance
-from matchline.offline import monotone_cost
+from reference_common import monotone_cost
 from writable_tape import AdviceTape
 
 FLOAT_TOL = 1e-9

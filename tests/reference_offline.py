@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from matchline.model import Instance, InstanceError, Matching, costs_equal, make_matching
+from matchline.model import Instance, InstanceError, Matching
 from matchline.offline import OracleError
+from reference_common import costs_equal, make_matching
 
 BRUTE_FORCE_MAX_N = 12
 

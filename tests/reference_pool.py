@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from matchline.lr import LRError
-from matchline.model import Instance, costs_equal
-from matchline.offline import monotone_cost
+from matchline.model import Instance
 from matchline.subroutines import SubroutineError
 from matchline.tape import AdviceTape
+from reference_common import costs_equal, monotone_cost
 
 
 @dataclass

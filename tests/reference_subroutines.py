@@ -22,8 +22,8 @@ from __future__ import annotations
 import bisect
 from typing import Sequence
 
+from reference_common import costs_equal
 from reference_pool import LRState
-from matchline.model import costs_equal
 from matchline.subroutines import SubroutineError
 
 
