@@ -7,19 +7,19 @@ the extremal position of the requests whose optimal pair lies across it, d
 the requests equal to q that stay inside their block, m the requests
 matched across. Requests whose pair is inside their own block go to the
 plug-in subroutine A; crossing requests are marked and served by LR over
-the marked servers. That LR's pool sits on an exact integer image of their
-positions (``_image_pool``), and its direction bits are DIVIDE_k's own: no
-auxiliary tape holds them, LR reads each from the side the classification
-fixed, and the reads are counted.
+the marked servers. LR's direction bits are DIVIDE_k's own: no auxiliary
+tape holds them, LR reads each from the side the classification fixed, and
+the reads are counted.
 
-A run plans on one set of coordinates and prices on the caller's: divide_run
-plans on the instance itself, RESCALE on its n^3-scaled integer image. Every
-planning request is first clamped into [1, N-1]: the servers' span [s_1, s_n]
-for divide_run, [1, ceil(s'_n)] for RESCALE. A request r < s_1 costs
-(s_1 - r) + (s_j - s_1) against every server s_j, so moving it to s_1 adds
-the same constant to every matching (likewise above s_n) and keeps every
-optimum an optimum. The online algorithm knows the servers, so it may clamp;
-DIVIDE_k is then exact on every instance, and every q word lies in [1, N-1].
+A run plans on ints and prices on the instance's integer image (``model``):
+divide_run plans on the instance itself, RESCALE on its n^3 rescaling, with
+the servers in units of 1/D. Every planning request is first clamped into
+[1, N-1]: the servers' span [s_1, s_n] for divide_run, [1, ceil(s'_n)] for
+RESCALE. A request r < s_1 costs (s_1 - r) + (s_j - s_1) against every
+server s_j, so moving it to s_1 adds the same constant to every matching
+(likewise above s_n) and keeps every optimum an optimum. The online
+algorithm knows the servers, so it may clamp; DIVIDE_k is then exact on
+every instance, and every q word lies in [1, N-1].
 
 The tape layout (``_tape_slots``) is rigid: one q word per boundary, then
 d/m pairs exactly for the crossed boundaries, in the two marking orders. The
@@ -59,12 +59,11 @@ so the online model and every output are those of that pass.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .model import Instance, InstanceError, Matching, make_matching
+from .model import Instance, InstanceError, Matching, integer_image
 from .lr import LRState, lr_serve
 from .subroutines import SUBROUTINE_NAMES, SubroutineError, make_subroutine
 from .tape import AdviceTape
@@ -79,13 +78,12 @@ class BlockPlan:
     """DIVIDE_k's planning frame: k contiguous groups over n servers, their
     boundaries and N. Boundary p_i is the floor of the midpoint of the two
     servers beside it: planning requests are integers, so they split there
-    as at the midpoint, and on integer servers the floor is exact past 2^53,
-    where a float midpoint can round out of its server gap."""
+    as at the midpoint. Every boundary and N is an int, taken on ints."""
 
     k: int
     groups: tuple  # k ranges (start, stop) of server indices, half-open
     boundaries: tuple  # k-1 integer boundaries p_i
-    span_bound: int  # N = ceil(s_n + 1)
+    span_bound: int  # N = ceil(s_n) + 1
 
     @property
     def n(self) -> int:
@@ -104,7 +102,10 @@ class BlockPlan:
         return [bisect_left(boundaries, p) for p in positions]
 
 
-def plan_blocks(servers, k: int) -> BlockPlan:
+def plan_blocks(servers, k: int, unit: int = 1) -> BlockPlan:
+    """The plan of the int ``servers``, given in units of 1/``unit``: a
+    boundary is floor((a + b) / 2) of the two servers beside it, in whole
+    units, and N = ceil(s_n) + 1."""
     n = len(servers)
     if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
         raise DivideError(f"k={k!r} is not an int in 1..{n}")
@@ -116,14 +117,11 @@ def plan_blocks(servers, k: int) -> BlockPlan:
         size = big if i < ell else small
         groups.append((start, start + size))
         start += size
-    # int(): a floor division of floats (RESCALE's non-integral planning
-    # servers) gives an integral float
     boundaries = tuple(
-        int((servers[groups[i][1] - 1] + servers[groups[i + 1][0]]) // 2)
+        (servers[groups[i][1] - 1] + servers[groups[i + 1][0]]) // (2 * unit)
         for i in range(k - 1)
     )
-    # ceil(s_n) + 1 is ceil(s_n + 1) without rounding the sum
-    return BlockPlan(k, tuple(groups), boundaries, math.ceil(servers[-1]) + 1)
+    return BlockPlan(k, tuple(groups), boundaries, -(-servers[-1] // unit) + 1)
 
 
 @dataclass(frozen=True)
@@ -400,38 +398,6 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     return arrivals, marked_arrivals
 
 
-def _image_pool(positions, ids) -> LRState:
-    """LR's pool of the servers ``ids`` at ``positions`` on their integer
-    image: x maps to 2x when x is integral and to 2 floor(x) + 1 otherwise,
-    and an integer request r is served as 2r.
-
-    Precondition: ``positions`` ascend and ``ids`` ascend with them, as the
-    marked servers' do (servers are sorted, ids are their ranks).
-
-    Lemma: LR takes the same ids and reads the same bits on the image as on
-    the positions. LR reads the positions only through ``bisect_left`` (over
-    the runs' last positions and inside a run) and the exact-match test, so
-    it suffices that the image keeps the run order, the (position, id) order
-    in which the pool holds its free servers, and, for every integer r, both
-    x < r and x = r.
-    - x < r iff image(x) < 2r. Integral x: 2x < 2r iff x < r. Otherwise
-      x < r iff floor(x) <= r - 1 iff 2 floor(x) + 1 <= 2r - 1 iff
-      2 floor(x) + 1 < 2r, the image being odd and 2r even.
-    - x = r iff image(x) = 2r: an odd image never equals 2r, and for an
-      integral x, 2x = 2r iff x = r.
-    - The run order (position, id) is ascending id, by the precondition.
-      The image is monotone (x <= y gives image(x) <= image(y)), so its
-      (image, id) order is ascending id too: both pools cut the same ids in
-      the same order into the same runs, and neither needs a sort. The
-      runs' last positions map to their images, so the bisect over them
-      picks the same run.
-    Every compare LR then makes is int against int, where RESCALE's
-    non-integral planning servers would compare floats with int requests.
-    """
-    floors = list(map(math.floor, positions))
-    return LRState([2 * f + (f != x) for f, x in zip(floors, positions)], list(ids))
-
-
 class _Sides:
     """LR's direction bits inside DIVIDE_k: ``read_bit`` returns the side
     set for the request being served (1, True: right) and counts the read.
@@ -472,12 +438,15 @@ class DivideResult:
     marked_arrivals: list = field(repr=False)
 
 
-def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) -> DivideResult:
-    """Plan, mark and serve on the planning coordinates ``servers`` and
-    ``requests``; price every request on ``instance``."""
+def _run_divide(
+    instance: Instance, k: int, subroutine: str, image, servers, requests, unit: int
+) -> DivideResult:
+    """Plan, mark and serve on the int planning coordinates: ``servers`` in
+    units of 1/``unit`` and ``requests``, each served as r * ``unit``. Price
+    every request on ``image``, the instance's integer image."""
     if subroutine not in SUBROUTINE_NAMES:
         raise SubroutineError(f"unknown subroutine {subroutine!r}")
-    plan = plan_blocks(servers, k)
+    plan = plan_blocks(servers, k, unit)
     # clamp into [1, N-1] (see the module docstring)
     top = plan.span_bound - 1
     if min(requests) < 1 or max(requests) > top:
@@ -488,9 +457,9 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
     marks = mark_servers(plan, decoded)
     arrivals, marked_arrivals = classify_requests(requests, plan, decoded)
 
-    # callers[t] is the caller's request t, priced against its servers;
-    # requests[t] is its planning image
-    callers, priced = instance.requests, instance.servers
+    # request t is priced as callers[t] and served as targets[t]
+    priced, callers = image
+    targets = [r * unit for r in requests]
     assignment = [None] * instance.n
 
     # each block's subroutine serves its own requests in arrival order, over
@@ -505,7 +474,7 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
             )
         if not own:
             continue
-        sealed = [requests[t] for t in own]
+        sealed = [targets[t] for t in own]
         sub = make_subroutine(
             subroutine,
             [servers[j] for j in ids],
@@ -521,10 +490,9 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
             cost += abs(callers[t] - priced[j])
         block_costs[b] = cost
 
-    # then LR serves the marked requests in arrival order, on the integer
-    # image of its pool: each request r as 2r (see _image_pool)
+    # then LR serves the marked requests in arrival order
     marked_ids = sorted(marked)
-    lr_state = _image_pool([servers[j] for j in marked_ids], marked_ids)
+    lr_state = LRState([servers[j] for j in marked_ids], marked_ids)
     sides = _Sides()
     # the q value that both words of a block share, None without a collision
     q = (None, *decoded.q, None)
@@ -545,7 +513,7 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
             right = zeros_read[b] >= d_left[b]
             reads = sides.reads
         sides.right = right
-        j = lr_serve(lr_state, 2 * c, sides)
+        j = lr_serve(lr_state, targets[t], sides)
         if collision_value and not right and sides.reads != reads:
             zeros_read[b] += 1
         if j not in marked:
@@ -553,15 +521,16 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
         lr_cost += abs(callers[t] - priced[j])
         assignment[t] = j
 
+    unscaled = instance.unscaled
     return DivideResult(
-        matching=make_matching(instance, assignment),
+        matching=Matching(tuple(assignment), unscaled(lr_cost + sum(block_costs))),
         plan=plan,
         advice=decoded,
         marks=marks,
         oracle_bits_read=tape.bits_read,
         aux_bits_written=sides.reads,
-        lr_cost=lr_cost,
-        block_costs=block_costs,
+        lr_cost=unscaled(lr_cost),
+        block_costs=list(map(unscaled, block_costs)),
         tape=tape,
         arrivals=arrivals,
         marked_arrivals=marked_arrivals,
@@ -570,27 +539,29 @@ def _run_divide(instance: Instance, k: int, subroutine: str, servers, requests) 
 
 def divide_run(instance: Instance, k: int, subroutine: str = "greedy") -> DivideResult:
     """Full DIVIDE_k run on an integer-mode instance, planned on its own
-    coordinates."""
+    coordinates, which are its integer image."""
     if not instance.integer_mode:
         raise InstanceError("DIVIDE_k requires an integer-mode instance (s_1 = 1)")
-    return _run_divide(instance, k, subroutine, instance.servers, instance.requests)
+    image = instance.servers, instance.requests
+    return _run_divide(instance, k, subroutine, image, *image, 1)
 
 
 def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> DivideResult:
     """DIVIDE_k on arbitrary real input, planned on the n^3 integer rescaling.
 
-    The planning servers are s' = n^3 (s - s_1) + 1 (kept exact, possibly
-    non-integral; integral floats become ints, so sums past 2^53 stay exact)
-    and the planning requests floor(n^3 (r - s_1)) + 1. The plan's
-    N = ceil(s'_n + 1), so s'_n = N - 1 when s'_n is integral and s'_n lies in
-    (N - 2, N - 1) otherwise; requests are then clamped into
+    The planning servers are s' = n^3 (s - s_1) + 1 and the planning
+    requests floor(n^3 (r - s_1)) + 1, both taken exactly on the integer
+    image S = s D, R = r D: the servers in units of 1/D, as the ints
+    n^3 (S - S_1) + D, and the requests as n^3 (R - S_1) // D + 1. The
+    plan's N = ceil(s'_n) + 1, so s'_n = N - 1 when s'_n is integral and
+    s'_n lies in (N - 2, N - 1) otherwise; requests are then clamped into
     [1, ceil(s'_n)] = [1, N - 1]. The result's plan, advice and tape are in
     these scaled coordinates; its matching, lr_cost and block_costs are
-    priced on the caller's instance.
+    priced on the image, in the caller's coordinates.
     """
-    scale = instance.n**3
-    s1 = instance.servers[0]
-    servers = [scale * (s - s1) + 1 for s in instance.servers]
-    servers = [int(s) if isinstance(s, float) and s.is_integer() else s for s in servers]
-    requests = [math.floor(scale * (r - s1)) + 1 for r in instance.requests]
-    return _run_divide(instance, k, subroutine, servers, requests)
+    scale, d = instance.n**3, instance.scale
+    image = servers, requests = integer_image(instance)
+    s1 = servers[0]
+    plan_servers = [scale * (s - s1) + d for s in servers]
+    plan_requests = [scale * (r - s1) // d + 1 for r in requests]
+    return _run_divide(instance, k, subroutine, image, plan_servers, plan_requests, d)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .divide import divide_run, rescale_run
 from .lr import lr_oracle, lr_run
-from .model import Instance, costs_equal, make_matching
+from .model import Instance, integer_image, make_matching
 from .offline import brute_force_optimal, monotone_optimal
 from .subroutines import SUBROUTINE_NAMES, make_subroutine
 
@@ -82,9 +82,11 @@ def run_algorithm(
             "aux_bits": result.aux_bits_written,
             "divide": result,
         }
-    sub = make_subroutine(algo, instance.servers)  # greedy or permutation
-    assignment = [sub.serve(r) for r in instance.requests]
-    matching = make_matching(instance, assignment)
+    # greedy or permutation, served and priced on the integer image
+    image = servers, requests = integer_image(instance)
+    sub = make_subroutine(algo, servers)
+    assignment = [sub.serve(r) for r in requests]
+    matching = make_matching(instance, assignment, image)
     return {
         "matching": matching,
         "cost": matching.cost,
@@ -109,7 +111,7 @@ def run_instance(
     opt = monotone_optimal(instance).cost
     if instance.n <= 10:
         brute = brute_force_optimal(instance).cost
-        if not costs_equal(brute, opt, instance.n):
+        if brute != opt:
             raise ExperimentError(f"{instance_id}: oracle disagreement {brute} vs {opt}")
     report = RunReport(
         instance_id=instance_id,

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import repeat, starmap
 
-from .model import Instance, costs_equal, validate_instance
+from .model import Instance, integer_image, validate_instance
 from .offline import monotone_cost
 
 FAMILY_MAX_N = 20
@@ -165,24 +165,21 @@ def verify_family(n: int) -> list[FamilyCheck]:
     Enumerates the candidate partner of the top server: for request i, the
     best cost using s_n -> r_i is |r_i - n| plus the exact offline optimum of
     the rest (servers 1..n-1). Every optimal matching realizes exactly one
-    candidate, so the claim holds iff index n-k is the unique minimizer
-    (costs compare under ``costs_equal``).
+    candidate, so the claim holds iff index n-k is the unique minimizer;
+    the candidates are priced exactly, on the member's integer image.
     """
     if n > VERIFY_FAMILY_MAX_N:
         raise GeneratorError(f"verify_family capped at n={VERIFY_FAMILY_MAX_N}")
-    servers = list(range(1, n + 1))
-    lower = servers[:-1]
     checks = []
     for member in gen_family(n):
-        reqs = member.requests
+        servers, reqs = integer_image(member.instance())
+        top, lower = servers[-1], servers[:-1]
         costs = [
-            abs(reqs[i] - n) + monotone_cost(lower, reqs[:i] + reqs[i + 1 :])
+            abs(reqs[i] - top) + monotone_cost(lower, reqs[:i] + reqs[i + 1 :])
             for i in range(n)
         ]
         opt = min(costs)
         expected = n - member.branch_depth  # 1-based
-        unique_hit = all(
-            costs_equal(c, opt, n) == (i == expected - 1) for i, c in enumerate(costs)
-        )
+        unique_hit = all((c == opt) == (i == expected - 1) for i, c in enumerate(costs))
         checks.append(FamilyCheck(member, expected, unique_hit))
     return checks

@@ -27,8 +27,8 @@ first off the handle (k, i) found: i plus the prefix of the runs before k
 in its Fenwick tree over LR's runs. The second does not depend on LR's
 choices, as every request is served on arrival whatever LR does, so
 ``_later_below`` counts them all up front, on a pool of the sorted
-requests. The oracle's run is checked once at the end against
-``monotone_cost`` under ``costs_equal``.
+requests. Both run on the instance's integer image, so the oracle's run
+is checked once at the end against ``monotone_cost`` with ``==``.
 
 Cost: O(log n) compares per request, plus for the oracle O(log n) Fenwick
 steps in each of its two trees, plus one deletion of at most ``RUN``
@@ -45,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .model import Instance, Matching, costs_equal, make_matching
+from .model import Instance, Matching, integer_image, make_matching
 from .offline import monotone_cost
 from .tape import AdviceTape
 
@@ -191,7 +191,7 @@ def lr_oracle(instance: Instance) -> AdviceTape:
     over LR's runs is built once, decremented from k + 1 by each take, and
     rebuilt when a take drops run k. About 11 s at n = 10^6
     (``BENCH_24.json``)."""
-    servers, requests = instance.servers, instance.requests
+    servers, requests = integer_image(instance)
     state = LRState(servers)
     belows = _later_below(requests)
     runs, lasts, take = state.runs, state.lasts, state.take
@@ -237,8 +237,8 @@ def lr_oracle(instance: Instance) -> AdviceTape:
             tree = _fenwick(map(len, runs))  # the runs after k moved down one
             top = len(tree)
     opt = monotone_cost(servers, requests)
-    if not costs_equal(cost, opt, instance.n):
-        raise LRError(f"oracle advice missed the optimum: cost {cost!r} vs {opt!r}")
+    if cost != opt:
+        raise LRError(f"oracle advice missed the optimum on the image: {cost!r} vs {opt!r}")
     return AdviceTape(bits)
 
 
@@ -250,8 +250,10 @@ class LRResult:
 
 def lr_run(instance: Instance, tape: AdviceTape) -> LRResult:
     """Serve the whole request sequence against the given advice tape;
-    ``bits_read`` counts the tape reads this run made."""
-    state = LRState(instance.servers)
+    ``bits_read`` counts the tape reads this run made. It serves and prices
+    on the integer image, whose compares are the positions'."""
+    image = servers, requests = integer_image(instance)
+    state = LRState(servers)
     start = tape.bits_read
-    assignment = [lr_serve(state, r, tape) for r in instance.requests]
-    return LRResult(make_matching(instance, assignment), tape.bits_read - start)
+    assignment = [lr_serve(state, r, tape) for r in requests]
+    return LRResult(make_matching(instance, assignment, image), tape.bits_read - start)

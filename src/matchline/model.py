@@ -1,8 +1,11 @@
 """Instances, matchings and cost on the real line.
 
-Positions are plain Python numbers. Integral floats are normalized to int so
-that integer instances compute with exact integer arithmetic end to end; this
-keeps advice words and cost comparisons exact in integer mode.
+Positions are plain Python numbers; integral floats are normalized to int.
+Every instance computes exactly, on its integer image: each finite float is
+p / 2^e, so times D, the largest denominator of a coordinate, every
+coordinate is an int, with every order, tie and distance kept. A run decides
+on the image and prices its int total there, divided by D once (int / int
+true division rounds correctly); an instance of ints is its own image.
 ``validate_instance`` checks each coordinate list in a few builtin passes
 and applies ``_normalize``, the one rule, per coordinate only to a list that
 holds something to convert or to refuse.
@@ -13,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -70,6 +72,38 @@ class Instance:
             and self.servers[0] == 1
         )
 
+    @cached_property
+    def scale(self) -> int:
+        """D, the largest denominator of a coordinate: 1 on an instance of
+        ints, else a power of two. Cached as ``integer_mode`` is."""
+        floats = [x for x in (*self.servers, *self.requests) if type(x) is float]
+        return max((x.as_integer_ratio()[1] for x in floats), default=1)
+
+    def unscaled(self, total: int) -> int | float:
+        """The cost of a distance ``total`` on the integer image: total / D."""
+        return total if self.scale == 1 else total / self.scale
+
+
+def _times(coords: Sequence, d: int) -> list:
+    """Each coordinate times ``d``, a power of two, as an exact int. A float
+    product is exact unless it overflows (or ``d`` is past the float range);
+    then every product is taken on ``as_integer_ratio``."""
+    try:
+        f = float(d)
+        return [x * d if type(x) is int else int(x * f) for x in coords]
+    except OverflowError:
+        return [p * (d // q) for p, q in (x.as_integer_ratio() for x in coords)]
+
+
+def integer_image(instance: Instance) -> tuple:
+    """The servers and the requests times D, as ints (see the module
+    docstring). Built per run and never cached: for D > 1 it holds 2n new
+    ints of up to about 2 100 bits."""
+    d = instance.scale
+    if d == 1:
+        return instance.servers, instance.requests
+    return _times(instance.servers, d), _times(instance.requests, d)
+
 
 def _normalized(coords: Sequence) -> tuple:
     """The coordinates under ``_normalize``. A list of plain ints and of
@@ -109,33 +143,20 @@ class Matching:
             raise InstanceError("assignment is not a permutation")
 
 
-def _cost(instance: Instance, assignment: Sequence[int]) -> int | float:
-    return sum(
-        abs(r - instance.servers[j]) for r, j in zip(instance.requests, assignment)
-    )
-
-
-def make_matching(instance: Instance, assignment: Sequence[int]) -> Matching:
-    """The matching and its cost. The permutation is checked once, by
-    ``Matching``; with the length checked here it is a bijection on the
-    servers."""
+def make_matching(instance: Instance, assignment: Sequence[int], image=None) -> Matching:
+    """The matching and its cost, priced on the integer image (``image``,
+    when the caller has built it). The permutation is checked once, by
+    ``Matching``; with the length checked here it is a bijection."""
     assignment = tuple(assignment)
     if len(assignment) != instance.n:
         raise InstanceError("assignment is not a bijection on the servers")
+    servers, requests = integer_image(instance) if image is None else image
     try:
-        cost = _cost(instance, assignment)
+        paired = map(servers.__getitem__, assignment)
+        total = sum(map(abs, map(operator.sub, requests, paired)))
     except (IndexError, TypeError) as exc:  # an index no server has
         raise InstanceError("assignment is not a bijection on the servers") from exc
-    return Matching(assignment, cost)
-
-
-def costs_equal(a, b, terms: int) -> bool:
-    """Whether two costs, each a sum of up to ``terms`` distances, are equal:
-    exactly on ints; on floats within 2 * terms * eps of the larger, the
-    rounding of two such sums taken in different orders, at every scale."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    return abs(a - b) <= 2 * terms * sys.float_info.epsilon * max(abs(a), abs(b))
+    return Matching(assignment, instance.unscaled(total))
 
 
 def save_instance(instance: Instance, path) -> None:

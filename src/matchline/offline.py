@@ -9,10 +9,11 @@ Two independent routes to the optimum are kept side by side:
   servers in order.
 
 The two exhaustive routes read one distance table per call, ``rows[i][j] =
-|r_i - s_j|``, instead of recomputing a distance at every step; the
-enumeration still prices every permutation and shares nothing with the DP
-but that table. Tests assert the routes agree; production callers use the
-monotone route.
+|r_i - s_j|`` on the instance's integer image, so every cost and tie is
+exact, instead of recomputing a distance at every step; the enumeration
+still prices every permutation and shares nothing with the DP but that
+table. Tests assert the routes agree; production callers use the monotone
+route.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import operator
 from typing import Iterator, Sequence
 
-from .model import Instance, Matching, costs_equal, make_matching
+from .model import Instance, Matching, integer_image, make_matching
 
 BRUTE_FORCE_MAX_N = 12
 
@@ -30,16 +31,15 @@ class OracleError(ValueError):
     pass
 
 
-def _distances(instance: Instance) -> list[list]:
+def _distances(servers, requests) -> list[list]:
     """The distance table ``rows[i][j] = |r_i - s_j|``."""
-    servers = instance.servers
-    return [[abs(r - s) for s in servers] for r in instance.requests]
+    return [[abs(r - s) for s in servers] for r in requests]
 
 
 def brute_force_optimal(instance: Instance) -> Matching:
     """Minimum-cost matching over all permutations.
 
-    Cost ties (equal under ``costs_equal``) are broken toward the
+    Cost ties, exact on the integer image, are broken toward the
     lexicographically smallest permutation so the output is deterministic.
     The subset DP explores exactly the space of all bijections;
     ``enumerate_assignments`` is the literal factorial loop used to validate
@@ -49,7 +49,7 @@ def brute_force_optimal(instance: Instance) -> Matching:
     n = instance.n
     if n > BRUTE_FORCE_MAX_N:
         raise OracleError(f"n={n} too large for exhaustive optimum")
-    rows = _distances(instance)
+    rows = _distances(*integer_image(instance))
 
     full = (1 << n) - 1
     # best[mask] = optimal cost of matching requests[popcount(mask):] to the
@@ -73,11 +73,11 @@ def brute_force_optimal(instance: Instance) -> Matching:
         target = best[mask]
         for j, d in enumerate(row):
             bit = 1 << j
-            if not mask & bit and costs_equal(d + best[mask | bit], target, n):
+            if not mask & bit and d + best[mask | bit] == target:
                 assignment.append(j)
                 mask |= bit
                 break
-    return make_matching(instance, assignment)
+    return Matching(tuple(assignment), instance.unscaled(best[0]))
 
 
 def enumerate_assignments(instance: Instance) -> Iterator[tuple]:
@@ -90,12 +90,12 @@ def enumerate_assignments(instance: Instance) -> Iterator[tuple]:
 def all_optimal_assignments(instance: Instance) -> list[tuple]:
     """Every minimum-cost assignment, by literal enumeration, independent of
     the DP: each permutation is priced as one sum over the distance table,
-    the terms of a ``make_matching`` cost in its order."""
+    the exact total of its ``make_matching`` cost."""
     perms = enumerate_assignments(instance)
-    rows = _distances(instance)
+    rows = _distances(*integer_image(instance))
     costs = [(sum(map(operator.getitem, rows, perm)), perm) for perm in perms]
     opt = min(c for c, _ in costs)
-    return [perm for c, perm in costs if costs_equal(c, opt, instance.n)]
+    return [perm for c, perm in costs if c == opt]
 
 
 def monotone_assignment(requests: Sequence) -> list[int]:

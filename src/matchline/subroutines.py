@@ -10,9 +10,11 @@ free server at or below it or the nearest at or above it. ``greedy`` takes
 the nearer one, O(log n) compares and one deletion of at most ``RUN``
 entries per request; ``permutation`` prices the two, O(t) for the t-th
 request and O(n^2) per run. Both serve the ids of the full scans they
-replaced except at float-rounding ties. ``clairvoyant``, alone given its
-block's sealed future requests, replays their offline optimum, so it is a
-verification device, not an online algorithm, for DIVIDE_k's exact checks.
+replaced: the package hands every pool ints (an instance's integer image or
+RESCALE's planning servers), so each distance and price is exact.
+``clairvoyant``, alone given its block's sealed future requests, replays
+their offline optimum, so it is a verification device, not an online
+algorithm, for DIVIDE_k's exact checks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import operator
 from typing import Sequence
 
 from .lr import LRState
-from .model import costs_equal
 from .offline import monotone_assignment
 
 SUBROUTINE_NAMES = ("greedy", "permutation", "clairvoyant")
@@ -51,11 +52,10 @@ class Greedy:
     below it and the nearest at or above it, with two bisects; the take
     deletes one entry of a run of at most ``RUN``. The lower one lies below
     the request and the upper one at or above, so each distance is a
-    one-sided difference, equal to its ``abs``. A float difference is
-    monotone in the position, so the nearer neighbour's computed distance is
-    the least over the free servers. When the lower one wins, a smaller free
-    id at its position exists only when the free entry just before it holds
-    the same position, so only then does a ``neighbours`` call look for it.
+    one-sided difference, equal to its ``abs``. When the lower one wins, a
+    smaller free id at its position exists only when the free entry just
+    before it holds the same position, so only then does a ``neighbours``
+    call look for it.
     Inlining the first search saves about 7% of a DIVIDE_k run with greedy
     at n = 3000.
     """
@@ -123,7 +123,7 @@ class Permutation:
     So only L (the smallest free id at its position) and H are priced, each
     as one sum of the sorted history against the sorted used positions plus
     it: O(t) for the t-th request, O(n^2) per run, exact on integers. L is
-    served when its cost is <= H's or ``costs_equal`` to it.
+    served when its cost is <= H's.
     """
 
     def __init__(self, servers, ids=None):
@@ -133,15 +133,15 @@ class Permutation:
         self.used: list = []  # positions of the servers served so far, sorted
 
     def _lower_wins(self, low, high) -> bool:
-        """Whether cost(history, used + {low}) is <= the cost with high, or
-        ``costs_equal`` to it; each pairs the two sorted lists in order."""
+        """Whether cost(history, used + {low}) is <= the cost with high;
+        each pairs the two sorted lists in order."""
         used, costs = self.used, []
         for s in (low, high):
             g = bisect.bisect_left(used, s)
             used.insert(g, s)
             costs.append(sum(map(abs, map(operator.sub, self.history, used))))
             del used[g]
-        return costs[0] <= costs[1] or costs_equal(*costs, len(self.history))
+        return costs[0] <= costs[1]
 
     def serve(self, request) -> int:
         pool = self.pool
@@ -166,8 +166,11 @@ class Clairvoyant:
         """As ``Greedy``'s; the request at rank t in ``sealed`` gets ``ids[t]``."""
         self.ids = _ordered(servers, ids)
         self.sealed = list(sealed)
-        if len(self.sealed) > len(self.ids):
-            raise SubroutineError("sealed sequence longer than the pool")
+        if len(self.sealed) != len(self.ids):
+            # the plan's ranks are the whole pool's: a shorter sequence would
+            # be served the pool's lowest servers, not an optimal subset
+            side = "longer" if len(self.sealed) > len(self.ids) else "shorter"
+            raise SubroutineError(f"sealed sequence {side} than the pool")
         # request t -> pool rank; a permutation, so no rank is served twice
         self.plan = monotone_assignment(self.sealed)
         self.step = 0

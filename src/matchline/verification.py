@@ -12,7 +12,7 @@ from __future__ import annotations
 from .divide import DivideResult, divide_run
 from .generators import VERIFY_FAMILY_MAX_N, gen_family, gen_uniform, verify_family
 from .lr import LRResult, lr_oracle, lr_run
-from .model import Instance, costs_equal
+from .model import Instance
 from .offline import (
     BRUTE_FORCE_MAX_N,
     OracleError,
@@ -46,12 +46,12 @@ def _check_n_max(n_max: int, cap: int) -> None:
 def lr_is_optimal(result: LRResult, opt) -> bool:
     """LR's matching costs the optimum and it read at most n - 1 bits."""
     n = len(result.matching.assignment)
-    return costs_equal(result.matching.cost, opt, n) and result.bits_read <= n - 1
+    return result.matching.cost == opt and result.bits_read <= n - 1
 
 
 def divide_is_exact(result: DivideResult, opt) -> bool:
     """DIVIDE_k's matching costs the optimum."""
-    return costs_equal(result.matching.cost, opt, len(result.matching.assignment))
+    return result.matching.cost == opt
 
 
 def advice_within_budget(result: DivideResult) -> bool:
@@ -100,7 +100,7 @@ def switches_preserve_cost(instance: Instance) -> bool:
     matching = monotone_optimal(instance)
     n = instance.n
     return all(
-        costs_equal(apply_switch(instance, matching, i, j).cost, matching.cost, n)
+        apply_switch(instance, matching, i, j).cost == matching.cost
         for i in range(n)
         for j in range(i + 1, n)
         if switch_allowed(instance, matching, i, j)

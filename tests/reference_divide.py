@@ -1,12 +1,14 @@
-"""DIVIDE_k and RESCALE as they were before requests were clamped into the
-servers' span: q words clamped to +-infinity sentinels, a tape layout written
-out once for the writer and once for the reader, and a marking fallback that
-lets the other side's budget absorb a request. Kept verbatim as the
+"""DIVIDE_k as it was before requests were clamped into the servers' span:
+q words clamped to +-infinity sentinels, a tape layout written out once for
+the writer and once for the reader, and a marking fallback that lets the
+other side's budget absorb a request. Kept verbatim as the
 differential reference for ``matchline.divide``; nothing in the package uses
 it. Its ``make_subroutine`` call no longer passes ``exact=``, which the
 package's subroutines dropped (they compare costs by their types). It keeps
 its own verbatim copy of ``AuxTape``, the self-written tape with
-``remove_last`` that the package no longer has.
+``remove_last`` that the package no longer has. Its RESCALE, which planned
+in floats, went when the package began to plan exactly: RESCALE's reference
+is ``_run_divide`` on the exact rescaling (``test_divide_reference``).
 
 ``interleaved_serve`` is the serving loop of the clamped version, before it
 served block by block: one pass in arrival order that calls each request's
@@ -17,7 +19,6 @@ verdicts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from matchline.model import Instance, InstanceError, Matching
@@ -488,45 +489,6 @@ def divide_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divide
     if not instance.integer_mode:
         raise InstanceError("DIVIDE_k requires an integer-mode instance (s_1 = 1)")
     return _run_divide(instance, k, subroutine, instance.servers[-1] + 1)  # N = s_n + 1
-
-
-@dataclass
-class RescaleResult:
-    matching: Matching  # original coordinates
-    scaled: DivideResult
-    scaled_cost: int | float
-    cost: int | float
-
-
-def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> RescaleResult:
-    """DIVIDE_k on arbitrary real input via the n^3 integer rescaling.
-
-    Servers scale to s' = n^3 (s - s_1) + 1 (kept exact, possibly
-    non-integral); requests round down to integers. N is chosen so that
-    s'_n = N - 1 holds exactly, restoring DIVIDE_k's precondition.
-    """
-    n = instance.n
-    scale = n**3
-    s1 = instance.servers[0]
-    servers = [scale * (s - s1) + 1 for s in instance.servers]
-    requests = [math.floor(scale * (r - s1)) + 1 for r in instance.requests]
-    span_bound = servers[-1] + 1
-    if isinstance(span_bound, float) and span_bound.is_integer():
-        span_bound = int(span_bound)
-    scaled_instance = Instance(
-        tuple(int(s) if isinstance(s, float) and s.is_integer() else s for s in servers),
-        tuple(requests),
-    )
-    result = _run_divide(
-        scaled_instance, k, subroutine, math.ceil(span_bound)
-    )
-    matching = make_matching(instance, result.matching.assignment)
-    return RescaleResult(
-        matching=matching,
-        scaled=result,
-        scaled_cost=result.matching.cost,
-        cost=matching.cost,
-    )
 
 
 def interleaved_serve(

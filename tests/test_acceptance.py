@@ -9,16 +9,18 @@ per session.
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
 import conftest
+from exact_cost import exact_cost
 
 from matchline import verification
 from matchline.divide import divide_run, rescale_run
 from matchline.generators import gen_family, gen_uniform, rho_zero
 from matchline.lr import lr_oracle, lr_run
-from matchline.model import costs_equal, validate_instance
+from matchline.model import validate_instance
 from matchline.offline import brute_force_optimal, monotone_optimal
 
 
@@ -162,14 +164,14 @@ def test_07_marking_invariants(divide_suite, decomposition_suite):
 def test_08_rescale_consistency():
     ok = True
     for n in range(2, 9):
-        slack = n * n**-3
+        slack = Fraction(1, n * n)  # n * n^-3
         for seed in range(15):
             for request_range in ("span", (-10.0, 20.0)):
                 instance = gen_uniform(n, (0.0, 10.0), seed, request_range=request_range)
+                bound = exact_cost(instance, brute_force_optimal(instance).assignment) + slack
                 for k in (1, 2, n):
-                    cost = rescale_run(instance, k, "clairvoyant").matching.cost
-                    bound = brute_cost(instance) + slack
-                    if cost > bound and not costs_equal(cost, bound, n):
+                    matching = rescale_run(instance, k, "clairvoyant").matching
+                    if exact_cost(instance, matching.assignment) > bound:
                         ok = False
     for seed in range(25):
         for request_range in ("span", (-18, 36)):
@@ -198,9 +200,7 @@ def test_09_oracle_equivalence():
             if monotone_optimal(instance).cost != brute_cost(instance):
                 ok = False
             real = gen_uniform(n, (0.0, 20.0), seed)
-            if not costs_equal(
-                monotone_optimal(real).cost, brute_force_optimal(real).cost, n
-            ):
+            if monotone_optimal(real).cost != brute_force_optimal(real).cost:
                 ok = False
     report("9 monotone optimum equals brute force (1000+ instances, n=2..8)", ok)
     assert ok

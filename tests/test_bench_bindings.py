@@ -31,8 +31,10 @@ def test_tracer_binds_every_layer_but_the_known_one():
     before = {name: dict(vars(module)) for name, module in vars(lib).items()}
     tracer = load_spans().Tracer()
     with tracer.installed(lib):
-        # divide no longer imports monotone_optimal: that binding lost its target
-        assert tracer.unbound == {"divide.monotone_optimal"}
+        # divide no longer imports monotone_optimal: that binding lost its
+        # target; nor make_matching, as a DIVIDE_k run builds its matching
+        # from the exact total it priced while serving
+        assert tracer.unbound == {"divide.monotone_optimal", "divide.make_matching"}
         assert lib.experiment.lr_oracle is not lib.lr.lr_oracle
     # uninstalling restores every module-level name
     assert {name: dict(vars(module)) for name, module in vars(lib).items()} == before

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_divide
+from exact_cost import exact_cost, reported
 from test_divide_reference import count_bounds, unfold
 from matchline import divide, verification
 from matchline.cli import main
@@ -24,8 +26,8 @@ from matchline.divide import (
 )
 from matchline.generators import gen_uniform
 from matchline.lr import LRState, lr_serve
-from matchline.model import InstanceError, costs_equal, save_instance, validate_instance
-from matchline.offline import brute_force_optimal
+from matchline.model import InstanceError, save_instance, validate_instance
+from matchline.offline import brute_force_optimal, monotone_optimal
 from matchline.subroutines import SubroutineError
 from matchline.tape import AdviceTape, TapeUnderflow, word_width
 
@@ -504,12 +506,24 @@ def test_rescale_matches_divide_on_integer_instances():
 
 def test_rescale_real_instances_within_rounding_slack():
     for n in range(2, 7):
-        slack = n * n**-3
+        slack = Fraction(1, n * n)  # n * n^-3
         for seed in range(20):
             inst = gen_uniform(n, (0.0, 10.0), seed, request_range="span")
-            cost = rescale_run(inst, min(2, n), "clairvoyant").matching.cost
-            bound = brute_force_optimal(inst).cost + slack
-            assert cost <= bound or costs_equal(cost, bound, n)
+            matching = rescale_run(inst, min(2, n), "clairvoyant").matching
+            cost = exact_cost(inst, matching.assignment)
+            assert matching.cost == reported(inst, cost)
+            opt = exact_cost(inst, brute_force_optimal(inst).assignment)
+            assert cost <= opt + slack
+
+
+def test_rescale_never_reports_a_cost_below_the_optimum():
+    # both requests lie right of both servers, so every matching costs OPT
+    # exactly; summed in floats in another order, RESCALE's cost once read
+    # 586039.1920456028, below OPT's 586039.192045603
+    inst = gen_uniform(2, (0.0, 1e6), 65)
+    assert max(inst.servers) < min(inst.requests)
+    cost = rescale_run(inst, 1, "clairvoyant").matching.cost
+    assert cost == monotone_optimal(inst).cost == 586039.192045603
 
 
 def test_rescale_scaled_coordinates():
@@ -517,6 +531,15 @@ def test_rescale_scaled_coordinates():
     result = rescale_run(inst, 2, "clairvoyant")
     # s' = n^3 (s - s_1) + 1, so N = n^3 (s_n - s_1) + 2
     assert result.plan.span_bound == 18
+
+
+def test_rescale_span_bound_above_a_non_integral_top_server():
+    # s'_n = 2^3 (2.0625 - 0.5) + 1 = 13.5, so N = ceil(13.5) + 1 = 15 and a
+    # request past the servers is clamped to 14, above s'_n
+    inst = validate_instance([0.5, 2.0625], [1.0, 40.0])
+    result = rescale_run(inst, 2, "clairvoyant")
+    assert result.plan.span_bound == 15
+    assert result.plan.boundaries == (7,)  # (1 + 13.5) // 2
 
 
 def test_rescale_pullback_is_same_permutation():
@@ -528,16 +551,24 @@ def test_rescale_pullback_is_same_permutation():
 
 
 def test_rescale_costs_decompose_in_caller_units():
-    # lr_cost and block_costs price the caller's requests, so on float
-    # instances they add up to the matching's cost, in and out of span
+    # lr_cost and block_costs price the caller's requests: each is the
+    # correctly rounded exact cost of its pool's requests, and the exact
+    # parts add up to the matching's exact cost, in and out of span
     for n in range(1, 9):
         for seed in range(10):
             for request_range in ("span", (-10.0, 20.0)):
                 inst = gen_uniform(n, (0.0, 10.0), seed, request_range=request_range)
                 for k in range(1, n + 1):
                     result = rescale_run(inst, k, "greedy")
-                    parts = result.lr_cost + sum(result.block_costs)
-                    assert costs_equal(parts, result.matching.cost, n)
+                    assignment = result.matching.assignment
+                    marked = [t for t, _b, _right in result.marked_arrivals]
+                    lr = exact_cost(inst, assignment, marked)
+                    blocks = [exact_cost(inst, assignment, own) for own in result.arrivals]
+                    assert result.lr_cost == reported(inst, lr)
+                    assert result.block_costs == [reported(inst, c) for c in blocks]
+                    whole = exact_cost(inst, assignment)
+                    assert lr + sum(blocks) == whole
+                    assert result.matching.cost == reported(inst, whole)
 
 
 def test_empty_block_when_boundaries_coincide():
@@ -568,51 +599,18 @@ def test_rescale_within_rounding_slack_past_2_53():
 
 
 def test_rescale_span_bound_past_2_53():
-    # s'_n is an integral float past 2^53; N = s'_n + 1 must keep the + 1
+    # s'_n is an integer past 2^53; N = s'_n + 1 must keep the + 1, and
+    # both are exact (a float s'_n rounds to 37472326478853424)
     inst = gen_uniform(4, (0.0, 1e15), 0)
     plan = rescale_run(inst, 2, "clairvoyant").plan
-    top = 4**3 * (inst.servers[-1] - inst.servers[0]) + 1
-    assert plan.span_bound == int(top) + 1 == 37472326478853425
-
-
-# LR's pool positions: ints, non-integral floats (several per unit interval),
-# integral floats, and ints on both sides of 2^53
-POOL_VALUES = st.one_of(
-    st.integers(-6, 6),
-    st.builds(lambda i, f: i + f, st.integers(-6, 6), st.floats(0.001, 0.999)),
-    st.integers(-6, 6).map(float),
-    st.integers(2**53 - 3, 2**53 + 3),
-)
-
-
-@settings(max_examples=300)
-@given(st.lists(POOL_VALUES, min_size=1, max_size=12), st.data())
-def test_lr_on_the_integer_image_takes_the_same_ids_and_bits(values, data):
-    # LR over (positions, r) and over (image, 2r): same ids taken, same bits
-    # read, under any tape, for ids ascending with position
-    pool = sorted(values + data.draw(st.lists(st.sampled_from(values), max_size=4)))
-    n = len(pool)
-    ids = sorted(data.draw(st.sets(st.integers(0, 3 * n), min_size=n, max_size=n)))
-    # integer requests equal to, next to, between and outside the positions
-    near = sorted({v + e for x in pool for v in (math.floor(x), math.ceil(x)) for e in (-1, 0, 1)})
-    requests = data.draw(
-        st.lists(
-            st.one_of(st.sampled_from(near), st.integers(near[0] - 4, near[-1] + 4)),
-            max_size=n,
-        )
-    )
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    plain, image = LRState(pool, ids), divide._image_pool(pool, ids)
-    assert all(type(p) is int for run in image.runs for p in run)
-    plain_tape, image_tape = AdviceTape(bits), AdviceTape(bits)
-    taken = [lr_serve(plain, r, plain_tape) for r in requests]
-    assert [lr_serve(image, 2 * r, image_tape) for r in requests] == taken
-    assert image_tape.bits_read == plain_tape.bits_read
+    top = 4**3 * (Fraction(inst.servers[-1]) - Fraction(inst.servers[0])) + 1
+    assert top.denominator == 1
+    assert plan.span_bound == top + 1 == 37472326478853428
 
 
 def test_lr_inside_rescale_compares_ints_only(monkeypatch):
-    # RESCALE's planning servers are non-integral floats here; the pool LR
-    # searches and every request it is served are ints all the same
+    # RESCALE's planning servers, taken in floats, are non-integral here;
+    # the pool LR searches and every request it is served are ints
     inst = gen_uniform(60, (0.0, 1000.0), 3)
     scale = inst.n**3
     assert any(

@@ -19,19 +19,27 @@ The serving of ``_run_divide``, block by block and then LR, is held to the
 interleaved loop it replaced (``reference_divide.interleaved_serve``) on the
 same plan, advice, marks and tags, and each subroutine and LR are checked to
 receive exactly their own requests in arrival order.
+
+RESCALE plans and prices exactly, on the instance's integer image. The
+reference's RESCALE planned in floats, which round, so on float instances
+the reference's ``_run_divide`` runs on the exact rescaling, in
+``fractions.Fraction`` (``exact_rescaling``), and its matching is priced by
+``exact_cost``.
 """
 
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_divide as ref
+from exact_cost import exact_cost, reported
 from matchline import divide, verification
 from matchline.generators import gen_uniform
-from matchline.model import costs_equal, validate_instance
+from matchline.model import Instance, Matching, validate_instance
 from matchline.offline import brute_force_optimal
 from matchline.subroutines import SUBROUTINE_NAMES
 from matchline.tape import word_width
@@ -151,31 +159,39 @@ def outputs(result, advice, verdicts):
     )
 
 
+def exact_rescaling(instance):
+    """RESCALE's planning instance, exactly: servers n^3 (s - s_1) + 1 as
+    ``Fraction``s and requests floor(n^3 (r - s_1)) + 1, with N =
+    ceil(s'_n) + 1."""
+    scale, s1 = instance.n**3, Fraction(instance.servers[0])
+    servers = tuple(scale * (Fraction(s) - s1) + 1 for s in instance.servers)
+    requests = tuple(math.floor(scale * (Fraction(r) - s1)) + 1 for r in instance.requests)
+    return Instance(servers, requests), math.ceil(servers[-1]) + 1
+
+
 def caller_costs(instance, k, verdicts, assignment):
-    """lr_cost and block_costs priced on the caller's coordinates, summed in
-    arrival order."""
-    lr_cost, block_costs = 0, [0] * k
-    for r, j, (verdict, b) in zip(instance.requests, assignment, verdicts):
-        cost = abs(r - instance.servers[j])
-        if verdict == "block":
-            block_costs[b] += cost
-        else:
-            lr_cost += cost
-    return {"lr_cost": lr_cost, "block_costs": block_costs}
+    """The matching, lr_cost and block_costs priced exactly on the caller's
+    coordinates, each rounded once as the library reports it."""
+    lr, blocks = [], [[] for _ in range(k)]
+    for t, (verdict, b) in enumerate(verdicts):
+        (blocks[b] if verdict == "block" else lr).append(t)
+    return {
+        "matching": Matching(assignment, reported(instance, exact_cost(instance, assignment))),
+        "lr_cost": reported(instance, exact_cost(instance, assignment, lr)),
+        "block_costs": [reported(instance, exact_cost(instance, assignment, own)) for own in blocks],
+    }
 
 
 def assert_same(shape: str, instance, k: int, sub: str):
     if shape == "float":
-        # the reference reports its plan, tape and marks on a scaled copy of
-        # the instance and its final matching on the caller's; the library's
-        # one result holds both and prices its block costs on the caller's
+        # the reference reports its plan, tape and marks on the scaled
+        # instance; the library's one result holds them and the matching
+        # and costs priced on the caller's
         new = divide.rescale_run(instance, k, sub)
-        old = ref.rescale_run(instance, k, sub)
-        assert repr(new.matching.cost) == repr(old.cost)
+        scaled, span_bound = exact_rescaling(instance)
+        old = ref._run_divide(scaled, k, sub, span_bound)
         old = dataclasses.replace(
-            old.scaled,
-            matching=old.matching,
-            **caller_costs(instance, k, old.scaled.verdicts, old.matching.assignment),
+            old, **caller_costs(instance, k, old.verdicts, old.matching.assignment)
         )
     else:
         new = divide.divide_run(instance, k, sub)
@@ -249,25 +265,28 @@ def test_out_of_span_clairvoyant_runs_are_exact():
 def test_out_of_span_rescale_within_rounding_slack():
     rng = random.Random(8)
     for n in range(1, 9):
-        slack = n * n**-3
+        slack = Fraction(1, n * n)  # n * n^-3
         for _ in range(8):
             instance = make_instance("out-of-span-float", n, rng)
-            opt = brute_force_optimal(instance).cost
+            opt = exact_cost(instance, brute_force_optimal(instance).assignment)
             for k in range(1, n + 1):
-                cost = divide.rescale_run(instance, k, "clairvoyant").matching.cost
-                assert cost >= opt or costs_equal(cost, opt, n)
-                assert cost <= opt + slack or costs_equal(cost, opt + slack, n)
+                matching = divide.rescale_run(instance, k, "clairvoyant").matching
+                cost = exact_cost(instance, matching.assignment)
+                assert matching.cost == reported(instance, cost)
+                assert opt <= cost <= opt + slack
 
 
 def planning_run(monkeypatch, instance, k: int, sub: str):
     """A DIVIDE_k run ("float" instances through RESCALE) with the planning
-    servers and clamped planning requests it served."""
+    servers (exact, in whole units), the clamped planning requests it
+    served, and the unit of the servers it was given."""
     seen = {}
     run_divide = divide._run_divide
 
-    def recording(instance, k, subroutine, servers, requests):
-        seen.update(servers=servers, requests=requests)
-        return run_divide(instance, k, subroutine, servers, requests)
+    def recording(instance, k, subroutine, image, servers, requests, unit):
+        exact = servers if unit == 1 else [Fraction(s, unit) for s in servers]
+        seen.update(servers=exact, requests=requests, unit=unit)
+        return run_divide(instance, k, subroutine, image, servers, requests, unit)
 
     monkeypatch.setattr(divide, "_run_divide", recording)
     run = divide.divide_run if instance.integer_mode else divide.rescale_run
@@ -275,7 +294,7 @@ def planning_run(monkeypatch, instance, k: int, sub: str):
     monkeypatch.undo()
     top = result.plan.span_bound - 1
     requests = [1 if r < 1 else top if r > top else r for r in seen["requests"]]
-    return result, seen["servers"], requests
+    return result, seen["servers"], requests, seen["unit"]
 
 
 def serving_grid(seed: int):
@@ -292,26 +311,30 @@ def serving_grid(seed: int):
 def test_serving_matches_the_interleaved_reference(monkeypatch):
     for instance, k in serving_grid(2030):
         for sub in SUBROUTINE_NAMES:
-            result, servers, requests = planning_run(monkeypatch, instance, k, sub)
+            result, servers, requests, _unit = planning_run(monkeypatch, instance, k, sub)
+            verdicts = verdicts_of(result)
             old = ref.interleaved_serve(
                 instance, sub, servers, requests,
-                result.plan, unfold(result.advice, result.plan), result.marks,
-                verdicts_of(result),
+                result.plan, unfold(result.advice, result.plan), result.marks, verdicts,
             )
+            if not instance.integer_mode:
+                # the reference sums float costs; the library's are exact
+                costs = caller_costs(instance, k, verdicts, tuple(old[0]))
+                old = (old[0], costs["lr_cost"], costs["block_costs"], old[3])
             new = (
                 list(result.matching.assignment),
                 result.lr_cost,
                 result.block_costs,
                 result.aux_bits_written,
             )
-            # repr: float sums must agree to the last bit, and int stay int
+            # repr: float costs must agree to the last bit, and int stay int
             assert repr(new) == repr(old), (instance, k, sub)
 
 
 def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
     # the online model behind block-by-block serving: block b's subroutine is
     # served exactly the requests of arrivals[b], LR exactly the marked ones,
-    # each in arrival order (LR on its pool's integer image: request r as 2r)
+    # each in arrival order, as positions in the servers' units
     for instance, k in serving_grid(2031):
         for sub in SUBROUTINE_NAMES:
             served, lr_served = [], []
@@ -336,7 +359,7 @@ def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
 
             monkeypatch.setattr(divide, "make_subroutine", recording_subroutine)
             monkeypatch.setattr(divide, "lr_serve", recording_lr)
-            result, _servers, requests = planning_run(monkeypatch, instance, k, sub)
+            result, _servers, requests, unit = planning_run(monkeypatch, instance, k, sub)
             groups = result.plan.groups
             by_block = {}
             for ids, log in served:
@@ -348,5 +371,5 @@ def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
             assert sorted(t for pool in pools for t in pool) == list(range(len(requests)))
             assert all(a < b for pool in pools for a, b in zip(pool, pool[1:]))
             for b, own in enumerate(result.arrivals):
-                assert by_block.get(b, []) == [requests[t] for t in own], (instance, k, sub, b)
-            assert lr_served == [2 * requests[t] for t in pools[-1]]
+                assert by_block.get(b, []) == [requests[t] * unit for t in own], (instance, k, sub, b)
+            assert lr_served == [requests[t] * unit for t in pools[-1]]

@@ -6,12 +6,15 @@ DIVIDE_k's reader on corrupted oracle tapes of the same instances."""
 
 import math
 import tempfile
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_cost import exact_cost, reported
 from matchline import verification
 from matchline.cli import main
 from matchline.divide import (
@@ -21,8 +24,8 @@ from matchline.divide import (
     mark_servers,
 )
 from matchline.experiment import run_algorithm
-from matchline.model import costs_equal, save_instance, validate_instance
-from matchline.offline import monotone_cost, monotone_optimal
+from matchline.model import integer_image, save_instance, validate_instance
+from matchline.offline import brute_force_optimal, monotone_cost, monotone_optimal
 from matchline.subroutines import SUBROUTINE_NAMES, Permutation
 from matchline.tape import AdviceTape, TapeUnderflow
 
@@ -73,43 +76,82 @@ def configs(instance):
 @settings(max_examples=150)
 @given(instances())
 def test_every_algorithm_against_the_monotone_optimum(instance):
+    # every cost is its matching's exact cost, rounded once, and compares
+    # exactly with the optimum
     n = instance.n
-    opt = monotone_optimal(instance).cost
+    optimum = monotone_optimal(instance)
+    opt = exact_cost(instance, optimum.assignment)
+    assert optimum.cost == reported(instance, opt)
     for algo, k, sub, exact in configs(instance):
         outcome = run_algorithm(instance, algo, k, sub)
-        cost = outcome["cost"]
+        cost = exact_cost(instance, outcome["matching"].assignment)
         label = f"{algo} k={k} {sub}"
-        assert cost >= opt or costs_equal(cost, opt, n), label
+        assert outcome["cost"] == reported(instance, cost), label
+        assert cost >= opt, label
         if "divide" in outcome:
             result = outcome["divide"]
             assert verification.advice_within_budget(result), label
         if exact:
             # RESCALE loses at most n * n^-3 to the rounding of the requests
-            target = opt + (n * n**-3 if algo == "rescale" else 0)
-            assert cost <= target or costs_equal(cost, target, n), label
+            assert cost <= opt + (Fraction(1, n * n) if algo == "rescale" else 0), label
+
+
+#: (servers, requests) at the float extremes: ints past 2^53 beside a half,
+#: where an int minus a float rounds (the first is greedy's old tie); a
+#: subnormal beside 1e300, so D = 2^1074 and x * D overflows a float; and
+#: the least normal float
+EXTREMES = [
+    ([-(2**60) - 1, 2**60, 2**60 + 7], [0.5, 2**60 + 7, 2**60]),
+    ([5e-324, 1.5, 1e300], [1e300, 2.5, 0.25]),
+    ([0, 4.5], [0, 2.2250738585072014e-308]),
+    ([2**53 + 1, 2**60, 2**60 + 3], [2**60 + 1, 0.5, 2**53 + 5]),
+]
+
+
+@pytest.mark.parametrize("servers, requests", EXTREMES)
+def test_every_algorithm_prices_exactly_at_the_float_extremes(servers, requests):
+    instance = validate_instance(servers, requests)
+    n = instance.n
+    optimum = monotone_optimal(instance)
+    opt = exact_cost(instance, optimum.assignment)
+    assert optimum.cost == reported(instance, opt) == brute_force_optimal(instance).cost
+    runs = [("lr", None, "greedy"), ("greedy", None, "greedy"), ("permutation", None, "greedy")]
+    runs += [("rescale", k, sub) for k in sorted({1, 2, n}) for sub in SUBROUTINE_NAMES]
+    for algo, k, sub in runs:
+        outcome = run_algorithm(instance, algo, k, sub)
+        cost = exact_cost(instance, outcome["matching"].assignment)
+        label = f"{algo} k={k} {sub}"
+        assert outcome["cost"] == reported(instance, cost), label
+        assert cost >= opt, label
+        if algo == "lr":
+            assert cost == opt, label
+        elif sub == "clairvoyant":
+            # RESCALE's rounding of the requests costs at most n * n^-3
+            assert cost <= opt + Fraction(1, n * n), label
 
 
 @given(instances(max_n=8))
 def test_permutation_keeps_an_optimal_server_set(instance):
     # the step Permutation rests on: some optimal server set for t requests
     # extends the one for t - 1, so after each request t its used servers
-    # cost the least over all t-subsets of the servers (exactly on ints)
-    servers, requests = instance.servers, instance.requests
+    # cost the least over all t-subsets of the servers, exactly on the
+    # instance's integer image
+    servers, requests = integer_image(instance)
     sub, used = Permutation(servers), []
     for t in range(1, instance.n + 1):
         used.append(servers[sub.serve(requests[t - 1])])
         history = requests[:t]
         least = min(monotone_cost(subset, history) for subset in combinations(servers, t))
-        assert costs_equal(monotone_cost(used, history), least, t)
+        assert monotone_cost(used, history) == least
 
 
 def planning_requests(instance, algo: str, plan) -> list:
     """The requests as a DIVIDE_k run plans on them: on RESCALE's n^3-scaled
-    image for "rescale", and clamped into [1, N - 1]."""
+    image for "rescale", taken exactly, and clamped into [1, N - 1]."""
     requests = instance.requests
     if algo == "rescale":
-        scale, s1 = instance.n**3, instance.servers[0]
-        requests = [math.floor(scale * (r - s1)) + 1 for r in requests]
+        scale, s1 = instance.n**3, Fraction(instance.servers[0])
+        requests = [math.floor(scale * (Fraction(r) - s1)) + 1 for r in requests]
     top = plan.span_bound - 1
     return [min(max(r, 1), top) for r in requests]
 

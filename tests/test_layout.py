@@ -4,7 +4,9 @@ private cannot leak into another's code; the package imports nothing but
 itself and the standard library; no module imports a name it never uses;
 every top-level def and class is reached from the package or exported; and
 every method and property of its classes is looked up by name somewhere in
-the package. So nothing in it is test-only."""
+the package. So nothing in it is test-only. No module names a float
+tolerance, as every cost is exact; and no differential reference takes the
+cost code it compares against from the package."""
 
 import ast
 import sys
@@ -222,3 +224,108 @@ def test_the_member_check_flags_only_unreferenced_methods_and_properties():
 def test_every_method_and_property_is_looked_up_in_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_members(sources) == []
+
+
+#: names of the float tolerance that left the package: every cost in it is
+#: exact, so costs compare with == and <=
+TOLERANCE_NAMES = {"costs_equal", "float_info", "epsilon"}
+
+
+def tolerance_names(source: str) -> list:
+    """Every identifier in ``source`` (names, attributes, imports and
+    definitions; not strings or comments) that names the float tolerance."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name.rpartition(".")[2], node.asname]
+        elif isinstance(node, (*DEFINITIONS, ast.arg)):
+            names = [getattr(node, "name", None) or node.arg]
+        else:
+            continue
+        found += [name for name in names if name in TOLERANCE_NAMES]
+    return found
+
+
+def test_the_tolerance_check_flags_identifiers_only():
+    source = (
+        '"""costs_equal once compared within epsilon."""\n'
+        "import sys\nfrom .model import costs_equal\n"
+        "def f(a, epsilon):\n    # float_info\n    return a <= sys.float_info.max\n"
+    )
+    assert tolerance_names(source) == ["costs_equal", "epsilon", "float_info"]
+
+
+def test_no_module_names_a_float_tolerance():
+    named = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := tolerance_names(path.read_text()))
+    }
+    assert named == {}
+
+
+TESTS = Path(__file__).parent
+#: the cost code the differential references keep their own copies of, in
+#: ``reference_common``, so that a change to the package's cannot reach
+#: both sides of a differential test
+REFERENCE_OWNED = {"costs_equal", "monotone_cost", "make_matching", "monotone_optimal"}
+
+
+def package_cost_imports(source: str) -> list:
+    """``module.name`` of every ``REFERENCE_OWNED`` name that ``source``
+    takes from the package: imported by name, or looked up on a name it
+    imported from the package."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "matchline":
+            for a in node.names:
+                if a.name in REFERENCE_OWNED:
+                    found.append(f"{node.module}.{a.name}")
+                else:
+                    modules.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                a.asname or "matchline" for a in node.names if a.name.split(".")[0] == "matchline"
+            )
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in REFERENCE_OWNED
+            and isinstance(node.value, (ast.Name, ast.Attribute))
+        ):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_the_reference_import_check_flags_package_cost_code():
+    source = (
+        "import matchline.model as m\nimport matchline\n"
+        "from matchline.offline import monotone_cost, OracleError\n"
+        "from matchline import offline\nfrom reference_common import costs_equal\n"
+        "x = m.make_matching\ny = offline.monotone_optimal\nz = matchline.model.costs_equal\n"
+        "w = costs_equal\n"
+    )
+    assert package_cost_imports(source) == [
+        "matchline.offline.monotone_cost",
+        "m.make_matching",
+        "offline.monotone_optimal",
+        "matchline.model.costs_equal",
+    ]
+
+
+def test_no_reference_takes_the_cost_code_from_the_package():
+    taken = {
+        path.name: found
+        for path in sorted(TESTS.glob("reference_*.py"))
+        if (found := package_cost_imports(path.read_text()))
+    }
+    assert taken == {}

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -146,8 +145,7 @@ def test_oracle_optimal_on_large_float_coordinates():
         n = 200
         inst = gen_uniform(n, (0.0, 1e9), seed)
         result = lr_run(inst, lr_oracle(inst))
-        cost, opt = result.matching.cost, monotone_optimal(inst).cost
-        assert abs(cost - opt) <= 2 * n * sys.float_info.epsilon * max(cost, opt)
+        assert result.matching.cost == monotone_optimal(inst).cost
         assert result.bits_read <= n - 1
 
 

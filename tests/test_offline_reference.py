@@ -1,14 +1,16 @@
 """Differential tests of the exhaustive oracles against ``reference_offline``,
 the code that recomputed every distance: ``brute_force_optimal`` must return
-the same assignment and a cost of the same ``repr``, and
-``all_optimal_assignments`` the same optima in the same order, on every
-shape below."""
+the same assignment, and ``all_optimal_assignments`` the same optima in the
+same order, on every shape below. The reference sums float distances; the
+package prices exactly, so its cost must have the ``repr`` of the
+reference's assignment priced by ``exact_cost`` and rounded once."""
 
 import random
 
 import pytest
 
 import reference_offline as ref
+from exact_cost import exact_cost, reported
 from matchline.model import validate_instance
 from matchline.offline import all_optimal_assignments, brute_force_optimal
 
@@ -68,7 +70,8 @@ def test_brute_force_matches_the_reference(shape):
     for instance in cases(shape, 10, 5):
         got, want = brute_force_optimal(instance), ref.brute_force_optimal(instance)
         assert got.assignment == want.assignment, instance
-        assert repr(got.cost) == repr(want.cost), instance
+        exact = reported(instance, exact_cost(instance, want.assignment))
+        assert repr(got.cost) == repr(exact), instance
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,6 +150,21 @@ def test_permutation_on_large_float_coordinates():
     assert outcome["cost"] >= monotone_optimal(inst).cost
 
 
+@pytest.mark.parametrize("algo", ["greedy", "permutation"])
+def test_greedy_and_permutation_take_the_nearer_server_past_2_53(algo):
+    # the first request, 0.5, lies 2^60 - 0.5 from server 1 and 2^60 + 1.5
+    # from server 0; as floats both distances round to 2^60, and the tie
+    # once went down to server 0
+    from matchline.experiment import run_algorithm
+
+    big = 2**60
+    inst = validate_instance([-big - 1, big, big + 7], [0.5, big + 7, big])
+    outcome = run_algorithm(inst, algo)
+    assert outcome["matching"].assignment == (1, 2, 0)
+    # (2^60 - 0.5) + 0 + (2^61 + 1), rounded once
+    assert outcome["cost"] == float(Fraction(6 * big + 1, 2))
+
+
 @pytest.mark.parametrize("name", SUBROUTINE_NAMES)
 def test_pools_refuse_ids_of_another_length(name):
     # zip would truncate the pool: greedy once served 7 from [1, 2, 3] and
@@ -178,6 +195,9 @@ def test_pools_refuse_ids_of_another_length(name):
         ("greedy", [1, 2], None, [5, 6], "takes no sealed"),
         ("permutation", [1, 2], None, [5, 6], "takes no sealed"),
         ("clairvoyant", [1], None, [1, 2], "longer than the pool"),
+        # a shorter sealed sequence would be served the pool's lowest
+        # servers: the server at 1 for the request at 100
+        ("clairvoyant", [1, 100], None, [100], "shorter than the pool"),
     ],
 )
 def test_make_subroutine_refuses(name, servers, ids, sealed, match):

@@ -7,10 +7,12 @@ neighbours.
 
 At float-rounding ties the references' first pool index among equal
 computed costs can lie beyond those neighbours, so on the "rounding" shape
-both subroutines are held to their stated reference, ``assert_least_price``,
-instead."""
+both subroutines run on the case's integer image, as the package runs them,
+and are held to their stated reference, ``assert_least_price``, instead:
+there every price is exact."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +21,6 @@ import reference_subroutines as ref
 from ordered_pool import in_order
 from matchline.generators import gen_uniform
 from matchline.lr import LRState, lr_serve
-from matchline.model import costs_equal
 from matchline.offline import monotone_cost
 from matchline.subroutines import Greedy, Permutation
 from matchline.tape import AdviceTape
@@ -74,12 +75,19 @@ def price(cls, history, used, s):
     return monotone_cost(used + [s], history)
 
 
+def integer_image(servers, requests):
+    """Both lists times the largest denominator among them, as ints."""
+    d = max(Fraction(x).denominator for x in servers + requests)
+    return [int(Fraction(x) * d) for x in servers], [int(Fraction(x) * d) for x in requests]
+
+
 def assert_least_price(servers, requests, rng: random.Random, cls):
     # the stated reference where float rounding ties a farther server's price
-    # with a neighbour's and the references' first pool index wins: each
-    # served server is the smallest free id at one of the two free
-    # neighbours' positions, and its price costs_equals the least over all
-    # free servers
+    # with a neighbour's and the references' first pool index wins: on the
+    # integer image, each served server is the smallest free id at one of
+    # the two free neighbours' positions, and its price is the least over
+    # all free servers
+    servers, requests = integer_image(servers, requests)
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
         free = dict(zip(range(n) if ids is None else ids, servers))
@@ -91,7 +99,7 @@ def assert_least_price(servers, requests, rng: random.Random, cls):
             assert s in free_neighbours(free.values(), r)
             assert sid == min(i for i, p in free.items() if p == s)
             least = min(price(cls, history, used, p) for p in free.values())
-            assert costs_equal(price(cls, history, used, s), least, len(history))
+            assert price(cls, history, used, s) == least
             del free[sid]
             used.append(s)
 
