@@ -1,11 +1,8 @@
 import dataclasses
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import reference_divide
 from exact_cost import exact_cost, reported
@@ -25,7 +22,7 @@ from matchline.divide import (
     rescale_run,
 )
 from matchline.generators import gen_uniform
-from matchline.lr import LRState, lr_serve
+from matchline.lr import lr_serve
 from matchline.model import InstanceError, save_instance, validate_instance
 from matchline.offline import brute_force_optimal, monotone_optimal
 from matchline.subroutines import SubroutineError
