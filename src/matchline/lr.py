@@ -17,36 +17,29 @@ and the greatest free entry below it is the entry just before. LR and the
 drops a run once it is empty. A pool has one constructor, which sorts
 nothing: every caller holds its servers in (position, id) order already.
 
-The oracle writes the bits by the rank rule, the exchange argument behind
-the monotone optimum: when request r falls strictly between its unmatched
-neighbours, the bit is 0 exactly when the free servers below r outnumber
-the unserved requests below r, i.e. when r's partner in the monotone
-matching of what remains lies below r. Both counts are the oracle's own.
-It serves with LR's cases, one pool search per request, and reads the
-first off the handle (k, i) found: i plus the prefix of the runs before k
-in its Fenwick tree over LR's runs. The second does not depend on LR's
-choices, as every request is served on arrival whatever LR does, so
-``_later_below`` counts them all up front, on a pool of the sorted
-requests. Both run on the instance's integer image, so the oracle's run
-is checked once at the end against ``monotone_cost`` with ``==``.
+The oracle's bit is static: for an ambiguous request it is the side of the
+request's partner in the monotone optimum of the whole instance
+(``monotone_assignment``, ties by arrival; a partner at the request's own
+position counts as below). ``lr_oracle`` proves it. The oracle sorts the
+requests once for those sides, then serves with LR's search and cases and
+writes the side where LR reads a bit. It runs on the instance's integer
+image, so its run is checked once at the end against ``monotone_cost``
+with ``==``.
 
-Cost: O(log n) compares per request, plus for the oracle O(log n) Fenwick
-steps in each of its two trees, plus one deletion of at most ``RUN``
-entries per take. Dropping an emptied run moves the entries after it in
-the pool's three index lists and rebuilds the oracle's tree of that pool
-in O(n/RUN) steps: at most (n/RUN)^2 of each over a whole run, about 10^6
-at n = 10^6. At n = 10^6 on a 2-core host the oracle took about 11 s and
-a run about 4.7 s in one session (``BENCH_24.json``; the host's speed
-drifts between sessions).
+Cost: O(log n) compares per request, plus one deletion of at most ``RUN``
+entries per take; the oracle adds one sort of the requests. Dropping an
+emptied run moves the runs after it in the pool's three lists, O(n/RUN)
+pointers: at most (n/RUN)^2 over a whole run, about 10^6 at n = 10^6.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import Instance, Matching, integer_image, make_matching
-from .offline import monotone_cost
+from .offline import monotone_assignment, monotone_cost
 from .tape import AdviceTape
 
 
@@ -66,9 +59,10 @@ class LRState:
 
     An entry is named by its handle (k, i), offset i of run k. Entries are
     ordered by (position, id), so when position p holds a free server,
-    ``neighbours(p)`` is the handle of its smallest free id. LR's run, its
-    oracle, ``greedy``, ``permutation`` and DIVIDE_k's inner LR all use the
-    pool through ``neighbours`` and ``take`` alone."""
+    ``neighbours(p)`` is the handle of its smallest free id. ``greedy`` and
+    ``permutation`` use the pool through ``neighbours`` and ``take`` alone;
+    ``lr_serve`` (LR's run and DIVIDE_k's inner LR) and ``lr_oracle``
+    inline the search."""
 
     __slots__ = ("runs", "ids", "lasts")
 
@@ -113,54 +107,12 @@ class LRState:
         return self.ids.pop(k)[0]
 
 
-def _fenwick(sizes) -> list:
-    """Fenwick tree over ``sizes``: node c sums sizes c - lowbit(c) .. c - 1,
-    so the sizes before k sum over k, k & (k - 1), ... down to 0."""
-    tree = [0, *sizes]
-    top = len(tree)
-    for c in range(1, top):
-        up = c + (c & -c)
-        if up < top:
-            tree[up] += tree[c]
-    return tree
-
-
-def _later_below(requests) -> list:
-    """#{u >= t : r_u < r_t} for each t: each r_t in turn is counted, then
-    taken, from a pool of the sorted requests (which of equal entries goes
-    does not change a count of smaller ones)."""
-    pool = LRState(sorted(requests))
-    runs, lasts, take = pool.runs, pool.lasts, pool.take
-    tree = _fenwick(map(len, runs))
-    top = len(tree)
-    belows = []
-    for r in requests:
-        k = bisect_left(lasts, r)
-        run = runs[k]
-        below = i = bisect_left(run, r)
-        c = k
-        while c:
-            below += tree[c]
-            c &= c - 1
-        belows.append(below)
-        take(k, i)
-        if run:
-            c = k + 1
-            while c < top:
-                tree[c] -= 1
-                c += c & -c
-        else:
-            tree = _fenwick(map(len, runs))  # the runs after k moved down one
-            top = len(tree)
-    return belows
-
-
 def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
     """Match one request; returns the chosen server's original index.
 
     The search is ``LRState.neighbours``, inlined: that saves a call and a
     tuple per request. ``lr_oracle`` repeats this search and these cases in
-    its own loop."""
+    its own loop, where it writes the bit that LR reads here."""
     runs, lasts = state.runs, state.lasts
     k = bisect_left(lasts, request)
     if k == len(lasts):
@@ -185,21 +137,46 @@ def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
 def lr_oracle(instance: Instance) -> AdviceTape:
     """Advice bits under which lr_run reproduces an optimal matching.
 
-    Serves with ``lr_serve``'s cases after one search of LR's pool per
-    request, and reads an ambiguous request's bit by the rank rule off the
-    handle (k, i) found, against ``_later_below``'s count. Its Fenwick tree
-    over LR's runs is built once, decremented from k + 1 by each take, and
-    rebuilt when a take drops run k. About 11 s at n = 10^6
-    (``BENCH_24.json``)."""
-    servers, requests = integer_image(instance)
+    The bit of an ambiguous request r_t is the side of its partner in the
+    monotone optimum M (``monotone_assignment`` on the integer image): 1
+    when that server lies above r_t, 0 when it lies at r_t or below. The
+    oracle serves with ``lr_serve``'s search and cases in its own loop,
+    writes the side where LR reads a bit, and checks its cost against
+    ``monotone_cost`` at the end. (Through ``lr_serve`` and a reader that
+    records the sides, a run of the ``lr-uniform`` benchmark took 7% longer.)
+
+    Why the side is static. Rank the servers by (position, id) and the
+    requests by (position, arrival); M pairs equal ranks. Before request t,
+    let M_t be the monotone matching of the free servers and the unserved
+    requests (M_1 = M). Invariant: (a) LR's moves so far plus M_t cost OPT;
+    (b) M_t puts every unserved request's partner on its side in M. Ties:
+    an unserved u ranked before t arrived later, so r_u < r_t strictly.
+
+    Let a = M_t(t) and g the server LR takes. Then g lies weakly between
+    r_t and a: an exact match is at r_t; a forced move takes the nearest
+    free server on the only side that has one, a's side too; an ambiguous
+    move takes the nearest free server on the side of its bit, which is
+    a's side by (b), with a != r_t as no free server is at r_t. Giving t g,
+    and g's partner u in M_t the server a, changes M_t's cost by
+    |r_u - a| - |r_u - g| - |g - a| <= 0, so (a) holds at t + 1, where
+    M_{t+1} is optimal on what remains.
+    For (b), M_{t+1} is M_t with t and g dropped: if g ranks j among the
+    free servers and t ranks m, the requests ranked after m up to j, or
+    from j up to before m, each move one free server toward a, and no other
+    partner moves. For j > m they lie at or above r_t, and either
+    a <= g <= r_t, so their servers, old and new, lie at or below g: still
+    below; or r_t <= g <= a with g ranked above a, so ranks m..j share one
+    position. For j < m they lie strictly below r_t, and either
+    r_t <= g <= a, so their servers lie at or above g: still above; or
+    ranks j..m share one position. So every bit keeps (a), and at the end
+    (a) says that the run costs OPT."""
+    image = servers, requests = integer_image(instance)
+    partners = map(servers.__getitem__, monotone_assignment(requests))
     state = LRState(servers)
-    belows = _later_below(requests)
     runs, lasts, take = state.runs, state.lasts, state.take
-    tree = _fenwick(map(len, runs))
-    top = len(tree)
     bits = []
     cost = 0
-    for r, below in zip(requests, belows):
+    for r, right in zip(requests, map(operator.lt, requests, partners)):
         k = bisect_left(lasts, r)
         if k == len(lasts):
             # all free servers are less: largest of them (one is left, as
@@ -211,32 +188,18 @@ def lr_oracle(instance: Instance) -> AdviceTape:
             run = runs[k]
             i = bisect_left(run, r)
             if (i or k) and run[i] != r:
-                # strictly between two free servers: the rank rule
-                rank, c = i, k
-                while c:
-                    rank += tree[c]
-                    c &= c - 1
-                if rank > below:
-                    bits.append(0)
+                # strictly between two free servers: the partner's side
+                bits.append(right)
+                if not right:
                     if i:
                         i -= 1
                     else:
                         k -= 1
                         run = runs[k]
                         i = len(run) - 1
-                else:
-                    bits.append(1)
         cost += abs(r - run[i])
         take(k, i)
-        if run:
-            c = k + 1
-            while c < top:
-                tree[c] -= 1
-                c += c & -c
-        else:
-            tree = _fenwick(map(len, runs))  # the runs after k moved down one
-            top = len(tree)
-    opt = monotone_cost(servers, requests)
+    opt = monotone_cost(*image)
     if cost != opt:
         raise LRError(f"oracle advice missed the optimum on the image: {cost!r} vs {opt!r}")
     return AdviceTape(bits)

@@ -73,11 +73,17 @@ class Instance:
         )
 
     @cached_property
-    def scale(self) -> int:
-        """D, the largest denominator of a coordinate: 1 on an instance of
-        ints, else a power of two. Cached as ``integer_mode`` is."""
+    def _float_scale(self) -> int | None:
+        """D when a coordinate is a float, None on an instance of ints,
+        which is its own image. Cached as ``integer_mode`` is."""
         floats = [x for x in (*self.servers, *self.requests) if type(x) is float]
-        return max((x.as_integer_ratio()[1] for x in floats), default=1)
+        return max((x.as_integer_ratio()[1] for x in floats), default=None)
+
+    @property
+    def scale(self) -> int:
+        """D, the largest denominator of a coordinate: 1 when every
+        coordinate is integral, else a power of two."""
+        return self._float_scale or 1
 
     def unscaled(self, total: int) -> int | float:
         """The cost of a distance ``total`` on the integer image: total / D."""
@@ -97,10 +103,12 @@ def _times(coords: Sequence, d: int) -> list:
 
 def integer_image(instance: Instance) -> tuple:
     """The servers and the requests times D, as ints (see the module
-    docstring). Built per run and never cached: for D > 1 it holds 2n new
-    ints of up to about 2 100 bits."""
-    d = instance.scale
-    if d == 1:
+    docstring). Built per run and never cached: when a coordinate is a
+    float it holds 2n new ints, of up to about 2 100 bits; an instance of
+    ints is its own image, and one built directly with integral floats
+    gets them as ints, with D = 1."""
+    d = instance._float_scale
+    if d is None:
         return instance.servers, instance.requests
     return _times(instance.servers, d), _times(instance.requests, d)
 

@@ -24,7 +24,7 @@ from matchline.divide import (
     mark_servers,
 )
 from matchline.experiment import run_algorithm
-from matchline.model import integer_image, save_instance, validate_instance
+from matchline.model import Instance, integer_image, save_instance, validate_instance
 from matchline.offline import brute_force_optimal, monotone_cost, monotone_optimal
 from matchline.subroutines import SUBROUTINE_NAMES, Permutation
 from matchline.tape import AdviceTape, TapeUnderflow
@@ -128,6 +128,16 @@ def test_every_algorithm_prices_exactly_at_the_float_extremes(servers, requests)
         elif sub == "clairvoyant":
             # RESCALE's rounding of the requests costs at most n * n^-3
             assert cost <= opt + Fraction(1, n * n), label
+
+
+def test_a_directly_built_instance_of_integral_floats_prices_exactly():
+    # D = 1 on these floats, yet their image holds them as ints: a float sum
+    # of the distances 2^53 + 2 and 2^53 + 3 rounds to 2^54 + 4
+    instance = Instance((0.0, 1.0), (2.0**53 + 2, 2.0**53 + 4))
+    exact = monotone_optimal(validate_instance(instance.servers, instance.requests)).cost
+    assert exact == 2**54 + 5 == monotone_optimal(instance).cost
+    for algo in ("lr", "greedy", "permutation"):
+        assert run_algorithm(instance, algo)["cost"] == exact, algo
 
 
 @given(instances(max_n=8))

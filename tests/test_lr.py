@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,11 +5,10 @@ from hypothesis import strategies as st
 from matchline import lr, verification
 from matchline.generators import gen_uniform, rho_zero
 from matchline.lr import LRError, LRState, lr_oracle, lr_run, lr_serve
-from matchline.model import validate_instance
+from matchline.model import Instance, validate_instance
 from matchline.offline import brute_force_optimal, monotone_optimal
 from matchline.tape import AdviceTape, TapeUnderflow
 from ordered_pool import in_order
-from test_pool_reference import RUNS, make_case
 
 
 def serve_one(servers, request, bits=()):
@@ -86,6 +83,26 @@ def test_oracle_duplicate_requests():
     assert result.bits_read <= 3
 
 
+def test_partner_at_the_requests_own_taken_position_counts_as_below():
+    # the second request, at 2, finds the server at 2 taken by the first
+    # and falls between free servers at 1 and 3; its monotone partner is
+    # that taken server at its own position, which counts as below: bit 0,
+    # cost 2 = OPT. Counting it as above would read (1,).
+    inst = Instance((1, 1, 1, 2, 3, 3), (2, 2, 3, 1, 1, 2))
+    tape = lr_oracle(inst)
+    assert tape.bits == (0,)
+    assert lr_run(inst, tape).matching.cost == 2 == monotone_optimal(inst).cost
+
+
+def test_oracle_refuses_sides_off_a_wrong_partner_list(monkeypatch):
+    # request 4 is ambiguous between 0 and 10; the swapped partners send it
+    # right, and the run's cost 16 misses OPT = 4: no tape comes back
+    inst = Instance((0, 10), (4, 10))
+    monkeypatch.setattr(lr, "monotone_assignment", lambda requests: [1, 0])
+    with pytest.raises(LRError, match="missed the optimum"):
+        lr_oracle(inst)
+
+
 def test_singleton_reads_no_bits():
     inst = validate_instance([5], [100])
     assert lr_run(inst, lr_oracle(inst)).bits_read == 0
@@ -140,7 +157,7 @@ def test_oracle_optimal_property(n, data):
 
 def test_oracle_optimal_on_large_float_coordinates():
     # coordinates up to 1e9: an absolute tie tolerance cannot tell the two
-    # directions apart here, the rank rule compares positions only
+    # directions apart here, the oracle compares positions only
     for seed in range(40):
         n = 200
         inst = gen_uniform(n, (0.0, 1e9), seed)
@@ -153,16 +170,6 @@ def flat_index(pool, handle) -> int:
     """The place of the entry at ``handle`` among the pool's free entries."""
     k, i = handle
     return sum(map(len, pool.runs[:k])) + i
-
-
-def fenwick_rank(tree, handle) -> int:
-    """The rank of the entry at ``handle`` as the oracle reads it: its
-    offset plus the prefix in ``tree`` of the runs before it."""
-    k, rank = handle
-    while k:
-        rank += tree[k]
-        k &= k - 1
-    return rank
 
 
 def handle_of(pool, j) -> tuple:
@@ -199,7 +206,6 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
         # the least free entry >= r, with the greatest free entry < r before it
         high = pool.neighbours(r)
         assert flat_index(pool, high) == below
-        assert fenwick_rank(lr._fenwick(map(len, pool.runs)), high) == below
         if below:
             at_low = [sid for p, sid in free if p == free[below - 1][0]]
             k, i = pool.neighbours(free[below - 1][0])
@@ -210,20 +216,6 @@ def test_neighbours_match_a_scan_of_the_free_slots(data):
                 assert pool.take(*handle_of(pool, j)) == free.pop(j)[1]
             elif below < len(free):
                 assert pool.take(*high) == free.pop(below)[1]
-
-
-@given(
-    st.sampled_from(RUNS),
-    st.sampled_from(("duplicates", "float", "huge-int", "out-of-span")),
-    st.integers(min_value=1, max_value=40),
-    st.integers(min_value=0, max_value=2**32),
-)
-def test_later_below_counts_the_later_entries_below_each(run, shape, n, seed):
-    # the oracle's below-counts: #{u >= t : x_u < x_t}, by a quadratic count
-    _, xs = make_case(shape, n, random.Random(seed))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lr, "RUN", run)
-        assert lr._later_below(xs) == [sum(x < xs[t] for x in xs[t:]) for t in range(n)]
 
 
 def test_pool_of_indexed_servers_returns_their_indices():
