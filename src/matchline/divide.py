@@ -398,22 +398,6 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     return arrivals, marked_arrivals
 
 
-class _Sides:
-    """LR's direction bits inside DIVIDE_k: ``read_bit`` returns the side
-    set for the request being served (1, True: right) and counts the read.
-    The bits are DIVIDE_k's own, not advice."""
-
-    __slots__ = ("right", "reads")
-
-    def __init__(self):
-        self.right = False
-        self.reads = 0
-
-    def read_bit(self) -> int:
-        self.reads += 1
-        return self.right
-
-
 @dataclass
 class DivideResult:
     """A DIVIDE_k run. ``matching``, ``lr_cost`` and ``block_costs`` are in the
@@ -490,36 +474,35 @@ def _run_divide(
             cost += abs(callers[t] - priced[j])
         block_costs[b] = cost
 
-    # then LR serves the marked requests in arrival order
+    # then LR serves the marked requests in arrival order, each read bit
+    # the side the classification fixed
     marked_ids = sorted(marked)
     lr_state = LRState([servers[j] for j in marked_ids], marked_ids)
-    sides = _Sides()
     # the q value that both words of a block share, None without a collision
     q = (None, *decoded.q, None)
     collisions = [ql if ql is not None and ql == qr else None for ql, qr in zip(q, q[1:])]
     d_left = (0, *decoded.d)
-    lr_cost = 0
-    # zero-bits actually consumed by requests at a collision value; d_left
-    # carries their left share there (see DivideAdvice). Marked requests at
-    # the collision value may owe their direction to either side: marked
-    # servers at the value itself are absorbed bit-free by LR's exact-match
-    # rule, and the rest must split by the left share, not by which marking
-    # budget admitted them.
+    # zero-bits read by requests at a collision value; d_left carries their
+    # left share there (see DivideAdvice). Marked requests at the collision
+    # value may owe their direction to either side: marked servers at the
+    # value itself are absorbed bit-free by LR's exact-match rule, and the
+    # rest must split by the left share, not by which marking budget
+    # admitted them.
     zeros_read = [0] * k
-    for t, b, right in marked_arrivals:
-        c = requests[t]
-        collision_value = c == collisions[b]
-        if collision_value:
+
+    def side(i):
+        t, b, right = marked_arrivals[i]
+        if requests[t] == collisions[b]:
             right = zeros_read[b] >= d_left[b]
-            reads = sides.reads
-        sides.right = right
-        j = lr_serve(lr_state, targets[t], sides)
-        if collision_value and not right and sides.reads != reads:
-            zeros_read[b] += 1
-        if j not in marked:
-            raise DivideError("LR used an unmarked server")
-        lr_cost += abs(callers[t] - priced[j])
+            if not right:
+                zeros_read[b] += 1
+        return right
+
+    lr_ids, bits, _ = lr_serve(lr_state, [targets[t] for t, _b, _r in marked_arrivals], side)
+    lr_cost = 0
+    for (t, _b, _right), j in zip(marked_arrivals, lr_ids):
         assignment[t] = j
+        lr_cost += abs(callers[t] - priced[j])
 
     unscaled = instance.unscaled
     return DivideResult(
@@ -528,7 +511,7 @@ def _run_divide(
         advice=decoded,
         marks=marks,
         oracle_bits_read=tape.bits_read,
-        aux_bits_written=sides.reads,
+        aux_bits_written=len(bits),
         lr_cost=unscaled(lr_cost),
         block_costs=list(map(unscaled, block_costs)),
         tape=tape,

@@ -17,21 +17,23 @@ and the greatest free entry below it is the entry just before. LR and the
 drops a run once it is empty. A pool has one constructor, which sorts
 nothing: every caller holds its servers in (position, id) order already.
 
+``lr_serve`` is LR's one loop: it serves a sequence of requests on a pool
+and asks a caller's ``bit`` for each bit it reads. LR's run passes the
+tape's bits, its oracle the sides below, and DIVIDE_k the sides its
+classification fixed.
+
 The oracle's bit is static: for an ambiguous request it is the side of the
 request's partner in the monotone optimum of the whole instance
 (``monotone_assignment``, ties by arrival; a partner at the request's own
 position counts as below). ``lr_oracle`` proves it. The oracle sorts the
-requests once for those sides, then serves with LR's search and cases and
-writes the side where LR reads a bit. It runs on the instance's integer
-image, so its run is checked once at the end against ``monotone_cost``
-with ``==``.
+requests once for those sides, serves them with ``lr_serve`` and writes
+the sides it read. It runs on the instance's integer image, so its run is
+checked once at the end against ``monotone_cost`` with ``==``.
 
 Cost: O(log n) compares per request, plus one deletion of at most ``RUN``
 entries per take; the oracle adds one sort of the requests. Dropping an
 emptied run moves the runs after it in the pool's three lists, O(n/RUN)
 pointers: at most (n/RUN)^2 over a whole run, about 10^6 at n = 10^6.
-At n = 10^6 on a 2-core host the oracle took 4.5 s and a run 3.3 s in
-one session (``BENCH_28.json``; each point is timed once).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .model import Instance, Matching, integer_image, make_matching
+from .model import Instance, Matching, integer_image
 from .offline import monotone_assignment, monotone_cost
 from .tape import AdviceTape
 
@@ -63,8 +65,8 @@ class LRState:
     ordered by (position, id), so when position p holds a free server,
     ``neighbours(p)`` is the handle of its smallest free id. ``greedy`` and
     ``permutation`` use the pool through ``neighbours`` and ``take`` alone;
-    ``lr_serve`` (LR's run and DIVIDE_k's inner LR) and ``lr_oracle``
-    inline the search."""
+    ``lr_serve``, the loop of LR's run, its oracle and DIVIDE_k's inner LR,
+    inlines the search."""
 
     __slots__ = ("runs", "ids", "lasts")
 
@@ -109,31 +111,45 @@ class LRState:
         return self.ids.pop(k)[0]
 
 
-def lr_serve(state: LRState, request, tape: AdviceTape) -> int:
-    """Match one request; returns the chosen server's original index.
+def lr_serve(state: LRState, requests, bit) -> tuple[list, list, int | float]:
+    """Serve ``requests`` in order on the pool; returns the id each took,
+    the bits read, in order, and the total distance on the pool's
+    coordinates.
 
-    The search is ``LRState.neighbours``, inlined: that saves a call and a
-    tuple per request. ``lr_oracle`` repeats this search and these cases in
-    its own loop, where it writes the bit that LR reads here."""
-    runs, lasts = state.runs, state.lasts
-    k = bisect_left(lasts, request)
-    if k == len(lasts):
-        if not k:
-            raise LRError("no unmatched servers left")
-        # all unmatched servers are less: largest of them
-        k -= 1
-        return state.take(k, len(runs[k]) - 1)
-    run = runs[k]
-    i = bisect_left(run, request)
-    if (i or k) and run[i] != request and not tape.read_bit():
-        # strictly between two free servers, and the bit says left; an exact
-        # match (smallest index among equals) or no server below takes (k, i)
-        if i:
-            i -= 1
-        else:
+    ``bit(t)`` is the direction bit of request t: it is called once for
+    each request that reads a bit, in arrival order, and never at an exact
+    match or a forced move. The search is ``LRState.neighbours``, inlined:
+    that saves a call and a tuple per request."""
+    runs, lasts, take = state.runs, state.lasts, state.take
+    taken, bits = [], []
+    cost = 0
+    for t, r in enumerate(requests):
+        k = bisect_left(lasts, r)
+        if k == len(lasts):
+            if not k:
+                raise LRError("no unmatched servers left")
+            # all free servers are less: largest of them
             k -= 1
-            i = len(runs[k]) - 1
-    return state.take(k, i)
+            run = runs[k]
+            i = len(run) - 1
+        else:
+            run = runs[k]
+            i = bisect_left(run, r)
+            if (i or k) and run[i] != r:
+                # strictly between two free servers; an exact match
+                # (smallest id among equals) or no server below takes (k, i)
+                b = bit(t)
+                bits.append(b)
+                if not b:
+                    if i:
+                        i -= 1
+                    else:
+                        k -= 1
+                        run = runs[k]
+                        i = len(run) - 1
+        cost += abs(r - run[i])
+        taken.append(take(k, i))
+    return taken, bits, cost
 
 
 def lr_oracle(instance: Instance) -> AdviceTape:
@@ -142,10 +158,8 @@ def lr_oracle(instance: Instance) -> AdviceTape:
     The bit of an ambiguous request r_t is the side of its partner in the
     monotone optimum M (``monotone_assignment`` on the integer image): 1
     when that server lies above r_t, 0 when it lies at r_t or below. The
-    oracle serves with ``lr_serve``'s search and cases in its own loop,
-    writes the side where LR reads a bit, and checks its cost against
-    ``monotone_cost`` at the end. (Through ``lr_serve`` and a reader that
-    records the sides, a run of the ``lr-uniform`` benchmark took 7% longer.)
+    oracle is LR's own run fed those sides, and its cost is checked against
+    ``monotone_cost`` at the end.
 
     Why the side is static. Rank the servers by (position, id) and the
     requests by (position, arrival); M pairs equal ranks. Before request t,
@@ -174,33 +188,8 @@ def lr_oracle(instance: Instance) -> AdviceTape:
     (a) says that the run costs OPT."""
     image = servers, requests = integer_image(instance)
     partners = map(servers.__getitem__, monotone_assignment(requests))
-    state = LRState(servers)
-    runs, lasts, take = state.runs, state.lasts, state.take
-    bits = []
-    cost = 0
-    for r, right in zip(requests, map(operator.lt, requests, partners)):
-        k = bisect_left(lasts, r)
-        if k == len(lasts):
-            # all free servers are less: largest of them (one is left, as
-            # there are as many servers as requests)
-            k -= 1
-            run = runs[k]
-            i = len(run) - 1
-        else:
-            run = runs[k]
-            i = bisect_left(run, r)
-            if (i or k) and run[i] != r:
-                # strictly between two free servers: the partner's side
-                bits.append(right)
-                if not right:
-                    if i:
-                        i -= 1
-                    else:
-                        k -= 1
-                        run = runs[k]
-                        i = len(run) - 1
-        cost += abs(r - run[i])
-        take(k, i)
+    sides = list(map(operator.lt, requests, partners))
+    _ids, bits, cost = lr_serve(LRState(servers), requests, sides.__getitem__)
     opt = monotone_cost(*image)
     if cost != opt:
         raise LRError(f"oracle advice missed the optimum on the image: {cost!r} vs {opt!r}")
@@ -217,8 +206,6 @@ def lr_run(instance: Instance, tape: AdviceTape) -> LRResult:
     """Serve the whole request sequence against the given advice tape;
     ``bits_read`` counts the tape reads this run made. It serves and prices
     on the integer image, whose compares are the positions'."""
-    image = servers, requests = integer_image(instance)
-    state = LRState(servers)
-    start = tape.bits_read
-    assignment = [lr_serve(state, r, tape) for r in requests]
-    return LRResult(make_matching(instance, assignment, image), tape.bits_read - start)
+    servers, requests = integer_image(instance)
+    ids, bits, cost = lr_serve(LRState(servers), requests, lambda _t: tape.read_bit())
+    return LRResult(Matching(tuple(ids), instance.unscaled(cost)), len(bits))

@@ -2,8 +2,8 @@
 
 An :class:`AdviceTape` is written once by the oracle and read sequentially by
 the algorithm; ``bits_read`` is the advice complexity. Only advice goes on a
-tape: DIVIDE_k fixes its internal LR's direction bits itself, hands them
-over through a reader of its own and counts the ones LR reads.
+tape: DIVIDE_k fixes its internal LR's direction bits itself, hands each
+to LR when LR asks for it and counts the ones LR reads.
 
 A tape keeps its bits as the bytes 0 and 1 of one ``bytearray``, so writing
 and reading a word, checking a written sequence and dumping the tape each

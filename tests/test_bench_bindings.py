@@ -33,8 +33,13 @@ def test_tracer_binds_every_layer_but_the_known_one():
     with tracer.installed(lib):
         # divide no longer imports monotone_optimal: that binding lost its
         # target; nor make_matching, as a DIVIDE_k run builds its matching
-        # from the exact total it priced while serving
-        assert tracer.unbound == {"divide.monotone_optimal", "divide.make_matching"}
+        # from the exact total it priced while serving, and so does an LR
+        # run from the total lr_serve returns
+        assert tracer.unbound == {
+            "divide.monotone_optimal",
+            "divide.make_matching",
+            "lr.make_matching",
+        }
         assert lib.experiment.lr_oracle is not lib.lr.lr_oracle
     # uninstalling restores every module-level name
     assert {name: dict(vars(module)) for name, module in vars(lib).items()} == before

@@ -615,9 +615,10 @@ def test_lr_inside_rescale_compares_ints_only(monkeypatch):
     )
     calls = []
 
-    def recording(state, request, tape):
-        calls.append((request, [p for run in state.runs for p in run]))
-        return lr_serve(state, request, tape)
+    def recording(state, requests, bit):
+        positions = [p for run in state.runs for p in run]
+        calls.extend((request, positions) for request in requests)
+        return lr_serve(state, requests, bit)
 
     monkeypatch.setattr(divide, "lr_serve", recording)
     result = rescale_run(inst, 6, "clairvoyant")

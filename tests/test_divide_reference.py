@@ -353,9 +353,9 @@ def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
                 inner.serve = serve
                 return inner
 
-            def recording_lr(state, request, tape):
-                lr_served.append(request)
-                return lr_serve(state, request, tape)
+            def recording_lr(state, requests, bit):
+                lr_served.extend(requests)
+                return lr_serve(state, requests, bit)
 
             monkeypatch.setattr(divide, "make_subroutine", recording_subroutine)
             monkeypatch.setattr(divide, "lr_serve", recording_lr)

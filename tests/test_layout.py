@@ -5,8 +5,9 @@ itself and the standard library; no module imports a name it never uses;
 every top-level def and class is reached from the package or exported; and
 every method and property of its classes is looked up by name somewhere in
 the package. So nothing in it is test-only. No module names a float
-tolerance, as every cost is exact; and no differential reference takes the
-cost code it compares against from the package."""
+tolerance, as every cost is exact; only LR and the tape name ``read_bit``,
+as LR has one loop that asks its caller for each bit; and no differential
+reference takes the cost code it compares against from the package."""
 
 import ast
 import sys
@@ -231,22 +232,22 @@ def test_every_method_and_property_is_looked_up_in_the_package():
 TOLERANCE_NAMES = {"costs_equal", "float_info", "epsilon"}
 
 
-def tolerance_names(source: str) -> list:
+def identifiers(source: str, names) -> list:
     """Every identifier in ``source`` (names, attributes, imports and
-    definitions; not strings or comments) that names the float tolerance."""
+    definitions; not strings or comments) that is one of ``names``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            names = [node.id]
+            idents = [node.id]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            idents = [node.attr]
         elif isinstance(node, ast.alias):
-            names = [node.name.rpartition(".")[2], node.asname]
+            idents = [node.name.rpartition(".")[2], node.asname]
         elif isinstance(node, (*DEFINITIONS, ast.arg)):
-            names = [getattr(node, "name", None) or node.arg]
+            idents = [getattr(node, "name", None) or node.arg]
         else:
             continue
-        found += [name for name in names if name in TOLERANCE_NAMES]
+        found += [name for name in idents if name in names]
     return found
 
 
@@ -256,16 +257,41 @@ def test_the_tolerance_check_flags_identifiers_only():
         "import sys\nfrom .model import costs_equal\n"
         "def f(a, epsilon):\n    # float_info\n    return a <= sys.float_info.max\n"
     )
-    assert tolerance_names(source) == ["costs_equal", "epsilon", "float_info"]
+    assert identifiers(source, TOLERANCE_NAMES) == ["costs_equal", "epsilon", "float_info"]
 
 
 def test_no_module_names_a_float_tolerance():
     named = {
         path.name: found
         for path in sorted(PACKAGE.glob("*.py"))
-        if (found := tolerance_names(path.read_text()))
+        if (found := identifiers(path.read_text(), TOLERANCE_NAMES))
     }
     assert named == {}
+
+
+#: the modules that may name ``read_bit``: the tape defines it, and LR's run
+#: reads its advice with it. Every other LR bit comes in through
+#: ``lr_serve``'s ``bit``, so no second reader of LR's bits can come back.
+BIT_READERS = {"lr.py", "tape.py"}
+
+
+def test_the_bit_reader_check_flags_identifiers_only():
+    source = (
+        '"""read_bit reads one bit."""\n'
+        "from .tape import read_bit as next_bit\n"
+        "class Sides:\n    def read_bit(self):\n        # read_bit\n        return 1\n"
+        "def f(tape):\n    return tape.read_bit() + next_bit()\n"
+    )
+    assert identifiers(source, {"read_bit"}) == ["read_bit", "read_bit", "read_bit"]
+
+
+def test_only_lr_and_the_tape_name_read_bit():
+    named = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if identifiers(path.read_text(), {"read_bit"})
+    }
+    assert named == BIT_READERS
 
 
 TESTS = Path(__file__).parent

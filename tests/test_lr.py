@@ -8,12 +8,13 @@ from matchline.lr import LRError, LRState, lr_oracle, lr_run, lr_serve
 from matchline.model import Instance, validate_instance
 from matchline.offline import brute_force_optimal, monotone_optimal
 from matchline.tape import AdviceTape, TapeUnderflow
+from lr_step import lr_step
 from ordered_pool import in_order
 
 
 def serve_one(servers, request, bits=()):
     tape = AdviceTape(bits)
-    j = lr_serve(LRState(*in_order(servers)), request, tape)
+    j = lr_step(LRState(*in_order(servers)), request, tape)
     return servers[j], tape.bits_read
 
 
@@ -39,7 +40,7 @@ def test_exact_match_reads_no_bit():
 
 def test_exact_match_prefers_smallest_index():
     state = LRState([4, 4])
-    assert lr_serve(state, 4, AdviceTape()) == 0
+    assert lr_step(state, 4, AdviceTape()) == 0
 
 
 def test_all_greater_takes_least():
@@ -55,7 +56,21 @@ def test_all_less_takes_greatest():
 def test_ambiguous_without_bits_underflows():
     state = LRState([0, 10])
     with pytest.raises(TapeUnderflow):
-        lr_serve(state, 4, AdviceTape())
+        lr_step(state, 4, AdviceTape())
+
+
+@pytest.mark.parametrize("b, ids, cost", [(1, [1, 2, 3, 0], 10), (0, [1, 0, 3, 2], 6)])
+def test_bit_is_asked_only_where_lr_reads_one(b, ids, cost):
+    # 5 takes the server at 5 exactly and 12 and 6 are forced; only 3,
+    # between the free servers at 1 and 5, reads a bit
+    asked = []
+
+    def bit(t):
+        asked.append(t)
+        return b
+
+    assert lr_serve(LRState([1, 5, 5, 9]), [5, 3, 12, 6], bit) == (ids, [b], cost)
+    assert asked == [1]
 
 
 def test_oracle_geometric_example():
@@ -129,9 +144,9 @@ def test_last_request_never_reads_a_bit():
         tape = lr_oracle(inst)
         state = LRState(inst.servers)
         for r in inst.requests[:-1]:
-            lr_serve(state, r, tape)
+            lr_step(state, r, tape)
         before = tape.bits_read
-        lr_serve(state, inst.requests[-1], tape)
+        lr_step(state, inst.requests[-1], tape)
         assert tape.bits_read == before
 
 
@@ -223,11 +238,11 @@ def test_pool_of_indexed_servers_returns_their_indices():
     # order: no pool sorts them, and test_make_subroutine_refuses them unsorted
     state = LRState([3, 3, 7, 9], [10, 12, 40, 31])
     tape = AdviceTape((1,))
-    served = [lr_serve(state, r, tape) for r in (3, 8, 3, 5)]
+    served = [lr_step(state, r, tape) for r in (3, 8, 3, 5)]
     assert served == [10, 31, 12, 40]
     assert tape.bits_read == 1
     with pytest.raises(LRError):
-        lr_serve(state, 0, tape)
+        lr_step(state, 0, tape)
 
 
 def test_pool_refuses_ids_of_another_length():

@@ -1,5 +1,7 @@
-"""Differential test: the rank-rule oracle and the union-find pool against
-the lookahead oracle and list pool they replaced (``reference_lr``)."""
+"""Differential test: the package's oracle, which reads each bit off the
+side of the request's partner in the monotone optimum, and LR's moves on
+its runs pool, against the lookahead oracle and the list pool of
+``reference_lr``."""
 
 import random
 
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_lr as ref
+from lr_step import lr_step
 from ordered_pool import in_order
 from matchline import lr
 from matchline.model import validate_instance
@@ -28,10 +31,10 @@ def make_instance(shape: str, n: int, rng: random.Random):
     return validate_instance(servers, requests)
 
 
-def serve_all(module, instance, bits, indices):
+def serve_all(module, serve, instance, bits, indices):
     state = module.LRState(*in_order(instance.servers, indices))
     tape = AdviceTape(bits)
-    served = [module.lr_serve(state, r, tape) for r in instance.requests]
+    served = [serve(state, r, tape) for r in instance.requests]
     return served, tape.bits_read
 
 
@@ -40,8 +43,8 @@ def assert_same(instance, rng: random.Random):
     assert lr.lr_oracle(instance).bits == ref.lr_oracle(instance).bits
     bits = [rng.randint(0, 1) for _ in range(n)]
     for indices in (None, rng.sample(range(3 * n), n)):
-        new = serve_all(lr, instance, bits, indices)
-        assert new == serve_all(ref, instance, bits, indices)
+        new = serve_all(lr, lr_step, instance, bits, indices)
+        assert new == serve_all(ref, ref.lr_serve, instance, bits, indices)
 
 
 def test_same_tapes_and_moves_on_every_shape():

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_pool as ref
+from lr_step import lr_step
 from ordered_pool import in_order
 from test_divide_reference import IN_SPAN_SHAPES, SERVING_SHAPES, assert_same, make_instance
 from matchline import divide, lr
@@ -63,7 +64,7 @@ def test_same_ids_bits_and_tapes_on_both_pools(run, shape, n, custom_ids, seed):
         pools = lr.LRState(*in_order(servers, ids)), ref.LRState.for_servers(servers, ids)
         served = [
             [serve(pool, r, tape) for r in requests]
-            for serve, pool, tape in zip((lr.lr_serve, ref.lr_serve), pools, tapes)
+            for serve, pool, tape in zip((lr_step, ref.lr_serve), pools, tapes)
         ]
         assert served[0] == served[1]
         assert tapes[0].bits_read == tapes[1].bits_read

@@ -18,9 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_subroutines as ref
+from lr_step import lr_step
 from ordered_pool import in_order
 from matchline.generators import gen_uniform
-from matchline.lr import LRState, lr_serve
+from matchline.lr import LRState
 from matchline.offline import monotone_cost
 from matchline.subroutines import Greedy, Permutation
 from matchline.tape import AdviceTape
@@ -180,7 +181,7 @@ def test_lr_greedy_and_permutation_serve_a_free_neighbour(shape, n, seed):
     servers, requests = make_case(shape, n, rng)
     pool, bits = LRState(*in_order(servers)), AdviceTape(rng.choices((0, 1), k=n))
     serves = {
-        "lr": lambda r: lr_serve(pool, r, bits),
+        "lr": lambda r: lr_step(pool, r, bits),
         "greedy": Greedy(*in_order(servers)).serve,
         "permutation": Permutation(*in_order(servers)).serve,
     }
