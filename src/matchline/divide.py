@@ -474,8 +474,8 @@ def _run_divide(
             cost += abs(callers[t] - priced[j])
         block_costs[b] = cost
 
-    # then LR serves the marked requests in arrival order, each read bit
-    # the side the classification fixed
+    # then LR serves the marked requests in arrival order; each bit it reads
+    # is the side the classification fixed
     marked_ids = sorted(marked)
     lr_state = LRState([servers[j] for j in marked_ids], marked_ids)
     # the q value that both words of a block share, None without a collision

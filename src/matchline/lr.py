@@ -34,6 +34,8 @@ Cost: O(log n) compares per request, plus one deletion of at most ``RUN``
 entries per take; the oracle adds one sort of the requests. Dropping an
 emptied run moves the runs after it in the pool's three lists, O(n/RUN)
 pointers: at most (n/RUN)^2 over a whole run, about 10^6 at n = 10^6.
+At n = 10^6 on a 2-core host the oracle took 4.8 s and a run 3.0 s in
+one session (``BENCH_29.json``; each point is timed once).
 """
 
 from __future__ import annotations
