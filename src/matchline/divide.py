@@ -52,7 +52,7 @@ each pool serves, each block's unmarked arrivals and the marked ones, from
 positions and counters alone, before any subroutine chooses; and the pools
 own disjoint servers. So no choice depends on the order in which the pools
 are served: each block's subroutine is served its own requests in arrival
-order, one at a time, then LR the marked requests in arrival order. Every
+order, in one call, then LR the marked requests in arrival order. Every
 pool sees the same requests in the same order as in one interleaved pass,
 so the online model and every output are those of that pass.
 """
@@ -446,8 +446,9 @@ def _run_divide(
     targets = [r * unit for r in requests]
     assignment = [None] * instance.n
 
-    # each block's subroutine serves its own requests in arrival order, over
-    # the unmarked servers of its group; a block that receives none needs none
+    # each block's subroutine is served its own requests in arrival order, in
+    # one call, over the unmarked servers of its group; a block that receives
+    # none needs none
     marked = marks.marked
     block_costs = [0] * k
     for b, ((start, stop), own) in enumerate(zip(plan.groups, arrivals)):
@@ -458,14 +459,8 @@ def _run_divide(
             )
         if not own:
             continue
-        sealed = [targets[t] for t in own]
-        sub = make_subroutine(
-            subroutine,
-            [servers[j] for j in ids],
-            ids=ids,
-            sealed=sealed if subroutine == "clairvoyant" else None,
-        )
-        served = list(map(sub.serve, sealed))
+        sub = make_subroutine(subroutine, [servers[j] for j in ids], ids)
+        served = sub.serve([targets[t] for t in own])
         if sorted(served) != ids:
             raise DivideError(f"subroutine left its block: block {b}")
         cost = 0

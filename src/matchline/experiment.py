@@ -84,8 +84,7 @@ def run_algorithm(
         }
     # greedy or permutation, served and priced on the integer image
     image = servers, requests = integer_image(instance)
-    sub = make_subroutine(algo, servers)
-    assignment = [sub.serve(r) for r in requests]
+    assignment = make_subroutine(algo, servers).serve(requests)
     matching = make_matching(instance, assignment, image)
     return {
         "matching": matching,

@@ -2,19 +2,21 @@
 
 Each subroutine owns a fixed server pool in (position, id) order, ids
 defaulting to the places (``_ordered`` refuses any other order; nothing
-sorts a pool), and serves requests one at a time, always returning a
-still-available server from that pool. ``greedy`` and ``permutation`` run on
-LR's server pool (``LRState``) and, like LR, serve one of the two free
-neighbours of each request that ``LRState.neighbours`` finds, the nearest
-free server at or below it or the nearest at or above it. ``greedy`` takes
-the nearer one, O(log n) compares and one deletion of at most ``RUN``
-entries per request; ``permutation`` prices the two, O(t) for the t-th
-request and O(n^2) per run. Both serve the ids of the full scans they
-replaced: the package hands every pool ints (an instance's integer image or
-RESCALE's planning servers), so each distance and price is exact.
-``clairvoyant``, alone given its block's sealed future requests, replays
-their offline optimum, so it is a verification device, not an online
-algorithm, for DIVIDE_k's exact checks.
+sorts a pool). ``serve(requests)`` serves a request sequence in order and
+returns the id each request took, always a still-available server from that
+pool. ``greedy`` and ``permutation`` keep their state between calls, so one
+call on a + b serves as a call on a then one on b, and an online caller may
+pass one request per call. Both run on LR's server pool (``LRState``) and,
+like LR, serve one of the two free neighbours of each request that
+``LRState.neighbours`` finds, the nearest free server at or below it or the
+nearest at or above it. ``greedy`` takes the nearer one, O(log n) compares
+and one deletion of at most ``RUN`` entries per request; ``permutation``
+prices the two, O(t) for the t-th request and O(n^2) per run. Both serve the
+ids of the full scans they replaced: the package hands every pool ints (an
+instance's integer image or RESCALE's planning servers), so each distance
+and price is exact. ``clairvoyant`` is served its block's whole sequence in
+one call and replays its offline optimum, so it is a verification device,
+not an online algorithm, for DIVIDE_k's exact checks.
 """
 
 from __future__ import annotations
@@ -64,30 +66,34 @@ class Greedy:
         """``servers`` in (position, id) order, or ``SubroutineError``."""
         self.pool = LRState(servers, _ordered(servers, ids))
 
-    def serve(self, request) -> int:
+    def serve(self, requests) -> list:
         pool = self.pool
-        runs, lasts = pool.runs, pool.lasts
-        k = bisect.bisect_left(lasts, request)
-        i = bisect.bisect_left(runs[k], request) if k < len(lasts) else 0
-        # (k, i): the upper neighbour; (lk, li): the lower one
-        if i:
-            lk, li = k, i - 1
-        elif k:
-            lk = k - 1
-            li = len(runs[lk]) - 1
-        elif runs:  # every free server is at or above the request
-            return pool.take(k, i)
-        else:
-            raise SubroutineError("no available server")
-        low_run = runs[lk]
-        low = low_run[li]
-        if k == len(runs) or request - low <= runs[k][i] - request:
-            # the lower one wins; the smallest free id at its position
-            before = low_run[li - 1] if li else runs[lk - 1][-1] if lk else None
-            if before == low:
-                lk, li = pool.neighbours(low)
-            return pool.take(lk, li)
-        return pool.take(k, i)
+        runs, lasts, take = pool.runs, pool.lasts, pool.take
+        served = []
+        for request in requests:
+            k = bisect.bisect_left(lasts, request)
+            i = bisect.bisect_left(runs[k], request) if k < len(lasts) else 0
+            # (k, i): the upper neighbour; (lk, li): the lower one
+            if i:
+                lk, li = k, i - 1
+            elif k:
+                lk = k - 1
+                li = len(runs[lk]) - 1
+            elif runs:  # every free server is at or above the request
+                served.append(take(k, i))
+                continue
+            else:
+                raise SubroutineError("no available server")
+            low_run = runs[lk]
+            low = low_run[li]
+            if k == len(runs) or request - low <= runs[k][i] - request:
+                # the lower one wins; the smallest free id at its position
+                before = low_run[li - 1] if li else runs[lk - 1][-1] if lk else None
+                if before == low:
+                    lk, li = pool.neighbours(low)
+                k, i = lk, li
+            served.append(take(k, i))
+        return served
 
 
 class Permutation:
@@ -143,57 +149,50 @@ class Permutation:
             del used[g]
         return costs[0] <= costs[1]
 
-    def serve(self, request) -> int:
+    def serve(self, requests) -> list:
         pool = self.pool
-        runs = pool.runs
-        end = len(runs)
-        bisect.insort(self.history, request)
-        k, i = pool.neighbours(request)  # H
-        if (i or k) and (k == end or runs[k][i] != request):
-            low = runs[k][i - 1] if i else runs[k - 1][-1]
-            if k == end or self._lower_wins(low, runs[k][i]):
-                k, i = pool.neighbours(low)  # L: the smallest free id there
-        elif k == end:
-            raise SubroutineError("no available server")
-        bisect.insort(self.used, runs[k][i])
-        return pool.take(k, i)
+        runs, history, used = pool.runs, self.history, self.used
+        served = []
+        for request in requests:
+            end = len(runs)
+            bisect.insort(history, request)
+            k, i = pool.neighbours(request)  # H
+            if (i or k) and (k == end or runs[k][i] != request):
+                low = runs[k][i - 1] if i else runs[k - 1][-1]
+                if k == end or self._lower_wins(low, runs[k][i]):
+                    k, i = pool.neighbours(low)  # L: the smallest free id there
+            elif k == end:
+                raise SubroutineError("no available server")
+            bisect.insort(used, runs[k][i])
+            served.append(pool.take(k, i))
+        return served
 
 
 class Clairvoyant:
-    """Reads its block's future requests: a verification device, not online."""
+    """Serves its block's whole sequence with the sequence's offline
+    optimum: a verification device, not an online algorithm."""
 
-    def __init__(self, servers, ids=None, sealed: Sequence = ()):
-        """As ``Greedy``'s; the request at rank t in ``sealed`` gets ``ids[t]``."""
+    def __init__(self, servers, ids=None):
+        """``servers`` in (position, id) order, or ``SubroutineError``."""
         self.ids = _ordered(servers, ids)
-        self.sealed = list(sealed)
-        if len(self.sealed) != len(self.ids):
-            # the plan's ranks are the whole pool's: a shorter sequence would
-            # be served the pool's lowest servers, not an optimal subset
-            side = "longer" if len(self.sealed) > len(self.ids) else "shorter"
-            raise SubroutineError(f"sealed sequence {side} than the pool")
-        # request t -> pool rank; a permutation, so no rank is served twice
-        self.plan = monotone_assignment(self.sealed)
-        self.step = 0
+        self.served = False
 
-    def serve(self, request) -> int:
-        if self.step >= len(self.sealed):
-            raise SubroutineError("request beyond the sealed sequence")
-        if request != self.sealed[self.step]:
-            raise SubroutineError(
-                f"request {request!r} not at position {self.step} of the sealed sequence"
-            )
-        rank = self.plan[self.step]
-        self.step += 1
-        return self.ids[rank]
+    def serve(self, requests) -> list:
+        """The request at rank t in ``requests`` gets ``ids[t]``. The plan's
+        ranks are the whole pool's, so ``requests`` must be as long as the
+        pool (a shorter sequence would be served the pool's lowest servers,
+        not an optimal subset), and a pool serves one sequence only."""
+        if self.served:
+            raise SubroutineError("clairvoyant serves one sequence only")
+        if len(requests) != len(self.ids):
+            side = "longer" if len(requests) > len(self.ids) else "shorter"
+            raise SubroutineError(f"sequence {side} than the pool")
+        self.served = True
+        return [self.ids[rank] for rank in monotone_assignment(requests)]
 
 
-def make_subroutine(name: str, servers, ids=None, sealed=None):
-    if name == "clairvoyant":
-        if sealed is None:
-            raise SubroutineError("clairvoyant needs the sealed request sequence")
-        return Clairvoyant(servers, ids, sealed)
+def make_subroutine(name: str, servers, ids=None):
     if name not in SUBROUTINE_NAMES:
         raise SubroutineError(f"unknown subroutine {name!r}")
-    if sealed is not None:
-        raise SubroutineError(f"{name} is online: it takes no sealed sequence")
-    return (Greedy if name == "greedy" else Permutation)(servers, ids)
+    pools = {"greedy": Greedy, "permutation": Permutation, "clairvoyant": Clairvoyant}
+    return pools[name](servers, ids)

@@ -3,10 +3,14 @@ q words clamped to +-infinity sentinels, a tape layout written out once for
 the writer and once for the reader, and a marking fallback that lets the
 other side's budget absorb a request. Kept verbatim as the
 differential reference for ``matchline.divide``; nothing in the package uses
-it. Its ``make_subroutine`` call no longer passes ``exact=``, which the
-package's subroutines dropped (they compare costs by their types). It keeps
-its own verbatim copy of ``AuxTape``, the self-written tape with
-``remove_last`` that the package no longer has. Its RESCALE, which planned
+it. It takes no serving code from the package: its blocks are served per
+request by ``reference_pool``'s ``Greedy`` and ``Permutation`` and by its own
+verbatim copy of the sealed, per-request ``Clairvoyant`` the package had
+before its pools were served whole sequences (ids taken as given, the
+monotone assignment from ``reference_common``); its ``make_subroutine``
+picks among those three, and ``word_width`` is its own. It keeps its own
+verbatim copy of ``AuxTape``, the self-written tape with ``remove_last``
+that the package no longer has. Its RESCALE, which planned
 in floats, went when the package began to plan exactly: RESCALE's reference
 is ``_run_divide`` on the exact rescaling (``test_divide_reference``).
 
@@ -20,13 +24,54 @@ verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from matchline.model import Instance, InstanceError, Matching
-from reference_common import make_matching, monotone_optimal
-from reference_pool import LRState, lr_serve
-from matchline.subroutines import make_subroutine
-from matchline.tape import TapeError, word_width
+from reference_common import make_matching, monotone_assignment, monotone_optimal
+from reference_pool import Greedy, LRState, Permutation, lr_serve
+from matchline.subroutines import SubroutineError
+from matchline.tape import TapeError
 from writable_tape import AdviceTape
+
+
+def word_width(max_value: int) -> int:
+    return max_value.bit_length()
+
+
+class Clairvoyant:
+    """Reads its block's future requests: a verification device, not online."""
+
+    def __init__(self, servers, ids=None, sealed: Sequence = ()):
+        """As ``Greedy``'s; the request at rank t in ``sealed`` gets ``ids[t]``."""
+        self.ids = list(ids)
+        self.sealed = list(sealed)
+        if len(self.sealed) != len(self.ids):
+            # the plan's ranks are the whole pool's: a shorter sequence would
+            # be served the pool's lowest servers, not an optimal subset
+            side = "longer" if len(self.sealed) > len(self.ids) else "shorter"
+            raise SubroutineError(f"sealed sequence {side} than the pool")
+        # request t -> pool rank; a permutation, so no rank is served twice
+        self.plan = monotone_assignment(self.sealed)
+        self.step = 0
+
+    def serve(self, request) -> int:
+        if self.step >= len(self.sealed):
+            raise SubroutineError("request beyond the sealed sequence")
+        if request != self.sealed[self.step]:
+            raise SubroutineError(
+                f"request {request!r} not at position {self.step} of the sealed sequence"
+            )
+        rank = self.plan[self.step]
+        self.step += 1
+        return self.ids[rank]
+
+
+def make_subroutine(name: str, servers, ids=None, sealed=None):
+    if name == "clairvoyant":
+        return Clairvoyant(servers, ids, sealed)
+    if name not in ("greedy", "permutation"):
+        raise SubroutineError(f"unknown subroutine {name!r}")
+    return (Greedy if name == "greedy" else Permutation)(servers, ids)
 
 
 class AuxTape(AdviceTape):

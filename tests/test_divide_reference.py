@@ -333,22 +333,20 @@ def test_serving_matches_the_interleaved_reference(monkeypatch):
 
 def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
     # the online model behind block-by-block serving: block b's subroutine is
-    # served exactly the requests of arrivals[b], LR exactly the marked ones,
-    # each in arrival order, as positions in the servers' units
+    # served exactly the requests of arrivals[b], in one call, LR exactly the
+    # marked ones, each in arrival order, as positions in the servers' units
     for instance, k in serving_grid(2031):
         for sub in SUBROUTINE_NAMES:
             served, lr_served = [], []
             make_subroutine, lr_serve = divide.make_subroutine, divide.lr_serve
 
-            def recording_subroutine(name, servers, ids=None, sealed=None):
-                inner = make_subroutine(name, servers, ids=ids, sealed=sealed)
-                log = []
-                served.append((ids, log))
+            def recording_subroutine(name, servers, ids=None):
+                inner = make_subroutine(name, servers, ids)
                 original = inner.serve
 
-                def serve(request):
-                    log.append(request)
-                    return original(request)
+                def serve(requests):
+                    served.append((ids, list(requests)))
+                    return original(requests)
 
                 inner.serve = serve
                 return inner
@@ -362,10 +360,10 @@ def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
             result, _servers, requests, unit = planning_run(monkeypatch, instance, k, sub)
             groups = result.plan.groups
             by_block = {}
-            for ids, log in served:
+            for ids, sequence in served:
                 b = next(b for b, (start, stop) in enumerate(groups) if start <= ids[0] < stop)
-                assert b not in by_block
-                by_block[b] = log
+                assert b not in by_block  # one sequence per pool
+                by_block[b] = sequence
             # the pools partition the arrivals, each listed in arrival order
             pools = [*result.arrivals, [t for t, _b, _right in result.marked_arrivals]]
             assert sorted(t for pool in pools for t in pool) == list(range(len(requests)))

@@ -149,7 +149,7 @@ def test_permutation_keeps_an_optimal_server_set(instance):
     servers, requests = integer_image(instance)
     sub, used = Permutation(servers), []
     for t in range(1, instance.n + 1):
-        used.append(servers[sub.serve(requests[t - 1])])
+        used.append(servers[sub.serve([requests[t - 1]])[0]])
         history = requests[:t]
         least = min(monotone_cost(subset, history) for subset in combinations(servers, t))
         assert monotone_cost(used, history) == least

@@ -295,10 +295,21 @@ def test_only_lr_and_the_tape_name_read_bit():
 
 
 TESTS = Path(__file__).parent
-#: the cost code the differential references keep their own copies of, in
-#: ``reference_common``, so that a change to the package's cannot reach
+#: the cost and serving code the differential references keep their own
+#: copies of (in ``reference_common``, ``reference_pool`` and
+#: ``reference_divide``), so that a change to the package's cannot reach
 #: both sides of a differential test
-REFERENCE_OWNED = {"costs_equal", "monotone_cost", "make_matching", "monotone_optimal"}
+REFERENCE_OWNED = {
+    "costs_equal",
+    "monotone_cost",
+    "make_matching",
+    "monotone_optimal",
+    "make_subroutine",
+    "Greedy",
+    "Permutation",
+    "Clairvoyant",
+    "word_width",
+}
 
 
 def package_cost_imports(source: str) -> list:
@@ -338,13 +349,16 @@ def test_the_reference_import_check_flags_package_cost_code():
         "from matchline.offline import monotone_cost, OracleError\n"
         "from matchline import offline\nfrom reference_common import costs_equal\n"
         "x = m.make_matching\ny = offline.monotone_optimal\nz = matchline.model.costs_equal\n"
-        "w = costs_equal\n"
+        "w = costs_equal\nfrom matchline.subroutines import make_subroutine\n"
+        "v = matchline.tape.word_width\n"
     )
     assert package_cost_imports(source) == [
         "matchline.offline.monotone_cost",
+        "matchline.subroutines.make_subroutine",
         "m.make_matching",
         "offline.monotone_optimal",
         "matchline.model.costs_equal",
+        "matchline.tape.word_width",
     ]
 
 

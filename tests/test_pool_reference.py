@@ -72,7 +72,7 @@ def test_same_ids_bits_and_tapes_on_both_pools(run, shape, n, custom_ids, seed):
         assert lr.lr_oracle(instance).bits == ref.lr_oracle(instance).bits
         for new, old in ((Greedy, ref.Greedy), (Permutation, ref.Permutation)):
             new, old = new(*in_order(servers, ids)), old(servers, ids)
-            assert [new.serve(r) for r in requests] == [old.serve(r) for r in requests]
+            assert new.serve(requests) == [old.serve(r) for r in requests]
 
 
 @pytest.mark.parametrize("run", RUNS)

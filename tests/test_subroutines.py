@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchline.model import validate_instance
+from matchline.model import integer_image, validate_instance
 from matchline.offline import monotone_cost, monotone_optimal
 from matchline.subroutines import (
     SUBROUTINE_NAMES,
@@ -12,82 +13,62 @@ from matchline.subroutines import (
     make_subroutine,
 )
 from ordered_pool import in_order
+from test_pool_reference import make_case
 
 
 def test_greedy_picks_nearest():
-    sub = make_subroutine("greedy", [0, 10], sealed=None)
-    assert sub.serve(4) == 0
+    assert make_subroutine("greedy", [0, 10]).serve([4]) == [0]
 
 
 def test_greedy_tie_breaks_left():
-    sub = make_subroutine("greedy", [3, 5])
-    assert sub.serve(4) == 0  # server at 3
+    assert make_subroutine("greedy", [3, 5]).serve([4]) == [0]  # server at 3
 
 
 def test_greedy_forced_last_server():
-    sub = make_subroutine("greedy", [7])
-    assert sub.serve(100) == 0
+    assert make_subroutine("greedy", [7]).serve([100]) == [0]
 
 
 def test_greedy_never_reuses():
     sub = make_subroutine("greedy", [1, 2, 3])
-    used = {sub.serve(2), sub.serve(2), sub.serve(2)}
-    assert used == {0, 1, 2}
+    assert set(sub.serve([2, 2, 2])) == {0, 1, 2}
     with pytest.raises(SubroutineError):
-        sub.serve(2)
+        sub.serve([2])
 
 
 def test_permutation_single_request_optimum():
-    sub = make_subroutine("permutation", [1, 2])
-    assert sub.serve(1.6) == 1  # |1.6-2| < |1.6-1|
+    assert make_subroutine("permutation", [1, 2]).serve([1.6]) == [1]  # |1.6-2| < |1.6-1|
 
 
 def test_permutation_serves_newly_used_server():
-    sub = make_subroutine("permutation", [1, 2])
-    assert sub.serve(1.6) == 1
-    assert sub.serve(0.9) == 0
+    assert make_subroutine("permutation", [1, 2]).serve([1.6, 0.9]) == [1, 0]
 
 
 def test_permutation_singleton_pool():
     sub = make_subroutine("permutation", [5])
-    assert sub.serve(123) == 0
+    assert sub.serve([123]) == [0]
     with pytest.raises(SubroutineError, match="no available server"):
-        sub.serve(5)
+        sub.serve([5])
 
 
 def test_permutation_respects_custom_ids():
-    sub = make_subroutine("permutation", [10, 20], ids=[7, 9])
-    assert sub.serve(19) == 9
+    assert make_subroutine("permutation", [10, 20], ids=[7, 9]).serve([19]) == [9]
 
 
 def test_clairvoyant_replays_offline_optimum():
-    sub = make_subroutine("clairvoyant", [3, 4], sealed=[4, 3])
-    assert sub.serve(4) == 1
-    assert sub.serve(3) == 0
+    assert make_subroutine("clairvoyant", [3, 4]).serve([4, 3]) == [1, 0]
 
 
 def test_clairvoyant_monotone_on_geometric_block():
-    sealed = [2.5, 2.75, 2.875]
-    sub = make_subroutine("clairvoyant", [1, 2, 3], sealed=sealed)
-    assert [sub.serve(r) for r in sealed] == [0, 1, 2]
-
-
-def test_clairvoyant_rejects_unsealed_request():
-    sub = make_subroutine("clairvoyant", [1, 2], sealed=[1, 2])
-    with pytest.raises(SubroutineError):
-        sub.serve(5)
+    assert make_subroutine("clairvoyant", [1, 2, 3]).serve([2.5, 2.75, 2.875]) == [0, 1, 2]
 
 
 def test_clairvoyant_rejects_requests_beyond_sealed():
-    sub = make_subroutine("clairvoyant", [1], sealed=[1])
-    sub.serve(1)
-    with pytest.raises(SubroutineError):
-        sub.serve(1)
-
-
-def test_clairvoyant_requires_sealed_sequence():
-    with pytest.raises(SubroutineError):
-        make_subroutine("clairvoyant", [1, 2])
+    # a pool serves its block's one sequence: a second call would hand out
+    # its servers twice
+    sub = make_subroutine("clairvoyant", [1])
+    assert sub.serve([1]) == [0]
+    with pytest.raises(SubroutineError, match="one sequence only"):
+        sub.serve([1])
 
 
 def test_unknown_name_rejected():
@@ -97,18 +78,18 @@ def test_unknown_name_rejected():
 
 def test_clairvoyant_cost_is_block_optimal():
     servers = [1, 4, 9, 12]
-    sealed = [11, 2, 2, 7]
-    sub = make_subroutine("clairvoyant", servers, sealed=sealed)
-    cost = sum(abs(r - servers[sub.serve(r)]) for r in sealed)
-    assert cost == monotone_cost(servers, sealed)
+    requests = [11, 2, 2, 7]
+    served = make_subroutine("clairvoyant", servers).serve(requests)
+    cost = sum(abs(r - servers[j]) for r, j in zip(requests, served))
+    assert cost == monotone_cost(servers, requests)
 
 
 def test_greedy_cost_at_least_optimal():
     servers = [1, 2, 3, 4]
     requests = [4, 3, 2, 1]
     inst = validate_instance(servers, requests)
-    sub = make_subroutine("greedy", servers)
-    cost = sum(abs(r - servers[sub.serve(r)]) for r in requests)
+    served = make_subroutine("greedy", servers).serve(requests)
+    cost = sum(abs(r - servers[j]) for r, j in zip(requests, served))
     assert cost >= monotone_optimal(inst).cost
 
 
@@ -122,10 +103,27 @@ def test_every_serve_returns_a_fresh_pool_member(name, servers, data):
     requests = data.draw(
         st.lists(st.integers(min_value=-10, max_value=50), min_size=n, max_size=n)
     )
-    sealed = requests if name == "clairvoyant" else None
-    sub = make_subroutine(name, *in_order(servers), sealed=sealed)
-    served = [sub.serve(r) for r in requests]
+    served = make_subroutine(name, *in_order(servers)).serve(requests)
     assert sorted(served) == sorted(range(n))  # injective, within the pool
+
+
+@pytest.mark.parametrize("name", ["greedy", "permutation"])
+@given(
+    shape=st.sampled_from(("duplicates", "out-of-span", "float")),
+    n=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_greedy_and_permutation_serve_online(name, shape, n, seed):
+    # no choice reads a later request: for every split t, the first t ids of
+    # a sequence are those its first t requests get alone, and one pool
+    # served the two parts in two calls serves the whole as one call does
+    instance = validate_instance(*make_case(shape, n, random.Random(seed)))
+    servers, requests = integer_image(instance)
+    whole = make_subroutine(name, servers).serve(requests)
+    for t in range(n + 1):
+        assert make_subroutine(name, servers).serve(requests[:t]) == whole[:t]
+        sub = make_subroutine(name, servers)
+        assert sub.serve(requests[:t]) + sub.serve(requests[t:]) == whole
 
 
 def test_permutation_exact_on_integers_beyond_float_precision():
@@ -169,11 +167,10 @@ def test_greedy_and_permutation_take_the_nearer_server_past_2_53(algo):
 def test_pools_refuse_ids_of_another_length(name):
     # zip would truncate the pool: greedy once served 7 from [1, 2, 3] and
     # then ran out of servers
-    sealed = [2] if name == "clairvoyant" else None
     with pytest.raises(ValueError, match="3 servers but 1 ids"):
-        make_subroutine(name, [1, 2, 3], ids=[7], sealed=sealed)
+        make_subroutine(name, [1, 2, 3], ids=[7])
     with pytest.raises(ValueError, match="1 servers but 2 ids"):
-        make_subroutine(name, [1], ids=[7, 8], sealed=sealed)
+        make_subroutine(name, [1], ids=[7, 8])
 
 
 @pytest.mark.parametrize(
@@ -191,15 +188,18 @@ def test_pools_refuse_ids_of_another_length(name):
                 ([2, 1], None),
             )
         ),
-        # greedy and permutation are online: neither reads the future
-        ("greedy", [1, 2], None, [5, 6], "takes no sealed"),
-        ("permutation", [1, 2], None, [5, 6], "takes no sealed"),
+        # greedy and permutation serve until their pool runs out: the
+        # request past it is refused
+        ("greedy", [1, 2], None, [5, 6, 7], "no available server"),
+        ("permutation", [1, 2], None, [5, 6, 7], "no available server"),
+        # clairvoyant is served its block's whole sequence, sealed: its plan's
+        # ranks are the whole pool's, so a shorter sequence would be served
+        # the pool's lowest servers: the server at 1 for the request at 100
         ("clairvoyant", [1], None, [1, 2], "longer than the pool"),
-        # a shorter sealed sequence would be served the pool's lowest
-        # servers: the server at 1 for the request at 100
         ("clairvoyant", [1, 100], None, [100], "shorter than the pool"),
     ],
 )
 def test_make_subroutine_refuses(name, servers, ids, sealed, match):
+    # sealed: the sequence the pool is then served
     with pytest.raises(SubroutineError, match=match):
-        make_subroutine(name, servers, ids, sealed)
+        make_subroutine(name, servers, ids).serve(sealed)

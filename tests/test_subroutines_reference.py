@@ -54,11 +54,10 @@ def make_case(shape: str, n: int, rng: random.Random):
 def assert_same(servers, requests, rng: random.Random, cls):
     n = len(servers)
     for ids in (None, rng.sample(range(3 * n), n)):
-        new = cls(*in_order(servers, ids))
-        olds = [old_cls(servers, ids) for old_cls in REFERENCES[cls]]
-        for r in requests:
-            served = new.serve(r)
-            assert [old.serve(r) for old in olds] == [served] * len(olds)
+        served = cls(*in_order(servers, ids)).serve(requests)
+        for old_cls in REFERENCES[cls]:
+            old = old_cls(servers, ids)
+            assert [old.serve(r) for r in requests] == served
 
 
 def free_neighbours(free, r) -> list:
@@ -95,7 +94,7 @@ def assert_least_price(servers, requests, rng: random.Random, cls):
         sub, used, history = cls(*in_order(servers, ids)), [], []
         for r in requests:
             history.append(r)
-            sid = sub.serve(r)
+            sid = sub.serve([r])[0]
             s = free[sid]
             assert s in free_neighbours(free.values(), r)
             assert sid == min(i for i, p in free.items() if p == s)
@@ -180,10 +179,11 @@ def test_lr_greedy_and_permutation_serve_a_free_neighbour(shape, n, seed):
     rng = random.Random(seed)
     servers, requests = make_case(shape, n, rng)
     pool, bits = LRState(*in_order(servers)), AdviceTape(rng.choices((0, 1), k=n))
+    greedy, permutation = Greedy(*in_order(servers)), Permutation(*in_order(servers))
     serves = {
         "lr": lambda r: lr_step(pool, r, bits),
-        "greedy": Greedy(*in_order(servers)).serve,
-        "permutation": Permutation(*in_order(servers)).serve,
+        "greedy": lambda r: greedy.serve([r])[0],
+        "permutation": lambda r: permutation.serve([r])[0],
     }
     for name, serve in serves.items():
         free = list(servers)
