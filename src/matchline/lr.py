@@ -19,8 +19,9 @@ nothing: every caller holds its servers in (position, id) order already.
 
 ``lr_serve`` is LR's one loop: it serves a sequence of requests on a pool
 and asks a caller's ``bit`` for each bit it reads. LR's run passes the
-tape's bits, its oracle the sides below, and DIVIDE_k the sides its
-classification fixed.
+tape's ``bit_reader`` and its oracle a lookup of the sides below, both
+C-level calls, so their requests run no Python frame but the loop's own;
+DIVIDE_k passes the sides its classification fixed.
 
 The oracle's bit is static: for an ambiguous request it is the side of the
 request's partner in the monotone optimum of the whole instance
@@ -31,11 +32,12 @@ the sides it read. It runs on the instance's integer image, so its run is
 checked once at the end against ``monotone_cost`` with ``==``.
 
 Cost: O(log n) compares per request, plus one deletion of at most ``RUN``
-entries per take; the oracle adds one sort of the requests. Dropping an
-emptied run moves the runs after it in the pool's three lists, O(n/RUN)
-pointers: at most (n/RUN)^2 over a whole run, about 10^6 at n = 10^6.
-At n = 10^6 on a 2-core host the oracle took 4.8 s and a run 3.0 s in
-one session (``BENCH_29.json``; each point is timed once).
+entries, which ``lr_serve`` makes in place rather than through ``take``;
+the oracle adds one sort of the requests and one ``monotone_cost``.
+Dropping an emptied run moves the runs after it in the pool's three lists,
+O(n/RUN) pointers: at most (n/RUN)^2 over a whole run, about 10^6 at
+n = 10^6. ``tests/test_growth.py`` counts the compares and the arithmetic
+of LR's oracle and run and checks that they grow as n log n.
 """
 
 from __future__ import annotations
@@ -65,10 +67,12 @@ class LRState:
 
     An entry is named by its handle (k, i), offset i of run k. Entries are
     ordered by (position, id), so when position p holds a free server,
-    ``neighbours(p)`` is the handle of its smallest free id. ``greedy`` and
-    ``permutation`` use the pool through ``neighbours`` and ``take`` alone;
-    ``lr_serve``, the loop of LR's run, its oracle and DIVIDE_k's inner LR,
-    inlines the search."""
+    ``neighbours(p)`` is the handle of its smallest free id. ``permutation``
+    uses the pool through ``neighbours`` and ``take`` alone. ``lr_serve``,
+    the loop of LR's run, its oracle and DIVIDE_k's inner LR, and
+    ``greedy``'s loop inline the search and make ``take``'s delete in
+    place, with no call per request; ``take`` is the definition that
+    ``tests/test_pool_take.py`` holds both copies to."""
 
     __slots__ = ("runs", "ids", "lasts")
 
@@ -120,9 +124,10 @@ def lr_serve(state: LRState, requests, bit) -> tuple[list, list, int | float]:
 
     ``bit(t)`` is the direction bit of request t: it is called once for
     each request that reads a bit, in arrival order, and never at an exact
-    match or a forced move. The search is ``LRState.neighbours``, inlined:
-    that saves a call and a tuple per request."""
-    runs, lasts, take = state.runs, state.lasts, state.take
+    match or a forced move. The search is ``LRState.neighbours`` and the
+    delete ``LRState.take``, both inlined: that saves two calls and a tuple
+    per request."""
+    runs, ids, lasts = state.runs, state.ids, state.lasts
     taken, bits = [], []
     cost = 0
     for t, r in enumerate(requests):
@@ -150,7 +155,15 @@ def lr_serve(state: LRState, requests, bit) -> tuple[list, list, int | float]:
                         run = runs[k]
                         i = len(run) - 1
         cost += abs(r - run[i])
-        taken.append(take(k, i))
+        # LRState.take, inlined
+        del run[i]
+        if run:
+            if i == len(run):
+                lasts[k] = run[-1]
+            taken.append(ids[k].pop(i))
+        else:
+            del runs[k], lasts[k]
+            taken.append(ids.pop(k)[0])
     return taken, bits, cost
 
 
@@ -209,5 +222,6 @@ def lr_run(instance: Instance, tape: AdviceTape) -> LRResult:
     ``bits_read`` counts the tape reads this run made. It serves and prices
     on the integer image, whose compares are the positions'."""
     servers, requests = integer_image(instance)
-    ids, bits, cost = lr_serve(LRState(servers), requests, lambda _t: tape.read_bit())
+    with tape.bit_reader() as bit:
+        ids, bits, cost = lr_serve(LRState(servers), requests, bit)
     return LRResult(Matching(tuple(ids), instance.unscaled(cost)), len(bits))

@@ -118,9 +118,7 @@ def monotone_cost(servers: Sequence, requests: Sequence) -> int | float:
         raise OracleError(
             f"pools of unequal size: {len(servers)} servers vs {len(requests)} requests"
         )
-    return sum(
-        abs(r - s) for r, s in zip(sorted(requests), sorted(servers))
-    )
+    return sum(map(abs, map(operator.sub, sorted(requests), sorted(servers))))
 
 
 def monotone_optimal(instance: Instance) -> Matching:

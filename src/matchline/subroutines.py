@@ -11,12 +11,14 @@ like LR, serve one of the two free neighbours of each request that
 ``LRState.neighbours`` finds, the nearest free server at or below it or the
 nearest at or above it. ``greedy`` takes the nearer one, O(log n) compares
 and one deletion of at most ``RUN`` entries per request; ``permutation``
-prices the two, O(t) for the t-th request and O(n^2) per run. Both serve the
-ids of the full scans they replaced: the package hands every pool ints (an
-instance's integer image or RESCALE's planning servers), so each distance
-and price is exact. ``clairvoyant`` is served its block's whole sequence in
-one call and replays its offline optimum, so it is a verification device,
-not an online algorithm, for DIVIDE_k's exact checks.
+prices the two over the window of used servers between them, O(w + log n)
+compares for a window of w, and keeps its sorted history and used
+positions with two O(t) C-level inserts at the t-th request. Both serve
+the ids of the full scans they replaced: the package hands every pool ints
+(an instance's integer image or RESCALE's planning servers), so each
+distance and price is exact. ``clairvoyant`` is served its block's whole
+sequence in one call and replays its offline optimum, so it is a
+verification device, not an online algorithm, for DIVIDE_k's exact checks.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ class Greedy:
 
     Runs on LR's server pool (``LRState``): the search of ``neighbours``,
     inlined, gives the request's two free neighbours, the nearest free server
-    below it and the nearest at or above it, with two bisects; the take
-    deletes one entry of a run of at most ``RUN``. The lower one lies below
+    below it and the nearest at or above it, with two bisects, and the delete
+    of ``take``, inlined too, removes one entry of a run of at most ``RUN``:
+    O(log n) compares per request, O(n log n) per run. The lower one lies below
     the request and the upper one at or above, so each distance is a
     one-sided difference, equal to its ``abs``. When the lower one wins, a
     smaller free id at its position exists only when the free entry just
@@ -68,31 +71,38 @@ class Greedy:
 
     def serve(self, requests) -> list:
         pool = self.pool
-        runs, lasts, take = pool.runs, pool.lasts, pool.take
+        runs, ids, lasts = pool.runs, pool.ids, pool.lasts
         served = []
         for request in requests:
             k = bisect.bisect_left(lasts, request)
             i = bisect.bisect_left(runs[k], request) if k < len(lasts) else 0
-            # (k, i): the upper neighbour; (lk, li): the lower one
-            if i:
-                lk, li = k, i - 1
-            elif k:
-                lk = k - 1
-                li = len(runs[lk]) - 1
-            elif runs:  # every free server is at or above the request
-                served.append(take(k, i))
-                continue
-            else:
+            # (k, i): the upper neighbour; (lk, li): the lower one, if any
+            if i or k:
+                if i:
+                    lk, li = k, i - 1
+                else:
+                    lk = k - 1
+                    li = len(runs[lk]) - 1
+                low_run = runs[lk]
+                low = low_run[li]
+                if k == len(runs) or request - low <= runs[k][i] - request:
+                    # the lower one wins; the smallest free id at its position
+                    before = low_run[li - 1] if li else runs[lk - 1][-1] if lk else None
+                    if before == low:
+                        lk, li = pool.neighbours(low)
+                    k, i = lk, li
+            elif not runs:
                 raise SubroutineError("no available server")
-            low_run = runs[lk]
-            low = low_run[li]
-            if k == len(runs) or request - low <= runs[k][i] - request:
-                # the lower one wins; the smallest free id at its position
-                before = low_run[li - 1] if li else runs[lk - 1][-1] if lk else None
-                if before == low:
-                    lk, li = pool.neighbours(low)
-                k, i = lk, li
-            served.append(take(k, i))
+            # LRState.take, inlined
+            run = runs[k]
+            del run[i]
+            if run:
+                if i == len(run):
+                    lasts[k] = run[-1]
+                served.append(ids[k].pop(i))
+            else:
+                del runs[k], lasts[k]
+                served.append(ids.pop(k)[0])
         return served
 
 
@@ -127,9 +137,14 @@ class Permutation:
     by (a), plus L - a. The upper side is the mirror image.
 
     So only L (the smallest free id at its position) and H are priced, each
-    as one sum of the sorted history against the sorted used positions plus
-    it: O(t) for the t-th request, O(n^2) per run, exact on integers. L is
-    served when its cost is <= H's.
+    by pairing the sorted history with the sorted used positions plus it,
+    exact on integers. L is served when its cost is <= H's. The two pairings
+    agree outside the window of slots a..b, a and b the places of L and H
+    among the used positions, so only that window is priced: O(b - a + 1)
+    for a request, the used servers in [L, H). Nothing bounds the window
+    (a stretch of used servers can fill it), and keeping ``history`` and
+    ``used`` sorted costs two O(t) C-level inserts at the t-th request, so
+    a run is still O(n^2) in the worst case.
     """
 
     def __init__(self, servers, ids=None):
@@ -140,14 +155,17 @@ class Permutation:
 
     def _lower_wins(self, low, high) -> bool:
         """Whether cost(history, used + {low}) is <= the cost with high;
-        each pairs the two sorted lists in order."""
-        used, costs = self.used, []
-        for s in (low, high):
-            g = bisect.bisect_left(used, s)
-            used.insert(g, s)
-            costs.append(sum(map(abs, map(operator.sub, self.history, used))))
-            del used[g]
-        return costs[0] <= costs[1]
+        each pairs the two sorted lists in order. With a and b the places
+        of low and high in ``used``, the two pairings agree outside slots
+        a..b, so only the window history[a..b] is priced: against low and
+        used[a..b-1], and against used[a..b-1] and high."""
+        used, history = self.used, self.history
+        a = bisect.bisect_left(used, low)
+        b = bisect.bisect_left(used, high, a)
+        window, h = used[a:b], history[a : b + 1]
+        with_low = abs(h[0] - low) + sum(map(abs, map(operator.sub, h[1:], window)))
+        with_high = sum(map(abs, map(operator.sub, h, window))) + abs(h[-1] - high)
+        return with_low <= with_high
 
     def serve(self, requests) -> list:
         pool = self.pool

@@ -7,10 +7,17 @@ to LR when LR asks for it and counts the ones LR reads.
 
 A tape keeps its bits as the bytes 0 and 1 of one ``bytearray``, so writing
 and reading a word, checking a written sequence and dumping the tape each
-cost a few C-level calls, whatever the word's width.
+cost a few C-level calls, whatever the word's width. LR reads its bits one
+at a time through ``bit_reader``, whose ``bit(t)`` is a C-level ``next`` on
+the unread bytes: no Python frame runs per bit.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from functools import partial
+from itertools import chain
+from operator import length_hint
 
 
 class TapeUnderflow(RuntimeError):
@@ -24,6 +31,10 @@ class TapeError(ValueError):
 # bit values 0/1 to the ASCII digits "0"/"1" and back
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _underflow():
+    raise TapeUnderflow("tape underflow: no unread bits left")
 
 
 def word_width(max_value: int) -> int:
@@ -70,13 +81,22 @@ class AdviceTape:
             digits.append(bin(value | 1 << width)[3:])
         self._bits += "".join(digits).encode().translate(_BITS)
 
-    def read_bit(self) -> int:
+    @contextmanager
+    def bit_reader(self):
+        """``bit(t)``, the next unread bit whatever ``t`` is; past the
+        written end it raises ``TapeUnderflow``. When the block ends, on an
+        underflow too, the cursor stands after the last bit read.
+
+        ``bit`` is ``next`` on a chain of the unread bits and an iterator
+        whose first step raises, so ``bit(t)`` is ``next(chain, t)``, all
+        in C. ``t`` is ``next``'s default, returned only once the chain
+        stops, and the raise comes first: no bit is ever ``t``."""
+        end = len(self._bits)
+        unread = iter(self._bits[self.cursor : end])
         try:
-            b = self._bits[self.cursor]
-        except IndexError:
-            raise TapeUnderflow("tape underflow: no unread bits left") from None
-        self.cursor += 1
-        return b
+            yield partial(next, chain(unread, iter(_underflow, None)))
+        finally:
+            self.cursor = end - length_hint(unread)
 
     def read_word(self, width: int) -> int:
         """The next ``width`` bits as an unsigned integer, most significant

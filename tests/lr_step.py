@@ -1,11 +1,13 @@
 """LR one request at a time. The package's ``lr_serve`` serves a sequence
 of requests; a per-request test serves it a sequence of one on the same
-pool, with the bit, if LR reads one, taken off a tape. The differential
-references keep their own per-request ``lr_serve``."""
+pool, with the bit, if LR reads one, taken off a tape through its
+``bit_reader``. The differential references keep their own per-request
+``lr_serve``."""
 
 from matchline.lr import lr_serve
 
 
 def lr_step(state, request, tape) -> int:
     """Serve ``request`` on the pool ``state``; returns the id it took."""
-    return lr_serve(state, (request,), lambda _t: tape.read_bit())[0][0]
+    with tape.bit_reader() as bit:
+        return lr_serve(state, (request,), bit)[0][0]

@@ -19,8 +19,8 @@ from typing import Sequence
 from matchline.lr import LRError
 from matchline.model import Instance
 from matchline.subroutines import SubroutineError
-from matchline.tape import AdviceTape
 from reference_common import costs_equal, monotone_cost
+from writable_tape import AdviceTape
 
 
 @dataclass

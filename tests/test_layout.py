@@ -5,9 +5,11 @@ itself and the standard library; no module imports a name it never uses;
 every top-level def and class is reached from the package or exported; and
 every method and property of its classes is looked up by name somewhere in
 the package. So nothing in it is test-only. No module names a float
-tolerance, as every cost is exact; only LR and the tape name ``read_bit``,
-as LR has one loop that asks its caller for each bit; and no differential
-reference takes the cost code it compares against from the package."""
+tolerance, as every cost is exact; only LR and the tape name ``bit_reader``,
+as LR has one loop that asks its caller for each bit; and a differential
+reference takes nothing from the package but the exception classes,
+``Instance`` and ``Matching``, so no cost or serving code it compares
+against."""
 
 import ast
 import sys
@@ -269,77 +271,62 @@ def test_no_module_names_a_float_tolerance():
     assert named == {}
 
 
-#: the modules that may name ``read_bit``: the tape defines it, and LR's run
-#: reads its advice with it. Every other LR bit comes in through
+#: the modules that may name ``bit_reader``: the tape defines it, and LR's
+#: run reads its advice with it. Every other LR bit comes in through
 #: ``lr_serve``'s ``bit``, so no second reader of LR's bits can come back.
 BIT_READERS = {"lr.py", "tape.py"}
 
 
 def test_the_bit_reader_check_flags_identifiers_only():
     source = (
-        '"""read_bit reads one bit."""\n'
-        "from .tape import read_bit as next_bit\n"
-        "class Sides:\n    def read_bit(self):\n        # read_bit\n        return 1\n"
-        "def f(tape):\n    return tape.read_bit() + next_bit()\n"
+        '"""bit_reader reads bits."""\n'
+        "from .tape import bit_reader as next_bits\n"
+        "class Sides:\n    def bit_reader(self):\n        # bit_reader\n        return 1\n"
+        "def f(tape):\n    return tape.bit_reader() + next_bits()\n"
     )
-    assert identifiers(source, {"read_bit"}) == ["read_bit", "read_bit", "read_bit"]
+    assert identifiers(source, {"bit_reader"}) == ["bit_reader", "bit_reader", "bit_reader"]
 
 
-def test_only_lr_and_the_tape_name_read_bit():
+def test_only_lr_and_the_tape_name_bit_reader():
     named = {
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
-        if identifiers(path.read_text(), {"read_bit"})
+        if identifiers(path.read_text(), {"bit_reader"})
     }
     assert named == BIT_READERS
 
 
 TESTS = Path(__file__).parent
-#: the cost and serving code the differential references keep their own
-#: copies of (in ``reference_common``, ``reference_pool`` and
-#: ``reference_divide``), so that a change to the package's cannot reach
-#: both sides of a differential test
-REFERENCE_OWNED = {
-    "costs_equal",
-    "monotone_cost",
-    "make_matching",
-    "monotone_optimal",
-    "make_subroutine",
-    "Greedy",
-    "Permutation",
-    "Clairvoyant",
-    "word_width",
+#: the package names a differential reference may import: exception
+#: classes and the data it is handed. The cost and serving code the
+#: references compare against they keep their own copies of (in
+#: ``reference_common``, ``reference_pool`` and ``reference_divide``), so
+#: that a change to the package's cannot reach both sides of a
+#: differential test; their tape is ``writable_tape``'s
+REFERENCE_ALLOWED = {
+    "GeneratorError",
+    "Instance",
+    "InstanceError",
+    "LRError",
+    "Matching",
+    "OracleError",
+    "SubroutineError",
+    "TapeError",
 }
 
 
-def package_cost_imports(source: str) -> list:
-    """``module.name`` of every ``REFERENCE_OWNED`` name that ``source``
-    takes from the package: imported by name, or looked up on a name it
-    imported from the package."""
-    tree = ast.parse(source)
-    found, modules = [], set()
-    for node in ast.walk(tree):
+def package_imports(source: str) -> list:
+    """``module.name`` of every name outside ``REFERENCE_ALLOWED`` that
+    ``source`` binds from the package: imported by name (a module of the
+    package counts), or a whole module imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "matchline":
-            for a in node.names:
-                if a.name in REFERENCE_OWNED:
-                    found.append(f"{node.module}.{a.name}")
-                else:
-                    modules.add(a.asname or a.name)
+            found += [
+                f"{node.module}.{a.name}" for a in node.names if a.name not in REFERENCE_ALLOWED
+            ]
         elif isinstance(node, ast.Import):
-            modules.update(
-                a.asname or "matchline" for a in node.names if a.name.split(".")[0] == "matchline"
-            )
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr in REFERENCE_OWNED
-            and isinstance(node.value, (ast.Name, ast.Attribute))
-        ):
-            base = node.value
-            while isinstance(base, ast.Attribute):
-                base = base.value
-            if isinstance(base, ast.Name) and base.id in modules:
-                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+            found += [a.name for a in node.names if a.name.split(".")[0] == "matchline"]
     return found
 
 
@@ -348,17 +335,18 @@ def test_the_reference_import_check_flags_package_cost_code():
         "import matchline.model as m\nimport matchline\n"
         "from matchline.offline import monotone_cost, OracleError\n"
         "from matchline import offline\nfrom reference_common import costs_equal\n"
-        "x = m.make_matching\ny = offline.monotone_optimal\nz = matchline.model.costs_equal\n"
-        "w = costs_equal\nfrom matchline.subroutines import make_subroutine\n"
-        "v = matchline.tape.word_width\n"
+        "from matchline.model import Instance, make_matching as mm\n"
+        "from matchline.subroutines import make_subroutine\n"
+        "from matchline.tape import AdviceTape, TapeError\n"
     )
-    assert package_cost_imports(source) == [
+    assert package_imports(source) == [
+        "matchline.model",
+        "matchline",
         "matchline.offline.monotone_cost",
+        "matchline.offline",
+        "matchline.model.make_matching",
         "matchline.subroutines.make_subroutine",
-        "m.make_matching",
-        "offline.monotone_optimal",
-        "matchline.model.costs_equal",
-        "matchline.tape.word_width",
+        "matchline.tape.AdviceTape",
     ]
 
 
@@ -366,6 +354,6 @@ def test_no_reference_takes_the_cost_code_from_the_package():
     taken = {
         path.name: found
         for path in sorted(TESTS.glob("reference_*.py"))
-        if (found := package_cost_imports(path.read_text()))
+        if (found := package_imports(path.read_text()))
     }
     assert taken == {}

@@ -13,7 +13,7 @@ from lr_step import lr_step
 from ordered_pool import in_order
 from matchline import lr
 from matchline.model import validate_instance
-from matchline.tape import AdviceTape
+from writable_tape import AdviceTape
 
 SHAPES = ("in-span", "out-of-span", "duplicates", "small-float")
 

@@ -21,7 +21,7 @@ from test_divide_reference import IN_SPAN_SHAPES, SERVING_SHAPES, assert_same, m
 from matchline import divide, lr
 from matchline.model import validate_instance
 from matchline.subroutines import SUBROUTINE_NAMES, Greedy, Permutation
-from matchline.tape import AdviceTape
+from writable_tape import AdviceTape
 
 RUNS = (1, 2, 3, lr.RUN)
 SHAPES = ("duplicates", "float", "big-int", "huge-int", "out-of-span")

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from matchline.model import integer_image, validate_instance
 from matchline.offline import monotone_cost, monotone_optimal
 from matchline.subroutines import (
     SUBROUTINE_NAMES,
+    Permutation,
     SubroutineError,
     make_subroutine,
 )
@@ -124,6 +125,38 @@ def test_greedy_and_permutation_serve_online(name, shape, n, seed):
         assert make_subroutine(name, servers).serve(requests[:t]) == whole[:t]
         sub = make_subroutine(name, servers)
         assert sub.serve(requests[:t]) + sub.serve(requests[t:]) == whole
+
+
+@st.composite
+def priced_states(draw):
+    """A Permutation's state at its t-th request: t sorted requests seen,
+    t - 1 sorted used positions, and the two candidates L <= H, each drawn
+    from a small range (ties) or from the used positions."""
+    coord = st.integers(min_value=-6, max_value=6)
+    t = draw(st.integers(min_value=1, max_value=10))
+    history = sorted(draw(st.lists(coord, min_size=t, max_size=t)))
+    used = sorted(draw(st.lists(coord, min_size=t - 1, max_size=t - 1)))
+    pick = st.one_of(coord, st.sampled_from(used)) if used else coord
+    low, high = sorted((draw(pick), draw(pick)))
+    return history, used, low, high
+
+
+@given(priced_states())
+@example(([3], [], 1, 5))  # t = 1
+@example(([0, 2, 2, 7], [1, 2, 9], 2, 2))  # a == b; L and H used positions
+@example(([1, 1, 1], [1, 4], 1, 4))  # ties in history; L and H used
+@example(([0, 5, 5, 6], [2, 3, 5], 1, 6))  # a window of every used slot
+def test_window_price_decides_as_the_two_full_sums(state):
+    history, used, low, high = state
+    # the price before the window: the whole sorted history against the
+    # sorted used positions plus the candidate, for each candidate
+    full = [
+        sum(abs(h - u) for h, u in zip(history, sorted(used + [s]))) for s in (low, high)
+    ]
+    sub = Permutation([0])
+    sub.history, sub.used = list(history), list(used)
+    assert sub._lower_wins(low, high) == (full[0] <= full[1])
+    assert (sub.history, sub.used) == (history, used)
 
 
 def test_permutation_exact_on_integers_beyond_float_precision():

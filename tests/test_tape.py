@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,7 +47,8 @@ def test_word_is_most_significant_first():
 
 def test_read_bits_in_order():
     tape = AdviceTape([1, 0, 1])
-    assert [tape.read_bit() for _ in range(3)] == [1, 0, 1]
+    with tape.bit_reader() as bit:
+        assert [bit(t) for t in range(3)] == [1, 0, 1]
     assert tape.bits_read == 3
 
 
@@ -56,17 +59,43 @@ def test_zero_width_read_is_free():
 
 
 def test_empty_tape_underflows():
-    with pytest.raises(TapeUnderflow):
-        AdviceTape().read_bit()
+    with pytest.raises(TapeUnderflow), AdviceTape().bit_reader() as bit:
+        bit(0)
 
 
 def test_cursor_never_rewinds():
     tape = AdviceTape([1, 1, 0])
-    tape.read_bit()
+    with tape.bit_reader() as bit:
+        bit(0)
     before = tape.bits_read
-    tape.read_bit()
+    with tape.bit_reader() as bit:
+        bit(1)
     assert tape.bits_read == before + 1
     assert tape.unread == 1
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=1), max_size=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=14),
+)
+def test_bit_reader_counts_its_reads_and_underflows_past_the_end(bits, start, reads):
+    # t is next's default inside the reader: past the end it must raise,
+    # never return t, and the cursor must stay after the last bit read
+    tape = AdviceTape(bits)
+    start = min(start, len(bits))
+    tape.read_word(start)
+    got = []
+    with pytest.raises(TapeUnderflow) if start + reads > len(bits) else nullcontext():
+        with tape.bit_reader() as bit:
+            for t in range(reads):
+                got.append(bit(t + 2))
+    assert got == bits[start : start + reads]
+    assert tape.bits_read == start + len(got)
+    with pytest.raises(TapeUnderflow), tape.bit_reader() as bit:
+        for t in range(len(bits) + 1):
+            bit(t)
+    assert tape.bits_read == len(bits)
 
 
 def test_rejects_non_bits():
