@@ -65,7 +65,8 @@ def run_algorithm(
     if subroutine not in SUBROUTINE_NAMES:
         raise ExperimentError(f"unknown subroutine {subroutine!r}")
     if algo == "lr":
-        result = lr_run(instance, lr_oracle(instance))
+        image = integer_image(instance)
+        result = lr_run(instance, lr_oracle(instance, image), image)
         return {
             "matching": result.matching,
             "cost": result.matching.cost,

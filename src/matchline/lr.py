@@ -24,16 +24,19 @@ C-level calls, so their requests run no Python frame but the loop's own;
 DIVIDE_k passes the sides its classification fixed.
 
 The oracle's bit is static: for an ambiguous request it is the side of the
-request's partner in the monotone optimum of the whole instance
-(``monotone_assignment``, ties by arrival; a partner at the request's own
-position counts as below). ``lr_oracle`` proves it. The oracle sorts the
-requests once for those sides, serves them with ``lr_serve`` and writes
-the sides it read. It runs on the instance's integer image, so its run is
-checked once at the end against ``monotone_cost`` with ``==``.
+request's partner in the monotone optimum of the whole instance (the
+request's rank in ``monotone_order``, ties by arrival; a partner at the
+request's own position counts as below). ``lr_oracle`` proves it. The
+oracle reads every side off one pass over the requests in rank order,
+serves them with ``lr_serve`` and writes the sides it read. It runs on the
+instance's integer image, so its run is checked once at the end against
+``monotone_cost`` with ``==``.
 
 Cost: O(log n) compares per request, plus one deletion of at most ``RUN``
 entries, which ``lr_serve`` makes in place rather than through ``take``;
-the oracle adds one sort of the requests and one ``monotone_cost``.
+the oracle adds one keyed sort of the requests, one pass over them in rank
+order and a ``monotone_cost`` over lists that pass left sorted, whose
+sorts are then linear.
 Dropping an emptied run moves the runs after it in the pool's three lists,
 O(n/RUN) pointers: at most (n/RUN)^2 over a whole run, about 10^6 at
 n = 10^6. ``tests/test_growth.py`` counts the compares and the arithmetic
@@ -42,12 +45,11 @@ of LR's oracle and run and checks that they grow as n log n.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import Instance, Matching, integer_image
-from .offline import monotone_assignment, monotone_cost
+from .offline import monotone_cost, monotone_order
 from .tape import AdviceTape
 
 
@@ -167,14 +169,17 @@ def lr_serve(state: LRState, requests, bit) -> tuple[list, list, int | float]:
     return taken, bits, cost
 
 
-def lr_oracle(instance: Instance) -> AdviceTape:
-    """Advice bits under which lr_run reproduces an optimal matching.
+def lr_oracle(instance: Instance, image=None) -> AdviceTape:
+    """Advice bits under which lr_run reproduces an optimal matching, on the
+    integer image (``image``, when the caller has built it).
 
     The bit of an ambiguous request r_t is the side of its partner in the
-    monotone optimum M (``monotone_assignment`` on the integer image): 1
-    when that server lies above r_t, 0 when it lies at r_t or below. The
-    oracle is LR's own run fed those sides, and its cost is checked against
-    ``monotone_cost`` at the end.
+    monotone optimum M: the server whose rank is r_t's rank in
+    ``monotone_order``, 1 when it lies above r_t, 0 when it lies at r_t or
+    below. One pass over the requests in rank order reads every side and
+    lists the requests sorted. The oracle is LR's own run fed those sides,
+    and its cost is checked at the end against ``monotone_cost``, which
+    sorts both lists itself, so a wrong rank order cannot pass.
 
     Why the side is static. Rank the servers by (position, id) and the
     requests by (position, arrival); M pairs equal ranks. Before request t,
@@ -201,11 +206,15 @@ def lr_oracle(instance: Instance) -> AdviceTape:
     r_t <= g <= a, so their servers lie at or above g: still above; or
     ranks j..m share one position. So every bit keeps (a), and at the end
     (a) says that the run costs OPT."""
-    image = servers, requests = integer_image(instance)
-    partners = map(servers.__getitem__, monotone_assignment(requests))
-    sides = list(map(operator.lt, requests, partners))
+    servers, requests = integer_image(instance) if image is None else image
+    sides = [False] * len(requests)
+    ranked = []
+    for s, t in zip(servers, monotone_order(requests)):
+        r = requests[t]
+        sides[t] = r < s
+        ranked.append(r)
     _ids, bits, cost = lr_serve(LRState(servers), requests, sides.__getitem__)
-    opt = monotone_cost(*image)
+    opt = monotone_cost(servers, ranked)
     if cost != opt:
         raise LRError(f"oracle advice missed the optimum on the image: {cost!r} vs {opt!r}")
     return AdviceTape(bits)
@@ -217,11 +226,12 @@ class LRResult:
     bits_read: int
 
 
-def lr_run(instance: Instance, tape: AdviceTape) -> LRResult:
+def lr_run(instance: Instance, tape: AdviceTape, image=None) -> LRResult:
     """Serve the whole request sequence against the given advice tape;
     ``bits_read`` counts the tape reads this run made. It serves and prices
-    on the integer image, whose compares are the positions'."""
-    servers, requests = integer_image(instance)
+    on the integer image (``image``, when the caller has built it), whose
+    compares are the positions'."""
+    servers, requests = integer_image(instance) if image is None else image
     with tape.bit_reader() as bit:
         ids, bits, cost = lr_serve(LRState(servers), requests, bit)
     return LRResult(Matching(tuple(ids), instance.unscaled(cost)), len(bits))

@@ -98,17 +98,22 @@ def all_optimal_assignments(instance: Instance) -> list[tuple]:
     return [perm for c, perm in costs if c == opt]
 
 
-def monotone_assignment(requests: Sequence) -> list[int]:
-    """Order-preserving optimal assignment: i-th smallest request -> s_i.
+def monotone_order(requests: Sequence) -> list[int]:
+    """The rank order of the requests: their arrival indices sorted by
+    (position, arrival). The monotone optimum pairs the request at rank i
+    with server i; equal positions keep arrival order, so among ties the
+    earlier arrival receives the smaller server index."""
+    return sorted(range(len(requests)), key=requests.__getitem__)  # stable
 
-    Equal request positions keep arrival order, so among ties the earlier
-    arrival receives the smaller server index. Servers are the sorted server
-    list of the instance, addressed by rank.
+
+def monotone_assignment(requests: Sequence) -> list[int]:
+    """Order-preserving optimal assignment: request t -> its rank in
+    ``monotone_order``, the inverse permutation of that order. Servers are
+    the sorted server list of the instance, addressed by rank.
     """
-    order = sorted(range(len(requests)), key=requests.__getitem__)  # stable
     assignment = [0] * len(requests)
-    for rank, i in enumerate(order):
-        assignment[i] = rank
+    for rank, t in enumerate(monotone_order(requests)):
+        assignment[t] = rank
     return assignment
 
 

@@ -28,7 +28,7 @@ import operator
 from typing import Sequence
 
 from .lr import LRState
-from .offline import monotone_assignment
+from .offline import monotone_order
 
 SUBROUTINE_NAMES = ("greedy", "permutation", "clairvoyant")
 
@@ -196,17 +196,21 @@ class Clairvoyant:
         self.served = False
 
     def serve(self, requests) -> list:
-        """The request at rank t in ``requests`` gets ``ids[t]``. The plan's
-        ranks are the whole pool's, so ``requests`` must be as long as the
-        pool (a shorter sequence would be served the pool's lowest servers,
-        not an optimal subset), and a pool serves one sequence only."""
+        """The request at rank i in ``requests`` (``monotone_order``) gets
+        ``ids[i]``, scattered in one pass over that order. The ranks are the
+        whole pool's, so ``requests`` must be as long as the pool (a shorter
+        sequence would be served the pool's lowest servers, not an optimal
+        subset), and a pool serves one sequence only."""
         if self.served:
             raise SubroutineError("clairvoyant serves one sequence only")
         if len(requests) != len(self.ids):
             side = "longer" if len(requests) > len(self.ids) else "shorter"
             raise SubroutineError(f"sequence {side} than the pool")
         self.served = True
-        return [self.ids[rank] for rank in monotone_assignment(requests)]
+        served = [0] * len(requests)
+        for j, t in zip(self.ids, monotone_order(requests)):
+            served[t] = j
+        return served
 
 
 def make_subroutine(name: str, servers, ids=None):

@@ -1,13 +1,15 @@
-"""Growth by operation counts, not wall time. LR (its oracle and its run)
-and DIVIDE_k with ``greedy`` at k = 4 run on coordinates of ``Counted``, an
-``int`` that counts every compare, ``+``, ``-``, ``*``, ``//``, negation and
-``abs`` made on it and returns its results as ``Counted``. Its instances
-are in integer mode and are their own integer image, so the package runs
-on them unchanged. The count per n log2 n at n = 2^14 may be at most
-``MARGIN`` times its value at n = 2^10: an n log n run keeps it level, and
-a linear scan in a search makes it grow with n.
+"""Growth by operation counts, not wall time. LR (its oracle and its run),
+DIVIDE_k with ``greedy`` at k = 4, ``monotone_optimal``, and DIVIDE_k's
+``compute_advice`` and ``classify_requests`` at k = 4 run on coordinates of
+``Counted``, an ``int`` that counts every compare, ``+``, ``-``, ``*``,
+``//``, negation and ``abs`` made on it and returns its results as
+``Counted``. Its instances are in integer mode and are their own integer
+image, so the package runs on them unchanged. Only the layer's own call is
+counted, not the inputs built for it. The count per n log2 n at n = 2^14
+may be at most ``MARGIN`` times its value at n = 2^10: an n log n run keeps
+it level, and a linear scan in a search makes it grow with n.
 
-Each run goes once with the pool's own ``RUN`` and once with runs of
+Each run on LR's pool goes once with its own ``RUN`` and once with runs of
 ``SHORT_RUN`` entries. At these sizes a pool of ``RUN`` = 1024 holds at most
 16 runs, so a linear scan over its runs would cost little more than the
 bisect it replaced; short runs make the runs' index grow with n, as it does
@@ -23,10 +25,11 @@ import math
 import pytest
 
 from matchline import lr
-from matchline.divide import divide_run
+from matchline.divide import classify_requests, compute_advice, divide_run, plan_blocks
 from matchline.generators import gen_uniform
 from matchline.lr import lr_oracle, lr_run
 from matchline.model import Instance
+from matchline.offline import monotone_optimal
 
 SIZES = (2**10, 2**12, 2**14)
 MARGIN = 1.25
@@ -65,18 +68,44 @@ def counted_instance(n: int) -> Instance:
     return instance
 
 
-def lr_oracle_and_run(instance: Instance) -> None:
-    lr_run(instance, lr_oracle(instance))
+# each layer takes an instance and returns the call whose operations count
 
 
-def divide_greedy(instance: Instance) -> None:
-    divide_run(instance, 4, "greedy")
+def lr_oracle_and_run(instance: Instance):
+    return lambda: lr_run(instance, lr_oracle(instance))
 
 
-def ops_per_n_log_n(run, n: int) -> float:
-    instance = counted_instance(n)
+def divide_greedy(instance: Instance):
+    return lambda: divide_run(instance, 4, "greedy")
+
+
+def monotone_optimum(instance: Instance):
+    return lambda: monotone_optimal(instance)
+
+
+def advice_inputs(instance: Instance):
+    """DIVIDE_k's plan at k = 4 and its requests, clamped into [1, N - 1] as
+    a run clamps them."""
+    plan = plan_blocks(instance.servers, 4)
+    top = plan.span_bound - 1
+    return [1 if r < 1 else top if r > top else r for r in instance.requests], plan
+
+
+def advice(instance: Instance):
+    requests, plan = advice_inputs(instance)
+    return lambda: compute_advice(requests, plan)
+
+
+def classification(instance: Instance):
+    requests, plan = advice_inputs(instance)
+    words = compute_advice(requests, plan)
+    return lambda: classify_requests(requests, plan, words)
+
+
+def ops_per_n_log_n(layer, n: int) -> float:
+    call = layer(counted_instance(n))
     Counted.ops = 0
-    run(instance)
+    call()
     return Counted.ops / (n * math.log2(n))
 
 
@@ -85,4 +114,11 @@ def ops_per_n_log_n(run, n: int) -> float:
 def test_operations_grow_as_n_log_n(run, run_size, monkeypatch):
     monkeypatch.setattr(lr, "RUN", run_size)
     counts = [ops_per_n_log_n(run, n) for n in SIZES]
+    assert counts[-1] <= MARGIN * counts[0], counts
+
+
+@pytest.mark.parametrize("layer", [monotone_optimum, advice, classification])
+def test_offline_and_advice_operations_grow_as_n_log_n(layer):
+    # none of these layers builds a pool, so RUN does not reach them
+    counts = [ops_per_n_log_n(layer, n) for n in SIZES]
     assert counts[-1] <= MARGIN * counts[0], counts

@@ -1,6 +1,8 @@
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import matchline
+from matchline import model
 from matchline.cli import main
 from matchline.experiment import (
     ALGORITHMS,
@@ -23,6 +27,7 @@ from matchline.experiment import (
 from matchline.generators import gen_family, gen_uniform
 from matchline.lr import LRError
 from matchline.model import load_instance, save_instance, validate_instance
+from matchline.offline import monotone_optimal
 from matchline.subroutines import SubroutineError
 from matchline.tape import TapeUnderflow, word_width
 
@@ -89,6 +94,27 @@ def test_run_algorithm_names():
         k = 2 if algo in K_ALGORITHMS else None
         with pytest.raises(ExperimentError, match="unknown subroutine"):
             run_algorithm(inst, algo, k=k, subroutine="nope")
+
+
+def test_lr_builds_a_float_instances_image_once(monkeypatch):
+    # the oracle and the run share the image run_algorithm builds; every
+    # module that binds integer_image counts its builds
+    inst = gen_uniform(60, (0.0, 100.0), 5)
+    assert inst.scale > 1
+    opt = monotone_optimal(inst).cost
+    builds, build = [], model.integer_image
+
+    def counted(instance):
+        builds.append(instance)
+        return build(instance)
+
+    for info in pkgutil.iter_modules(matchline.__path__):
+        module = importlib.import_module(f"matchline.{info.name}")
+        if getattr(module, "integer_image", None) is build:
+            monkeypatch.setattr(module, "integer_image", counted)
+    outcome = run_algorithm(inst, "lr")
+    assert builds == [inst]
+    assert outcome["cost"] == opt
 
 
 def test_emit_csv_schema(tmp_path):

@@ -110,10 +110,11 @@ def test_partner_at_the_requests_own_taken_position_counts_as_below():
 
 
 def test_oracle_refuses_sides_off_a_wrong_partner_list(monkeypatch):
-    # request 4 is ambiguous between 0 and 10; the swapped partners send it
-    # right, and the run's cost 16 misses OPT = 4: no tape comes back
+    # request 4 is ambiguous between 0 and 10; the swapped rank order pairs
+    # it with 10 and sends it right, and the run's cost 16 misses OPT = 4,
+    # which monotone_cost takes by sorting the requests again: no tape
     inst = Instance((0, 10), (4, 10))
-    monkeypatch.setattr(lr, "monotone_assignment", lambda requests: [1, 0])
+    monkeypatch.setattr(lr, "monotone_order", lambda requests: [1, 0])
     with pytest.raises(LRError, match="missed the optimum"):
         lr_oracle(inst)
 

@@ -3,6 +3,7 @@ side of the request's partner in the monotone optimum, and LR's moves on
 its runs pool, against the lookahead oracle and the list pool of
 ``reference_lr``."""
 
+import operator
 import random
 
 from hypothesis import given
@@ -12,7 +13,8 @@ import reference_lr as ref
 from lr_step import lr_step
 from ordered_pool import in_order
 from matchline import lr
-from matchline.model import validate_instance
+from matchline.model import integer_image, validate_instance
+from matchline.offline import monotone_assignment
 from writable_tape import AdviceTape
 
 SHAPES = ("in-span", "out-of-span", "duplicates", "small-float")
@@ -64,3 +66,18 @@ def test_same_tapes_and_moves_property(shape, n, seed):
     rng = random.Random(seed)
     assert_same(make_instance(shape, n, rng), rng)
 
+
+
+def test_oracle_tape_equals_the_tape_of_the_partners_sides():
+    # the sides written out request by request, each against the server of
+    # its rank in monotone_assignment, and served by lr_serve: the oracle's
+    # one pass in rank order must read the same bits
+    rng = random.Random(32)
+    for n in range(1, 41):
+        for shape in SHAPES:
+            instance = make_instance(shape, n, rng)
+            servers, requests = integer_image(instance)
+            partners = map(servers.__getitem__, monotone_assignment(requests))
+            sides = list(map(operator.lt, requests, partners))
+            _ids, bits, _cost = lr.lr_serve(lr.LRState(servers), requests, sides.__getitem__)
+            assert lr.lr_oracle(instance).bits == tuple(bits)

@@ -15,6 +15,7 @@ from matchline.offline import (
     monotone_assignment,
     monotone_cost,
     monotone_optimal,
+    monotone_order,
     order_condition_violations,
 )
 
@@ -93,6 +94,21 @@ def test_monotone_tie_rule_follows_arrival_order():
     assert assignment == [0, 1, 2]
     assignment = monotone_assignment([7, 3, 7])
     assert assignment == [1, 0, 2]
+
+
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_monotone_assignment_inverts_monotone_order(n, data):
+    # the duplicates shape: n requests on the max(1, n // 3) + 1 positions
+    # 0..max(1, n // 3), so most positions are shared
+    top = max(1, n // 3)
+    requests = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    order = monotone_order(requests)
+    assignment = monotone_assignment(requests)
+    assert sorted(order) == list(range(n))
+    assert [assignment[t] for t in order] == list(range(n))
+    # by position, and equal positions in arrival order
+    ranked = [(requests[t], t) for t in order]
+    assert ranked == sorted(ranked)
 
 
 def test_monotone_cost_on_pools():
