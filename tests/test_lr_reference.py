@@ -67,7 +67,6 @@ def test_same_tapes_and_moves_property(shape, n, seed):
     assert_same(make_instance(shape, n, rng), rng)
 
 
-
 def test_oracle_tape_equals_the_tape_of_the_partners_sides():
     # the sides written out request by request, each against the server of
     # its rank in monotone_assignment, and served by lr_serve: the oracle's
