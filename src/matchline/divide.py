@@ -423,11 +423,11 @@ class DivideResult:
 
 
 def _run_divide(
-    instance: Instance, k: int, subroutine: str, image, servers, requests, unit: int
+    instance: Instance, k: int, subroutine: str, servers, requests, unit: int
 ) -> DivideResult:
     """Plan, mark and serve on the int planning coordinates: ``servers`` in
     units of 1/``unit`` and ``requests``, each served as r * ``unit``. Price
-    every request on ``image``, the instance's integer image."""
+    every request on the instance's integer image."""
     if subroutine not in SUBROUTINE_NAMES:
         raise SubroutineError(f"unknown subroutine {subroutine!r}")
     plan = plan_blocks(servers, k, unit)
@@ -442,7 +442,7 @@ def _run_divide(
     arrivals, marked_arrivals = classify_requests(requests, plan, decoded)
 
     # request t is priced as callers[t] and served as targets[t]
-    priced, callers = image
+    priced, callers = integer_image(instance)
     targets = [r * unit for r in requests]
     assignment = [None] * instance.n
 
@@ -520,8 +520,7 @@ def divide_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divide
     coordinates, which are its integer image."""
     if not instance.integer_mode:
         raise InstanceError("DIVIDE_k requires an integer-mode instance (s_1 = 1)")
-    image = instance.servers, instance.requests
-    return _run_divide(instance, k, subroutine, image, *image, 1)
+    return _run_divide(instance, k, subroutine, instance.servers, instance.requests, 1)
 
 
 def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> DivideResult:
@@ -538,8 +537,8 @@ def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divid
     priced on the image, in the caller's coordinates.
     """
     scale, d = instance.n**3, instance.scale
-    image = servers, requests = integer_image(instance)
+    servers, requests = integer_image(instance)
     s1 = servers[0]
     plan_servers = [scale * (s - s1) + d for s in servers]
     plan_requests = [scale * (r - s1) // d + 1 for r in requests]
-    return _run_divide(instance, k, subroutine, image, plan_servers, plan_requests, d)
+    return _run_divide(instance, k, subroutine, plan_servers, plan_requests, d)

@@ -65,8 +65,7 @@ def run_algorithm(
     if subroutine not in SUBROUTINE_NAMES:
         raise ExperimentError(f"unknown subroutine {subroutine!r}")
     if algo == "lr":
-        image = integer_image(instance)
-        result = lr_run(instance, lr_oracle(instance, image), image)
+        result = lr_run(instance, lr_oracle(instance))
         return {
             "matching": result.matching,
             "cost": result.matching.cost,
@@ -84,9 +83,9 @@ def run_algorithm(
             "divide": result,
         }
     # greedy or permutation, served and priced on the integer image
-    image = servers, requests = integer_image(instance)
+    servers, requests = integer_image(instance)
     assignment = make_subroutine(algo, servers).serve(requests)
-    matching = make_matching(instance, assignment, image)
+    matching = make_matching(instance, assignment)
     return {
         "matching": matching,
         "cost": matching.cost,

@@ -169,9 +169,9 @@ def lr_serve(state: LRState, requests, bit) -> tuple[list, list, int | float]:
     return taken, bits, cost
 
 
-def lr_oracle(instance: Instance, image=None) -> AdviceTape:
+def lr_oracle(instance: Instance) -> AdviceTape:
     """Advice bits under which lr_run reproduces an optimal matching, on the
-    integer image (``image``, when the caller has built it).
+    integer image.
 
     The bit of an ambiguous request r_t is the side of its partner in the
     monotone optimum M: the server whose rank is r_t's rank in
@@ -206,7 +206,7 @@ def lr_oracle(instance: Instance, image=None) -> AdviceTape:
     r_t <= g <= a, so their servers lie at or above g: still above; or
     ranks j..m share one position. So every bit keeps (a), and at the end
     (a) says that the run costs OPT."""
-    servers, requests = integer_image(instance) if image is None else image
+    servers, requests = integer_image(instance)
     sides = [False] * len(requests)
     ranked = []
     for s, t in zip(servers, monotone_order(requests)):
@@ -226,12 +226,11 @@ class LRResult:
     bits_read: int
 
 
-def lr_run(instance: Instance, tape: AdviceTape, image=None) -> LRResult:
+def lr_run(instance: Instance, tape: AdviceTape) -> LRResult:
     """Serve the whole request sequence against the given advice tape;
     ``bits_read`` counts the tape reads this run made. It serves and prices
-    on the integer image (``image``, when the caller has built it), whose
-    compares are the positions'."""
-    servers, requests = integer_image(instance) if image is None else image
+    on the integer image, whose compares are the positions'."""
+    servers, requests = integer_image(instance)
     with tape.bit_reader() as bit:
         ids, bits, cost = lr_serve(LRState(servers), requests, bit)
     return LRResult(Matching(tuple(ids), instance.unscaled(cost)), len(bits))

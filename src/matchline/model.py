@@ -6,6 +6,9 @@ p / 2^e, so times D, the largest denominator of a coordinate, every
 coordinate is an int, with every order, tie and distance kept. A run decides
 on the image and prices its int total there, divided by D once (int / int
 true division rounds correctly); an instance of ints is its own image.
+``integer_image`` keeps at most one float instance and its image, alive
+until the next float image replaces them: one slot, not a cache per
+instance, so a caller that holds many instances holds one image.
 ``validate_instance`` checks each coordinate list in a few builtin passes
 and applies ``_normalize``, the one rule, per coordinate only to a list that
 holds something to convert or to refuse.
@@ -101,16 +104,26 @@ def _times(coords: Sequence, d: int) -> list:
         return [p * (d // q) for p, q in (x.as_integer_ratio() for x in coords)]
 
 
+_last_image: tuple = (None, None)  # the last float instance and its image
+
+
 def integer_image(instance: Instance) -> tuple:
     """The servers and the requests times D, as ints (see the module
-    docstring). Built per run and never cached: when a coordinate is a
-    float it holds 2n new ints, of up to about 2 100 bits; an instance of
-    ints is its own image, and one built directly with integral floats
-    gets them as ints, with D = 1."""
+    docstring), shared, so callers never write it. An instance of ints is
+    its own image, and one built directly with integral floats gets them as
+    ints, with D = 1. A float instance's image, 2n ints of up to about
+    2 100 bits, is built on a miss of the memo, the last float instance,
+    matched by identity, and its image; the memo is read once and replaced
+    as one tuple, so no caller gets another instance's image."""
+    global _last_image
     d = instance._float_scale
     if d is None:
         return instance.servers, instance.requests
-    return _times(instance.servers, d), _times(instance.requests, d)
+    last, image = _last_image
+    if last is not instance:
+        image = _times(instance.servers, d), _times(instance.requests, d)
+        _last_image = instance, image
+    return image
 
 
 def _normalized(coords: Sequence) -> tuple:
@@ -151,14 +164,14 @@ class Matching:
             raise InstanceError("assignment is not a permutation")
 
 
-def make_matching(instance: Instance, assignment: Sequence[int], image=None) -> Matching:
-    """The matching and its cost, priced on the integer image (``image``,
-    when the caller has built it). The permutation is checked once, by
-    ``Matching``; with the length checked here it is a bijection."""
+def make_matching(instance: Instance, assignment: Sequence[int]) -> Matching:
+    """The matching and its cost, priced on the integer image. The
+    permutation is checked once, by ``Matching``; with the length checked
+    here it is a bijection."""
     assignment = tuple(assignment)
     if len(assignment) != instance.n:
         raise InstanceError("assignment is not a bijection on the servers")
-    servers, requests = integer_image(instance) if image is None else image
+    servers, requests = integer_image(instance)
     try:
         paired = map(servers.__getitem__, assignment)
         total = sum(map(abs, map(operator.sub, requests, paired)))

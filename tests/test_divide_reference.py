@@ -283,10 +283,10 @@ def planning_run(monkeypatch, instance, k: int, sub: str):
     seen = {}
     run_divide = divide._run_divide
 
-    def recording(instance, k, subroutine, image, servers, requests, unit):
+    def recording(instance, k, subroutine, servers, requests, unit):
         exact = servers if unit == 1 else [Fraction(s, unit) for s in servers]
         seen.update(servers=exact, requests=requests, unit=unit)
-        return run_divide(instance, k, subroutine, image, servers, requests, unit)
+        return run_divide(instance, k, subroutine, servers, requests, unit)
 
     monkeypatch.setattr(divide, "_run_divide", recording)
     run = divide.divide_run if instance.integer_mode else divide.rescale_run

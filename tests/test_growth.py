@@ -1,5 +1,6 @@
 """Growth by operation counts, not wall time. LR (its oracle and its run),
-DIVIDE_k with ``greedy`` at k = 4, ``monotone_optimal``, and DIVIDE_k's
+DIVIDE_k with ``greedy`` at k = 4 and at k = isqrt(n), RESCALE with
+``greedy`` at k = 4, ``monotone_optimal``, and DIVIDE_k's
 ``compute_advice`` and ``classify_requests`` at k = 4 run on coordinates of
 ``Counted``, an ``int`` that counts every compare, ``+``, ``-``, ``*``,
 ``//``, negation and ``abs`` made on it and returns its results as
@@ -25,7 +26,13 @@ import math
 import pytest
 
 from matchline import lr
-from matchline.divide import classify_requests, compute_advice, divide_run, plan_blocks
+from matchline.divide import (
+    classify_requests,
+    compute_advice,
+    divide_run,
+    plan_blocks,
+    rescale_run,
+)
 from matchline.generators import gen_uniform
 from matchline.lr import lr_oracle, lr_run
 from matchline.model import Instance
@@ -79,6 +86,14 @@ def divide_greedy(instance: Instance):
     return lambda: divide_run(instance, 4, "greedy")
 
 
+def divide_sqrt_blocks(instance: Instance):
+    return lambda: divide_run(instance, math.isqrt(instance.n), "greedy")
+
+
+def rescale_greedy(instance: Instance):
+    return lambda: rescale_run(instance, 4, "greedy")
+
+
 def monotone_optimum(instance: Instance):
     return lambda: monotone_optimal(instance)
 
@@ -110,7 +125,9 @@ def ops_per_n_log_n(layer, n: int) -> float:
 
 
 @pytest.mark.parametrize("run_size", [lr.RUN, SHORT_RUN])
-@pytest.mark.parametrize("run", [lr_oracle_and_run, divide_greedy])
+@pytest.mark.parametrize(
+    "run", [lr_oracle_and_run, divide_greedy, divide_sqrt_blocks, rescale_greedy]
+)
 def test_operations_grow_as_n_log_n(run, run_size, monkeypatch):
     monkeypatch.setattr(lr, "RUN", run_size)
     counts = [ops_per_n_log_n(run, n) for n in SIZES]

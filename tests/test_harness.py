@@ -1,8 +1,6 @@
 import csv
-import importlib
 import json
 import os
-import pkgutil
 import re
 import subprocess
 import sys
@@ -10,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import matchline
-from matchline import model
+from matchline import model, verification
 from matchline.cli import main
 from matchline.experiment import (
     ALGORITHMS,
@@ -27,7 +24,6 @@ from matchline.experiment import (
 from matchline.generators import gen_family, gen_uniform
 from matchline.lr import LRError
 from matchline.model import load_instance, save_instance, validate_instance
-from matchline.offline import monotone_optimal
 from matchline.subroutines import SubroutineError
 from matchline.tape import TapeUnderflow, word_width
 
@@ -96,25 +92,31 @@ def test_run_algorithm_names():
             run_algorithm(inst, algo, k=k, subroutine="nope")
 
 
-def test_lr_builds_a_float_instances_image_once(monkeypatch):
-    # the oracle and the run share the image run_algorithm builds; every
-    # module that binds integer_image counts its builds
-    inst = gen_uniform(60, (0.0, 100.0), 5)
-    assert inst.scale > 1
-    opt = monotone_optimal(inst).cost
-    builds, build = [], model.integer_image
+def test_a_checked_float_run_builds_its_image_once(monkeypatch):
+    # model._times runs twice per image built (servers, requests): the run,
+    # the monotone optimum and the brute-force check of a checked run share
+    # one image; an instance of ints is its own image and builds none
+    builds, times = [], model._times
 
-    def counted(instance):
-        builds.append(instance)
-        return build(instance)
+    def counted(coords, d):
+        builds.append(d)
+        return times(coords, d)
 
-    for info in pkgutil.iter_modules(matchline.__path__):
-        module = importlib.import_module(f"matchline.{info.name}")
-        if getattr(module, "integer_image", None) is build:
-            monkeypatch.setattr(module, "integer_image", counted)
-    outcome = run_algorithm(inst, "lr")
-    assert builds == [inst]
-    assert outcome["cost"] == opt
+    monkeypatch.setattr(model, "_times", counted)
+    runs = (("lr", None), ("rescale", 3), ("greedy", None), ("permutation", None))
+    for algo, k in runs:
+        inst = gen_uniform(9, (0.0, 100.0), 5)  # a new instance, not the memo's
+        assert inst.scale > 1
+        builds.clear()
+        run_instance(inst, algo, k, instance_id=algo)
+        assert len(builds) == 2, algo
+    ints = gen_uniform(9, (0, 100), 5, integer_mode=True)
+    builds.clear()
+    for algo, k in (*runs, ("divide", 3)):
+        run_instance(ints, algo, k, instance_id=algo)
+    assert builds == []
+    assert verification.family_tapes_are_distinct(6)  # 32 float members
+    assert len(builds) == 2 * 32
 
 
 def test_emit_csv_schema(tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from matchline.model import (
     Instance,
     InstanceError,
     Matching,
+    integer_image,
     load_instance,
     make_matching,
     save_instance,
@@ -96,6 +99,21 @@ def test_total_cost_rejects_non_bijection():
 def test_matching_rejects_non_permutation():
     with pytest.raises(InstanceError):
         Matching((0, 0), 1)
+
+
+def test_integer_image_memo_hands_each_instance_its_own_image():
+    # the memo holds one float instance, matched by identity: A, B, A again
+    # and A2, an equal copy of A built apart, each get their own image, and
+    # an instance of ints between them skips the memo
+    a = validate_instance([0.5, 1.25, 3], [2.75, 0.125, 1])
+    b = validate_instance([0.1, 2, 7.3], [4.5, 0.2, 9])
+    a2 = validate_instance([0.5, 1.25, 3], [2.75, 0.125, 1])
+    ints = validate_instance([1, 5, 6], [3, 2, 8])
+    assert a2 == a and a2 is not a and a.scale != b.scale
+    for inst in (a, b, ints, a, a2, b):
+        image = tuple(map(list, integer_image(inst)))
+        coords = (inst.servers, inst.requests)
+        assert image == tuple([int(Fraction(x) * inst.scale) for x in c] for c in coords)
 
 
 def test_make_matching_rejects_non_bijection():
