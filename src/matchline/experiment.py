@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from .divide import divide_run, rescale_run
 from .lr import lr_oracle, lr_run
 from .model import Instance, integer_image, make_matching
-from .offline import brute_force_optimal, monotone_optimal
+from .offline import BRUTE_FORCE_MAX_N, brute_force_optimal, monotone_optimal
 from .subroutines import SUBROUTINE_NAMES, make_subroutine
 
 ALGORITHMS = ("lr", "divide", "rescale", "greedy", "permutation")
@@ -108,7 +108,7 @@ def run_instance(
     outcome = run_algorithm(instance, algo, k, subroutine)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     opt = monotone_optimal(instance).cost
-    if instance.n <= 10:
+    if instance.n <= BRUTE_FORCE_MAX_N:
         brute = brute_force_optimal(instance).cost
         if brute != opt:
             raise ExperimentError(f"{instance_id}: oracle disagreement {brute} vs {opt}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from matchline import model, verification
+from matchline import experiment, model, verification
 from matchline.cli import main
 from matchline.experiment import (
     ALGORITHMS,
@@ -23,7 +23,8 @@ from matchline.experiment import (
 )
 from matchline.generators import gen_family, gen_uniform
 from matchline.lr import LRError
-from matchline.model import load_instance, save_instance, validate_instance
+from matchline.model import Matching, load_instance, save_instance, validate_instance
+from matchline.offline import BRUTE_FORCE_MAX_N, brute_force_optimal
 from matchline.subroutines import SubroutineError
 from matchline.tape import TapeUnderflow, word_width
 
@@ -117,6 +118,26 @@ def test_a_checked_float_run_builds_its_image_once(monkeypatch):
     assert builds == []
     assert verification.family_tapes_are_distinct(6)  # 32 float members
     assert len(builds) == 2 * 32
+
+
+def test_run_instance_cross_checks_the_optima_up_to_the_brute_force_cap(monkeypatch):
+    # a brute force one off the optimum is caught at the cap, n = 12, and
+    # past the cap the brute force is not called at all
+    calls = []
+
+    def off_by_one(instance):
+        calls.append(instance.n)
+        optimum = brute_force_optimal(instance)
+        return Matching(optimum.assignment, optimum.cost + 1)
+
+    monkeypatch.setattr(experiment, "brute_force_optimal", off_by_one)
+    at_cap = gen_uniform(BRUTE_FORCE_MAX_N, (0, 100), 1, integer_mode=True)
+    with pytest.raises(ExperimentError, match="oracle disagreement"):
+        run_instance(at_cap, "lr", instance_id="at-cap")
+    past_cap = gen_uniform(BRUTE_FORCE_MAX_N + 1, (0, 100), 1, integer_mode=True)
+    report, _ = run_instance(past_cap, "lr", instance_id="past-cap")
+    assert report.ratio == 1
+    assert calls == [BRUTE_FORCE_MAX_N]
 
 
 def test_emit_csv_schema(tmp_path):
@@ -273,8 +294,6 @@ def test_cli_run_divide_verbose_tape(tmp_path, capsys):
 
 
 def test_cli_verbose_tape_runs_the_algorithm_once(tmp_path, capsys, monkeypatch):
-    from matchline import experiment
-
     calls = []
     divide_run = experiment.divide_run
 
@@ -302,8 +321,6 @@ def test_cli_verbose_tape_runs_the_algorithm_once(tmp_path, capsys, monkeypatch)
 
 
 def test_cli_rescale_verbose_tape_lists_scaled_words(tmp_path, capsys, monkeypatch):
-    from matchline import experiment
-
     calls = []
     rescale_run = experiment.rescale_run
 
@@ -609,8 +626,6 @@ def test_cli_bad_range_exits_two():
 
 @pytest.mark.parametrize("error", [LRError, SubroutineError, TapeUnderflow, KeyError])
 def test_cli_internal_error_exits_two(tmp_path, monkeypatch, capsys, error):
-    from matchline import experiment
-
     def broken(*args, **kwargs):
         raise error("boom")
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +12,9 @@ from lr_partition import classify_lr
 from matchline.generators import gen_uniform
 from matchline.model import make_matching, validate_instance
 from matchline.offline import (
+    BRUTE_FORCE_MAX_N,
     OracleError,
+    _moves,
     all_optimal_assignments,
     apply_switch,
     brute_force_optimal,
@@ -40,6 +47,39 @@ def test_brute_force_rejects_large_n():
     inst = validate_instance(list(range(1, 15)), list(range(14)))
     with pytest.raises(OracleError):
         brute_force_optimal(inst)
+
+
+def test_move_table_lists_every_move_once_after_its_successor():
+    # every (subset, free server) pair once, n * 2^(n-1) in all, each subset
+    # in the layer of its popcount, and each successor finished before the
+    # subsets that read it
+    for n in range(1, BRUTE_FORCE_MAX_N + 1):
+        full = (1 << n) - 1
+        finished, pairs, moves = {full}, set(), 0
+        for k, subsets in _moves(n):
+            for mask, j, successor, rest in subsets:
+                assert mask.bit_count() == k and mask not in finished, (n, mask)
+                for j, successor in ((j, successor), *rest):
+                    assert not mask >> j & 1 and successor == mask | 1 << j, (n, mask, j)
+                    assert successor in finished, (n, mask, j)
+                    pairs.add((mask, j))
+                    moves += 1
+                finished.add(mask)
+        assert moves == len(pairs) == n << (n - 1), n
+        assert len(finished) == full + 1, n
+
+
+def test_no_move_table_is_built_at_import():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import matchline.cli, matchline.offline as o; print(o._moves.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout == "0\n", done.stderr
 
 
 def test_brute_force_matches_literal_enumeration():

@@ -12,7 +12,7 @@ import pytest
 import reference_offline as ref
 from exact_cost import exact_cost, reported
 from matchline.model import validate_instance
-from matchline.offline import all_optimal_assignments, brute_force_optimal
+from matchline.offline import BRUTE_FORCE_MAX_N, all_optimal_assignments, brute_force_optimal
 
 SHAPES = (
     "rounding-tie",
@@ -57,17 +57,19 @@ def make_instance(shape: str, n: int, rng: random.Random):
     return validate_instance(draw(servers), draw(requests))
 
 
-def cases(shape: str, n_max: int, seeds: int) -> list:
-    """``seeds`` instances of the shape at each n = 1..n_max."""
+def cases(shape: str, n_max: int, seeds: int, extra: tuple = ()) -> list:
+    """``seeds`` instances of the shape at each n = 1..n_max, then one at
+    each n in ``extra``."""
     if shape == "rounding-tie":
         return [ROUNDING_TIE]
     rng = random.Random(SHAPES.index(shape))
-    return [make_instance(shape, n, rng) for n in range(1, n_max + 1) for _ in range(seeds)]
+    sizes = [n for n in range(1, n_max + 1) for _ in range(seeds)] + list(extra)
+    return [make_instance(shape, n, rng) for n in sizes]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_brute_force_matches_the_reference(shape):
-    for instance in cases(shape, 10, 5):
+    for instance in cases(shape, 10, 5, extra=(11, BRUTE_FORCE_MAX_N)):
         got, want = brute_force_optimal(instance), ref.brute_force_optimal(instance)
         assert got.assignment == want.assignment, instance
         exact = reported(instance, exact_cost(instance, want.assignment))
