@@ -26,8 +26,9 @@ from .model import Instance, integer_image, validate_instance
 from .offline import monotone_cost
 
 FAMILY_MAX_N = 20
-#: the largest n ``verify_family`` checks: it prices n candidates per member
-VERIFY_FAMILY_MAX_N = 8
+#: the largest n the family is verified at, by ``verify_family`` (n candidates
+#: priced per member) and by both halves of the family suite
+VERIFY_FAMILY_MAX_N = 12
 
 
 class GeneratorError(ValueError):

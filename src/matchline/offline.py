@@ -29,6 +29,8 @@ from typing import Iterator, Sequence
 from .model import Instance, Matching, integer_image, make_matching
 
 BRUTE_FORCE_MAX_N = 12
+#: the largest n the literal enumeration lists all n! assignments at
+ENUMERATION_MAX_N = 7
 
 
 class OracleError(ValueError):
@@ -98,9 +100,9 @@ def brute_force_optimal(instance: Instance) -> Matching:
 
 
 def enumerate_assignments(instance: Instance) -> Iterator[tuple]:
-    """All permutations, literally (for oracle cross-checks, n <= 8)."""
-    if instance.n > 8:
-        raise OracleError("literal enumeration capped at n=8")
+    """All permutations, literally (for oracle cross-checks, n <= ENUMERATION_MAX_N)."""
+    if instance.n > ENUMERATION_MAX_N:
+        raise OracleError(f"literal enumeration capped at n={ENUMERATION_MAX_N}")
     return itertools.permutations(range(instance.n))
 
 

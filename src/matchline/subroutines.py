@@ -30,8 +30,6 @@ from typing import Sequence
 from .lr import LRState
 from .offline import monotone_order
 
-SUBROUTINE_NAMES = ("greedy", "permutation", "clairvoyant")
-
 
 class SubroutineError(RuntimeError):
     pass
@@ -213,8 +211,12 @@ class Clairvoyant:
         return served
 
 
+#: each block subroutine by name
+SUBROUTINES = {"greedy": Greedy, "permutation": Permutation, "clairvoyant": Clairvoyant}
+SUBROUTINE_NAMES = tuple(SUBROUTINES)
+
+
 def make_subroutine(name: str, servers, ids=None):
-    if name not in SUBROUTINE_NAMES:
+    if name not in SUBROUTINES:
         raise SubroutineError(f"unknown subroutine {name!r}")
-    pools = {"greedy": Greedy, "permutation": Permutation, "clairvoyant": Clairvoyant}
-    return pools[name](servers, ids)
+    return SUBROUTINES[name](servers, ids)

@@ -15,6 +15,7 @@ from .lr import LRResult, lr_oracle, lr_run
 from .model import Instance
 from .offline import (
     BRUTE_FORCE_MAX_N,
+    ENUMERATION_MAX_N,
     OracleError,
     all_optimal_assignments,
     apply_switch,
@@ -24,13 +25,6 @@ from .offline import (
     switch_allowed,
 )
 from .tape import word_width
-
-
-#: the largest n the props suite checks: it enumerates all n! assignments
-PROPS_MAX_N = 7
-#: the largest n the family suite checks the cardinality and oracle tapes at;
-#: the forced top server is checked up to VERIFY_FAMILY_MAX_N
-FAMILY_SUITE_MAX_N = 12
 
 
 def _noop(*_args, **_kwargs):
@@ -107,7 +101,7 @@ def switches_preserve_cost(instance: Instance) -> bool:
     )
 
 
-def verify_lr_optimal(n_max: int = 8, seeds: int = 50, log=_noop) -> int:
+def verify_lr_optimal(n_max: int, seeds: int, log=_noop) -> int:
     """LR with oracle advice is exactly optimal and reads <= n-1 bits."""
     _check_n_max(n_max, BRUTE_FORCE_MAX_N)
     failures = 0
@@ -123,7 +117,7 @@ def verify_lr_optimal(n_max: int = 8, seeds: int = 50, log=_noop) -> int:
     return failures
 
 
-def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
+def verify_divide_exact(n_max: int, seeds: int, log=_noop) -> int:
     """DIVIDE_k with the clairvoyant subroutine matches the exact optimum,
     within its advice budget, with consistent marking."""
     _check_n_max(n_max, BRUTE_FORCE_MAX_N)
@@ -151,25 +145,25 @@ def verify_divide_exact(n_max: int = 8, seeds: int = 30, log=_noop) -> int:
     return failures
 
 
-def verify_family_suite(n_max: int = 8, log=_noop) -> int:
+def verify_family_suite(n_max: int, log=_noop) -> int:
     """Family cardinality with one distinct oracle tape per member, and the
     forced top-server assignment, on every member."""
-    _check_n_max(n_max, FAMILY_SUITE_MAX_N)
+    _check_n_max(n_max, VERIFY_FAMILY_MAX_N)
     failures = 0
     for n in range(1, n_max + 1):
         if not family_tapes_are_distinct(n):
             failures += 1
             log(f"  FAIL cardinality or oracle tapes at n={n}")
-    for n in range(2, min(n_max, VERIFY_FAMILY_MAX_N) + 1):
+    for n in range(2, n_max + 1):
         bad = [c for c in verify_family(n) if not c.ok]
         failures += len(bad)
         log(f"  family n={n}: {2 ** (n - 1)} members, {len(bad)} failures")
     return failures
 
 
-def verify_order_properties(n_max: int = 6, seeds: int = 30, log=_noop) -> int:
+def verify_order_properties(n_max: int, seeds: int, log=_noop) -> int:
     """Order structure of optima and cost-preserving switches."""
-    _check_n_max(n_max, PROPS_MAX_N)
+    _check_n_max(n_max, ENUMERATION_MAX_N)
     failures = 0
     for n in range(2, n_max + 1):
         for seed in range(seeds):

@@ -110,7 +110,7 @@ def test_02_lr_bit_tightness_on_family():
 
 def test_03_family_structure():
     # cardinality and distinct oracle tapes for n = 1..12, the forced
-    # top-server assignment for n = 2..8
+    # top-server assignment for n = 2..12
     ok = verification.verify_family_suite(n_max=12) == 0
     report(
         "3 family cardinality 2^(n-1), one distinct (n-1)-bit oracle tape per member, "

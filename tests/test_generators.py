@@ -180,4 +180,4 @@ def test_verify_family_expected_top_assignment():
 
 def test_verify_family_cap():
     with pytest.raises(GeneratorError):
-        verify_family(9)
+        verify_family(13)

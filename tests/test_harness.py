@@ -21,10 +21,10 @@ from matchline.experiment import (
     run_algorithm,
     run_instance,
 )
-from matchline.generators import gen_family, gen_uniform
+from matchline.generators import VERIFY_FAMILY_MAX_N, gen_family, gen_uniform
 from matchline.lr import LRError
 from matchline.model import Matching, load_instance, save_instance, validate_instance
-from matchline.offline import BRUTE_FORCE_MAX_N, brute_force_optimal
+from matchline.offline import BRUTE_FORCE_MAX_N, ENUMERATION_MAX_N, brute_force_optimal
 from matchline.subroutines import SubroutineError
 from matchline.tape import TapeUnderflow, word_width
 
@@ -555,13 +555,14 @@ def test_cli_verify_empty_grid_is_a_usage_error(grid, capsys):
 
 @pytest.mark.parametrize(
     "suite, n",
-    [("lr-optimal", "13"), ("divide-exact", "13"), ("props", "8"), ("family", "13")],
+    [("lr-optimal", BRUTE_FORCE_MAX_N + 1), ("divide-exact", BRUTE_FORCE_MAX_N + 1),
+     ("props", ENUMERATION_MAX_N + 1), ("family", VERIFY_FAMILY_MAX_N + 1)],
 )
 def test_cli_verify_rejects_sizes_past_the_suite_cap(suite, n, capsys):
-    # the brute-force optimum stops at n = 12, props enumerates all n!
-    # assignments up to n = 7 and the family suite checks n <= 12; a larger
-    # --n fails before any size is checked
-    assert main(["verify", "--suite", suite, "--n", n]) == 2
+    # the brute-force optimum, the literal enumeration of all n! assignments
+    # (props) and the family's verification each stop at a cap; an --n one
+    # past it fails before any size is checked
+    assert main(["verify", "--suite", suite, "--n", str(n)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "too large" in err
@@ -590,6 +591,12 @@ def test_cli_verify_seeded_suites_default_to_50_seeds(monkeypatch, suite, name):
     assert main(["verify", "--suite", suite, "--n", "3"]) == 0
     assert main(["verify", "--suite", suite, "--n", "3", "--seeds", "7"]) == 0
     assert [c["seeds"] for c in calls] == [50, 7]
+
+
+def test_verify_family_suite_checks_the_top_server_at_every_n():
+    lines = []
+    assert verification.verify_family_suite(n_max=10, log=lines.append) == 0
+    assert "  family n=10: 512 members, 0 failures" in lines
 
 
 def test_verify_divide_exact_counts_each_failed_check(monkeypatch):
