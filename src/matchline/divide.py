@@ -21,8 +21,9 @@ server s_j, so moving it to s_1 adds the same constant to every matching
 algorithm knows the servers, so it may clamp; DIVIDE_k is then exact on
 every instance, and every q word lies in [1, N-1].
 
-The tape layout (``_tape_slots``) is rigid: one q word per boundary, then
-d/m pairs exactly for the crossed boundaries, in the two marking orders. The
+The tape layout is rigid: one q word per boundary, its slot the boundary's
+frame in ``BlockPlan.frames``, then d/m pairs exactly for the crossed
+boundaries, in the two marking orders (``_count_slots``). The
 monotone optimum crosses each boundary one way only (see ``compute_advice``),
 so boundary b's one word carries either side: with p_{-1} = 0 and
 p_{k-1} = N - 1, it is q - p_{b-1}, 0 when nothing crosses, and a right
@@ -32,7 +33,8 @@ boundary crossed both ways cannot be written down.
 
 Each word is only as wide as the largest value it can hold, its bound: a
 word with bound B is w(B) bits wide. The reader reads the q words first, so
-it knows every bound from the plan and the q words before it reads a count.
+it knows every bound from the plan and the q words before it reads a count,
+and it checks each word against its bound as soon as it reads it.
 With group b the servers start_b..stop_b - 1, boundary b's words have the
 bounds
 - q: p_{b+1} - p_{b-1}, the span of blocks b and b+1;
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .model import Instance, InstanceError, Matching, integer_image
 from .lr import LRState, lr_serve
@@ -84,17 +85,15 @@ class BlockPlan:
     groups: tuple  # k ranges (start, stop) of server indices, half-open
     boundaries: tuple  # k-1 integer boundaries p_i
     span_bound: int  # N = ceil(s_n) + 1
+    # built with the plan: n, and per boundary b its frame (p_{b-1}, p_b,
+    # p_{b+1}), p_{-1} = 0 and p_{k-1} = N - 1, where boundary b's q word lies
+    n: int = field(init=False, repr=False, compare=False)
+    frames: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.groups[-1][1]
-
-    @cached_property
-    def frames(self) -> tuple:
-        """(p_{b-1}, p_b, p_{b+1}) per boundary b, with p_{-1} = 0 and
-        p_{k-1} = N - 1: blocks b and b+1, where boundary b's q word lies."""
+    def __post_init__(self):
         p = (0, *self.boundaries, self.span_bound - 1)
-        return tuple(zip(p, p[1:], p[2:]))
+        object.__setattr__(self, "n", self.groups[-1][1])
+        object.__setattr__(self, "frames", tuple(zip(p, p[1:], p[2:])))
 
     def blocks_of(self, positions) -> list:
         """The 0-based block index of every position; block b is (p_{b-1}, p_b]."""
@@ -159,66 +158,50 @@ def _crossings(plan: BlockPlan, q) -> tuple:
     return right, left
 
 
-def _tape_slots(plan: BlockPlan, q):
-    """The advice tape layout: (field, boundary, bound) per word, the word
-    w(bound) bits wide.
+def _count_slots(plan: BlockPlan, q) -> list:
+    """The count words of the advice tape layout: (field, boundary, bound)
+    per word, the word w(bound) bits wide.
 
-    First one q word per boundary, then a d/m pair for each crossed
-    boundary: right crossings by ascending boundary, left crossings by
-    descending boundary, the two marking orders. The bounds are those of the
-    module docstring, each with its reason there:
+    The tape holds one q word per boundary first, boundary b's slot its
+    frame (p_{b-1}, p_b, p_{b+1}) in ``plan.frames``, and then these: a d/m
+    pair for each crossed boundary, right crossings by ascending boundary,
+    left crossings by descending boundary, the two marking orders. The
+    bounds are those of the module docstring, each with its reason there:
 
         q of boundary b     p_{b+1} - p_{b-1}
         right crossing      d <= |group b|,    m <= n - stop_b
         left crossing       d <= |group b+1|,  m <= start_{b+1}
         left, q collision   d <= start_{b+1}
 
-    They read only the plan and the q words, and the q list is first looked
-    at after the last q slot is handed out, so a reader can pass the list it
-    is filling.
+    They read only the plan and the q words, so a reader knows them once it
+    has read the q words.
     """
-    for b, (low, _mid, high) in enumerate(plan.frames):
-        yield "q", b, high - low
     groups, n = plan.groups, plan.n
     right, left = _crossings(plan, q)
+    slots = []
     for b in right:
         start, stop = groups[b]
-        yield "d", b, stop - start
-        yield "m", b, n - stop
+        slots += (("d", b, stop - start), ("m", b, n - stop))
     last = len(q) - 1
     for b in left:
         start, stop = groups[b + 1]
-        yield "d", b, start if b < last and q[b + 1] == q[b] else stop - start
-        yield "m", b, start
+        d_bound = start if b < last and q[b + 1] == q[b] else stop - start
+        slots += (("d", b, d_bound), ("m", b, start))
+    return slots
 
 
 def advice_words(advice: DivideAdvice, plan: BlockPlan):
-    """(field, boundary, value, bound) per advice word, in tape order; the
-    word is w(bound) bits wide.
-
-    A q word's value is its offset q - p_{b-1}, in 1..bound, and 0 when
-    boundary b is not crossed; a d or m word's value is the count, in
-    0..bound. The layout has no d or m word for an uncrossed boundary, so a
-    nonzero count there is refused before the first word is yielded, as it
-    could not be written down.
-    """
-    for b, word in enumerate(advice.q):
-        if word is None:
-            for f in ("d", "m"):
-                if value := getattr(advice, f)[b]:
-                    raise DivideError(
-                        f"{f} word of boundary {b}: {value} but the boundary is not crossed"
-                    )
-    frames = plan.frames
-    for f, b, bound in _tape_slots(plan, advice.q):
-        value, least = getattr(advice, f)[b], 0
-        if f == "q":
-            value, least = (0, 0) if value is None else (value - frames[b][0], 1)
-        if not least <= value <= bound:
-            raise DivideError(
-                f"{f} word of boundary {b}: {value} outside {least}..{bound}"
-            )
-        yield f, b, value, bound
+    """(field, boundary, value, bound) per word of the tape
+    ``encode_divide_advice`` writes, in tape order, once it has checked them
+    all; the word is w(bound) bits wide. A q word's value is its offset
+    q - p_{b-1}, 0 when boundary b is not crossed; a count's is the count."""
+    encode_divide_advice(advice, plan)
+    for b, (low, _mid, high) in enumerate(plan.frames):
+        word = advice.q[b]
+        yield "q", b, 0 if word is None else word - low, high - low
+    counts = {"d": advice.d, "m": advice.m}
+    for f, b, bound in _count_slots(plan, advice.q):
+        yield f, b, counts[f][b], bound
 
 
 def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
@@ -265,41 +248,68 @@ def compute_advice(requests, plan: BlockPlan) -> DivideAdvice:
 
 
 def encode_divide_advice(advice: DivideAdvice, plan: BlockPlan) -> AdviceTape:
-    tape = AdviceTape()
+    """Writer of the layout: the q words, then ``_count_slots``' words, all
+    checked before any is written. A nonzero count of an uncrossed boundary
+    has no word to go in, so it is refused first; then a word out of range."""
+    q, d, m = advice.q, advice.d, advice.m
+    for b, word in enumerate(q):
+        if word is None and (d[b] or m[b]):
+            f, value = ("d", d[b]) if d[b] else ("m", m[b])
+            raise DivideError(f"{f} word of boundary {b}: {value} but the boundary is not crossed")
     # bound.bit_length() is w(bound), ``word_width`` without its call
-    tape.write_words(
-        (value, bound.bit_length()) for _f, _b, value, bound in advice_words(advice, plan)
-    )
+    words = []
+    for b, (low, _mid, high) in enumerate(plan.frames):
+        word, bound = q[b], high - low
+        value, least = (0, 0) if word is None else (word - low, 1)
+        if not least <= value <= bound:
+            raise DivideError(f"q word of boundary {b}: {value} outside {least}..{bound}")
+        words.append((value, bound.bit_length()))
+    counts = {"d": d, "m": m}
+    for f, b, bound in _count_slots(plan, q):
+        value = counts[f][b]
+        if not 0 <= value <= bound:
+            raise DivideError(f"{f} word of boundary {b}: {value} outside 0..{bound}")
+        words.append((value, bound.bit_length()))
+    tape = AdviceTape()
+    tape.write_words(words)
     return tape
 
 
 def decode_divide_advice(tape: AdviceTape, plan: BlockPlan) -> DivideAdvice:
-    """Sequential reader of the layout in ``_tape_slots``; a word that fits
-    its width but exceeds its bound is corrupt advice."""
+    """Sequential reader of the layout: the q words, then the count words
+    of ``_count_slots``. A word that fits its width but exceeds its bound is
+    corrupt advice, refused as soon as it is read."""
     k = plan.k
-    fields = {"q": [None] * (k - 1), "d": [0] * (k - 1), "m": [0] * (k - 1)}
-    q, frames = fields["q"], plan.frames
-    for f, b, bound in _tape_slots(plan, q):
-        value = tape.read_word(bound.bit_length())  # w(bound)
+    q, d, m = [None] * (k - 1), [0] * (k - 1), [0] * (k - 1)
+    read_word = tape.read_word
+    for b, (low, _mid, high) in enumerate(plan.frames):
+        bound = high - low
+        value = read_word(bound.bit_length())  # w(bound)
+        if value > bound:
+            raise DivideError(
+                f"corrupt advice: q word of boundary {b}: {value} above its bound {bound}"
+            )
+        if value:
+            q[b] = low + value
+    counts = {"d": d, "m": m}
+    for f, b, bound in _count_slots(plan, q):
+        value = read_word(bound.bit_length())
         if value > bound:
             raise DivideError(
                 f"corrupt advice: {f} word of boundary {b}: {value} above its bound {bound}"
             )
-        if f != "q":
-            fields[f][b] = value
-        elif value:
-            q[b] = frames[b][0] + value
-    return DivideAdvice(k, *map(tuple, fields.values()))
+        counts[f][b] = value
+    return DivideAdvice(k, tuple(q), tuple(d), tuple(m))
 
 
 @dataclass(frozen=True)
 class MarkSets:
     marked_right: frozenset
     marked_left: frozenset
+    marked: frozenset = field(init=False, repr=False, compare=False)  # both sides
 
-    @cached_property
-    def marked(self) -> frozenset:
-        return self.marked_right | self.marked_left
+    def __post_init__(self):
+        object.__setattr__(self, "marked", self.marked_right | self.marked_left)
 
 
 def mark_servers(plan: BlockPlan, advice: DivideAdvice) -> MarkSets:
@@ -469,35 +479,42 @@ def _run_divide(
             cost += abs(callers[t] - priced[j])
         block_costs[b] = cost
 
-    # then LR serves the marked requests in arrival order; each bit it reads
-    # is the side the classification fixed
-    marked_ids = sorted(marked)
-    lr_state = LRState([servers[j] for j in marked_ids], marked_ids)
-    # the q value that both words of a block share, None without a collision
-    q = (None, *decoded.q, None)
-    collisions = [ql if ql is not None and ql == qr else None for ql, qr in zip(q, q[1:])]
-    d_left = (0, *decoded.d)
-    # zero-bits read by requests at a collision value; d_left carries their
-    # left share there (see DivideAdvice). Marked requests at the collision
-    # value may owe their direction to either side: marked servers at the
-    # value itself are absorbed bit-free by LR's exact-match rule, and the
-    # rest must split by the left share, not by which marking budget
-    # admitted them.
-    zeros_read = [0] * k
+    # then LR serves the marked requests in arrival order, if any; each bit
+    # it reads is the side the classification fixed
+    bits, lr_cost = (), 0
+    if marked_arrivals:
+        marked_ids = sorted(marked)
+        lr_state = LRState([servers[j] for j in marked_ids], marked_ids)
+        # the q value that both words of block b share, for each block that
+        # has one: a q collision
+        q = decoded.q
+        collisions = {
+            b + 1: ql for b, (ql, qr) in enumerate(zip(q, q[1:])) if ql is not None and ql == qr
+        }
+        if collisions:
+            d_left = (0, *decoded.d)
+            # zero-bits read by requests at a collision value; d_left carries
+            # their left share there (see DivideAdvice). Marked requests at the
+            # collision value may owe their direction to either side: marked
+            # servers at the value itself are absorbed bit-free by LR's
+            # exact-match rule, and the rest must split by the left share, not
+            # by which marking budget admitted them.
+            zeros_read = [0] * k
 
-    def side(i):
-        t, b, right = marked_arrivals[i]
-        if requests[t] == collisions[b]:
-            right = zeros_read[b] >= d_left[b]
-            if not right:
-                zeros_read[b] += 1
-        return right
+            def side(i):
+                t, b, right = marked_arrivals[i]
+                if requests[t] == collisions.get(b):
+                    right = zeros_read[b] >= d_left[b]
+                    if not right:
+                        zeros_read[b] += 1
+                return right
 
-    lr_ids, bits, _ = lr_serve(lr_state, [targets[t] for t, _b, _r in marked_arrivals], side)
-    lr_cost = 0
-    for (t, _b, _right), j in zip(marked_arrivals, lr_ids):
-        assignment[t] = j
-        lr_cost += abs(callers[t] - priced[j])
+        else:  # every side is the one the classification fixed
+            side = [right for _t, _b, right in marked_arrivals].__getitem__
+        lr_ids, bits, _ = lr_serve(lr_state, [targets[t] for t, _b, _r in marked_arrivals], side)
+        for (t, _b, _right), j in zip(marked_arrivals, lr_ids):
+            assignment[t] = j
+            lr_cost += abs(callers[t] - priced[j])
 
     unscaled = instance.unscaled
     return DivideResult(

@@ -371,3 +371,40 @@ def test_each_server_pool_gets_its_own_requests_in_arrival_order(monkeypatch):
             for b, own in enumerate(result.arrivals):
                 assert by_block.get(b, []) == [requests[t] * unit for t in own], (instance, k, sub, b)
             assert lr_served == [requests[t] * unit for t in pools[-1]]
+
+
+def unmarked_runs():
+    """(run, instance, k) for runs that mark no request: k = 1, and k = 2
+    and n where every request sits on one of n distinct servers, so no
+    optimal pair crosses a boundary; DIVIDE_k on ints, RESCALE on ints and
+    floats."""
+    rng = random.Random(36)
+    for n in (1, 2, 5, 8):
+        for shape in ("in-span", "duplicates", "float"):
+            instance = make_instance(shape, n, rng)
+            if shape == "float":
+                servers = tuple(sorted({*instance.servers}))
+            else:
+                servers = sorted(rng.sample(range(4 * n), n))
+                servers = tuple(s - servers[0] + 1 for s in servers)
+            on_servers = Instance(servers, servers[::-1])
+            runs = ("rescale",) if shape == "float" else ("divide", "rescale")
+            for run in runs:
+                yield run, instance, 1
+                if len(servers) == n:
+                    for k in sorted({min(2, n), n}):
+                        yield run, on_servers, k
+
+
+def test_runs_that_mark_nothing_serve_no_lr():
+    for run, instance, k in unmarked_runs():
+        for sub in SUBROUTINE_NAMES:
+            result = getattr(divide, f"{run}_run")(instance, k, sub)
+            assert result.marked_arrivals == [] and result.marks.marked == frozenset()
+            assert result.aux_bits_written == 0
+            assert repr(result.lr_cost) == repr(instance.unscaled(0))
+            if k == 1:
+                assert len(result.tape) == result.oracle_bits_read == 0
+            # outputs, the matching among them, as the reference's; its
+            # RESCALE is the one of the "float" shape
+            assert_same("float" if run == "rescale" else "in-span", instance, k, sub)

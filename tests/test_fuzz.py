@@ -2,10 +2,13 @@
 adversarial shapes (duplicates, n = 1, k = n, coordinates near 10^15,
 integer coordinates past 2^53, requests far outside the servers' span), plus
 the CLI's exit codes on the same instances and on malformed files, and
-DIVIDE_k's reader on corrupted oracle tapes of the same instances."""
+DIVIDE_k's reader on corrupted oracle tapes of the same instances, alone and
+against its predecessor (``reference_tape``)."""
 
 import math
+import random
 import tempfile
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_tape
 from exact_cost import exact_cost, reported
 from matchline import verification
 from matchline.cli import main
@@ -21,9 +25,11 @@ from matchline.divide import (
     DivideError,
     classify_requests,
     decode_divide_advice,
+    divide_run,
     mark_servers,
 )
 from matchline.experiment import run_algorithm
+from matchline.generators import gen_uniform
 from matchline.model import Instance, integer_image, save_instance, validate_instance
 from matchline.offline import brute_force_optimal, monotone_cost, monotone_optimal
 from matchline.subroutines import SUBROUTINE_NAMES, Permutation
@@ -198,6 +204,97 @@ def test_a_corrupt_oracle_tape_gives_a_named_error_or_advice(instance, data):
         classify_requests(requests, plan, advice)
     except (DivideError, TapeUnderflow):
         pass
+
+
+def read_outcome(decode, bits, plan):
+    """What ``decode`` makes of a tape of ``bits``: the advice's fields, or
+    the name and message of the exception it raised; and the bits it read."""
+    tape = AdviceTape(bits)
+    try:
+        advice = decode(tape, plan)
+        outcome = ("advice", advice if type(advice) is tuple else astuple(advice))
+    except Exception as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, tape.bits_read
+
+
+def corrupt(bits: list, edits) -> list:
+    """``bits`` after each (edit, place, appended bits) of ``edits``: flip or
+    drop the bit at ``place`` modulo the length, or append."""
+    bits = list(bits)
+    for edit, place, tail in edits:
+        if edit == "append":
+            bits += tail
+        elif bits:
+            i = place % len(bits)
+            if edit == "flip":
+                bits[i] ^= 1
+            else:
+                del bits[i]
+    return bits
+
+
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(("flip", "drop", "append")),
+        st.integers(0, 10**6),
+        st.lists(st.integers(0, 1), min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300)
+@given(instances(max_n=10), st.data())
+def test_a_corrupt_tape_reads_as_the_reference_reader_reads_it(instance, data):
+    # the reader against its one-generator predecessor (reference_tape) on
+    # corrupted run tapes: equal advice, or the same exception and message,
+    # and the same bits read
+    algos = ("divide", "rescale") if instance.integer_mode else ("rescale",)
+    algo = data.draw(st.sampled_from(algos))
+    n = instance.n
+    k = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    result = run_algorithm(instance, algo, k, "greedy")["divide"]
+    bits = corrupt(result.tape.bits, data.draw(edits))
+    assert read_outcome(decode_divide_advice, bits, result.plan) == read_outcome(
+        reference_tape.decode_divide_advice, bits, result.plan
+    )
+
+
+def test_corrupt_tapes_of_every_shape_read_as_the_reference_reads_them():
+    # the same on a fixed grid that holds k = n, q collisions and every
+    # outcome: advice, a word over its bound (a q word too) and underflow
+    rng = random.Random(36)
+    seen = set()
+    for n in range(1, 13):
+        for request_range in ("span", None):
+            for seed in range(3):
+                top = max(1, n // 3) if seed else 4 * n
+                instance = gen_uniform(n, (0, top), seed, True, request_range)
+                for k in sorted({1, min(2, n), math.isqrt(n), n}):
+                    result = divide_run(instance, k, "greedy")
+                    q = result.advice.q
+                    if any(a is not None and a == b for a, b in zip(q, q[1:])):
+                        seen.add("collision")
+                    for _ in range(20):
+                        edits = [
+                            (rng.choice(("flip", "drop", "append")), rng.randrange(10**6),
+                             [rng.randint(0, 1) for _ in range(rng.randint(1, 8))])
+                            for _ in range(rng.randint(1, 3))
+                        ]  # fmt: skip
+                        bits = corrupt(result.tape.bits, edits)
+                        new = read_outcome(decode_divide_advice, bits, result.plan)
+                        assert new == read_outcome(
+                            reference_tape.decode_divide_advice, bits, result.plan
+                        ), (instance, k, bits)
+                        (what, detail), _bits_read = new
+                        seen.add(what)
+                        if " q word " in str(detail):
+                            seen.add("q word over its bound")
+    assert seen == {
+        "collision", "advice", "DivideError", "TapeUnderflow", "q word over its bound"
+    }
 
 
 @settings(max_examples=30)

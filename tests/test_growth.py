@@ -1,7 +1,8 @@
 """Growth by operation counts, not wall time. LR (its oracle and its run),
 DIVIDE_k with ``greedy`` at k = 4 and at k = isqrt(n), RESCALE with
-``greedy`` at k = 4, ``monotone_optimal``, and DIVIDE_k's
-``compute_advice`` and ``classify_requests`` at k = 4 run on coordinates of
+``greedy`` at k = 4, ``monotone_optimal``, DIVIDE_k's ``compute_advice``
+and ``classify_requests`` at k = 4, and its advice tape's round trip
+(encode, then decode) at k = isqrt(n) run on coordinates of
 ``Counted``, an ``int`` that counts every compare, ``+``, ``-``, ``*``,
 ``//``, negation and ``abs`` made on it and returns its results as
 ``Counted``. Its instances are in integer mode and are their own integer
@@ -29,7 +30,9 @@ from matchline import lr
 from matchline.divide import (
     classify_requests,
     compute_advice,
+    decode_divide_advice,
     divide_run,
+    encode_divide_advice,
     plan_blocks,
     rescale_run,
 )
@@ -98,10 +101,10 @@ def monotone_optimum(instance: Instance):
     return lambda: monotone_optimal(instance)
 
 
-def advice_inputs(instance: Instance):
-    """DIVIDE_k's plan at k = 4 and its requests, clamped into [1, N - 1] as
+def advice_inputs(instance: Instance, k: int = 4):
+    """DIVIDE_k's plan at ``k`` and its requests, clamped into [1, N - 1] as
     a run clamps them."""
-    plan = plan_blocks(instance.servers, 4)
+    plan = plan_blocks(instance.servers, k)
     top = plan.span_bound - 1
     return [1 if r < 1 else top if r > top else r for r in instance.requests], plan
 
@@ -115,6 +118,12 @@ def classification(instance: Instance):
     requests, plan = advice_inputs(instance)
     words = compute_advice(requests, plan)
     return lambda: classify_requests(requests, plan, words)
+
+
+def tape_round_trip(instance: Instance):
+    requests, plan = advice_inputs(instance, math.isqrt(instance.n))
+    words = compute_advice(requests, plan)
+    return lambda: decode_divide_advice(encode_divide_advice(words, plan), plan)
 
 
 def ops_per_n_log_n(layer, n: int) -> float:
@@ -134,7 +143,9 @@ def test_operations_grow_as_n_log_n(run, run_size, monkeypatch):
     assert counts[-1] <= MARGIN * counts[0], counts
 
 
-@pytest.mark.parametrize("layer", [monotone_optimum, advice, classification])
+@pytest.mark.parametrize(
+    "layer", [monotone_optimum, advice, classification, tape_round_trip]
+)
 def test_offline_and_advice_operations_grow_as_n_log_n(layer):
     # none of these layers builds a pool, so RUN does not reach them
     counts = [ops_per_n_log_n(layer, n) for n in SIZES]
