@@ -95,11 +95,6 @@ class BlockPlan:
         object.__setattr__(self, "n", self.groups[-1][1])
         object.__setattr__(self, "frames", tuple(zip(p, p[1:], p[2:])))
 
-    def blocks_of(self, positions) -> list:
-        """The 0-based block index of every position; block b is (p_{b-1}, p_b]."""
-        boundaries = self.boundaries
-        return [bisect_left(boundaries, p) for p in positions]
-
 
 def plan_blocks(servers, k: int, unit: int = 1) -> BlockPlan:
     """The plan of the int ``servers``, given in units of 1/``unit``: a
@@ -323,6 +318,20 @@ def mark_servers(plan: BlockPlan, advice: DivideAdvice) -> MarkSets:
     servers marked so far on a side include every server from the current
     boundary up to that side's cursor, and none beyond it: the next m marks
     are the m servers past the boundary or the cursor, whichever is farther.
+
+    So the right marks in each group are a prefix of it, and the left marks
+    a suffix. On the right side, three facts hold after every boundary:
+    (i) each group's marks are a prefix of it; (ii) none lies at or past
+    the cursor; (iii) when the cursor lies strictly inside a group, every
+    server of that group below it is marked. They hold with no marks.
+    Boundary b marks the run [a, a + m) with a = max(cursor, start_{b+1}).
+    If a is a group's start, the run covers a prefix of each group it meets,
+    none of them marked before by (ii). Otherwise a is the cursor, strictly
+    inside a group, and by (iii) the run extends that group's prefix; it
+    covers the groups after it from their starts. Either way the new cursor
+    a + m keeps (ii) and (iii). The left side is the mirror image, so each
+    block's unmarked servers are one id run, between its group's right and
+    left marks.
     """
     groups, end, m = plan.groups, plan.n, advice.m
     right, left = _crossings(plan, advice.q)
@@ -362,7 +371,7 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     only if q[b] is a left crossing out of block b, and r >= q[b+1] only if
     q[b+1] is a right one: no side test is needed.
     """
-    k = plan.k
+    k, boundaries = plan.k, plan.boundaries
     q, d = (None, *advice.q, None), (0, *advice.d, 0)
     # marking budgets left per boundary; they conserve the marked totals
     budget = [0, *advice.m, 0]
@@ -374,7 +383,8 @@ def classify_requests(requests, plan: BlockPlan, advice: DivideAdvice):
     eq_marked_left = [0] * k
     arrivals = [[] for _ in range(k)]
     marked_arrivals = []
-    for t, (r, b) in enumerate(zip(requests, plan.blocks_of(requests))):
+    for t, r in enumerate(requests):
+        b = bisect_left(boundaries, r)  # block b is (p_{b-1}, p_b]
         ql, qr = q[b], q[b + 1]
         in_left = ql is not None and r <= ql
         in_right = qr is not None and r >= qr
@@ -453,25 +463,29 @@ def _run_divide(
 
     # request t is priced as callers[t] and served as targets[t]
     priced, callers = integer_image(instance)
-    targets = [r * unit for r in requests]
+    targets = requests if unit == 1 else [r * unit for r in requests]
     assignment = [None] * instance.n
 
     # each block's subroutine is served its own requests in arrival order, in
-    # one call, over the unmarked servers of its group; a block that receives
-    # none needs none
-    marked = marks.marked
+    # one call, over the unmarked servers of its group: the id run [lo, hi)
+    # between the group's right marks, a prefix, and its left marks, a
+    # suffix (mark_servers). A block that receives none needs none.
+    right_ids, left_ids = sorted(marks.marked_right), sorted(marks.marked_left)
     block_costs = [0] * k
     for b, ((start, stop), own) in enumerate(zip(plan.groups, arrivals)):
-        ids = [j for j in range(start, stop) if j not in marked]
-        if len(ids) != len(own):
+        lo = start + bisect_left(right_ids, stop) - bisect_left(right_ids, start)
+        hi = stop - bisect_left(left_ids, stop) + bisect_left(left_ids, start)
+        if hi - lo != len(own):
             raise DivideError(
-                f"block {b}: {len(own)} unmarked requests vs {len(ids)} unmarked servers"
+                f"block {b}: {len(own)} unmarked requests vs {hi - lo} unmarked servers"
             )
         if not own:
             continue
-        sub = make_subroutine(subroutine, [servers[j] for j in ids], ids)
+        ids = range(lo, hi)
+        sub = make_subroutine(subroutine, servers[lo:hi], ids)
         served = sub.serve([targets[t] for t in own])
-        if sorted(served) != ids:
+        # a permutation of the pool's ids, checked in O(m) without a sort
+        if len(served) != len(ids) or set(served) != set(ids):
             raise DivideError(f"subroutine left its block: block {b}")
         cost = 0
         for t, j in zip(own, served):
@@ -483,7 +497,7 @@ def _run_divide(
     # it reads is the side the classification fixed
     bits, lr_cost = (), 0
     if marked_arrivals:
-        marked_ids = sorted(marked)
+        marked_ids = sorted(right_ids + left_ids)
         lr_state = LRState([servers[j] for j in marked_ids], marked_ids)
         # the q value that both words of block b share, for each block that
         # has one: a q collision
@@ -546,9 +560,10 @@ def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divid
     The planning servers are s' = n^3 (s - s_1) + 1 and the planning
     requests floor(n^3 (r - s_1)) + 1, both taken exactly on the integer
     image S = s D, R = r D: the servers in units of 1/D, as the ints
-    n^3 (S - S_1) + D, and the requests as n^3 (R - S_1) // D + 1. The
-    plan's N = ceil(s'_n) + 1, so s'_n = N - 1 when s'_n is integral and
-    s'_n lies in (N - 2, N - 1) otherwise; requests are then clamped into
+    n^3 (S - S_1) + D, and the requests as n^3 (R - S_1) // D + 1, the
+    floor division a shift since D is a power of two. The plan's
+    N = ceil(s'_n) + 1, so s'_n = N - 1 when s'_n is integral and s'_n lies
+    in (N - 2, N - 1) otherwise; requests are then clamped into
     [1, ceil(s'_n)] = [1, N - 1]. The result's plan, advice and tape are in
     these scaled coordinates; its matching, lr_cost and block_costs are
     priced on the image, in the caller's coordinates.
@@ -557,5 +572,6 @@ def rescale_run(instance: Instance, k: int, subroutine: str = "greedy") -> Divid
     servers, requests = integer_image(instance)
     s1 = servers[0]
     plan_servers = [scale * (s - s1) + d for s in servers]
-    plan_requests = [scale * (r - s1) // d + 1 for r in requests]
+    e = d.bit_length() - 1  # D is a power of two, 2^e
+    plan_requests = [(scale * (r - s1) >> e) + 1 for r in requests]
     return _run_divide(instance, k, subroutine, plan_servers, plan_requests, d)

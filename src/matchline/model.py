@@ -90,7 +90,8 @@ class Instance:
 
     def unscaled(self, total: int) -> int | float:
         """The cost of a distance ``total`` on the integer image: total / D."""
-        return total if self.scale == 1 else total / self.scale
+        d = self._float_scale or 1
+        return total if d == 1 else total / d
 
 
 def _times(coords: Sequence, d: int) -> list:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import operator
+from bisect import bisect_left
 from typing import Sequence
 
 from .lr import LRState
@@ -36,10 +37,17 @@ class SubroutineError(RuntimeError):
 
 
 def _ordered(servers: Sequence, ids: Sequence[int] | None) -> Sequence[int]:
-    """``ids`` (default: the places), once the (position, id) pairs strictly rise."""
+    """``ids`` (default: the places), once the (position, id) pairs strictly rise.
+
+    They do when the positions never fall and the ids strictly rise (as a
+    range with a positive step does), which needs no pair per server; any
+    other pool gets the pairwise test and its error."""
     ids = range(len(servers)) if ids is None else ids
     if len(ids) != len(servers):
         raise ValueError(f"{len(servers)} servers but {len(ids)} ids")
+    rising = ids.step > 0 if type(ids) is range else all(map(operator.lt, ids, ids[1:]))
+    if rising and not any(map(operator.gt, servers, servers[1:])):
+        return ids
     pairs = list(zip(servers, ids))
     if any(map(operator.ge, pairs, pairs[1:])):
         raise SubroutineError("servers out of (position, id) order")
@@ -72,27 +80,32 @@ class Greedy:
         runs, ids, lasts = pool.runs, pool.ids, pool.lasts
         served = []
         for request in requests:
-            k = bisect.bisect_left(lasts, request)
-            i = bisect.bisect_left(runs[k], request) if k < len(lasts) else 0
-            # (k, i): the upper neighbour; (lk, li): the lower one, if any
+            k = bisect_left(lasts, request)
+            if k < len(lasts):
+                run = runs[k]
+                i = bisect_left(run, request)
+            else:
+                i = 0
+            # (k, i) in run: the upper neighbour; (lk, li) in low_run: the
+            # lower one, if any
             if i or k:
                 if i:
-                    lk, li = k, i - 1
+                    lk, li, low_run = k, i - 1, run
                 else:
                     lk = k - 1
-                    li = len(runs[lk]) - 1
-                low_run = runs[lk]
+                    low_run = runs[lk]
+                    li = len(low_run) - 1
                 low = low_run[li]
-                if k == len(runs) or request - low <= runs[k][i] - request:
+                if k == len(runs) or request - low <= run[i] - request:
                     # the lower one wins; the smallest free id at its position
                     before = low_run[li - 1] if li else runs[lk - 1][-1] if lk else None
                     if before == low:
                         lk, li = pool.neighbours(low)
-                    k, i = lk, li
+                        low_run = runs[lk]
+                    k, i, run = lk, li, low_run
             elif not runs:
                 raise SubroutineError("no available server")
             # LRState.take, inlined
-            run = runs[k]
             del run[i]
             if run:
                 if i == len(run):

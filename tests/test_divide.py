@@ -47,8 +47,12 @@ def test_group_sizes_even_split():
 
 def test_blocks_are_half_open_left():
     plan = plan_blocks([1, 2, 11, 14, 14], 4)
-    # a boundary belongs to the lower block: 6 -> 0, 7 -> 1, 14 -> 2
-    assert plan.blocks_of([6, 7, -100, 100, 14]) == [0, 1, 0, 3, 2]
+    # a boundary belongs to the lower block: 6 -> 0, 7 -> 1, 14 -> 2; with
+    # no boundary crossed, every request is an unmarked arrival of its block
+    uncrossed = DivideAdvice(4, (None,) * 3, (0,) * 3, (0,) * 3)
+    arrivals, marked = classify_requests([6, 7, -100, 100, 14], plan, uncrossed)
+    assert arrivals == [[0, 2], [1], [4], [3]]
+    assert marked == []
 
 
 def test_k_out_of_range_rejected():
@@ -379,6 +383,51 @@ def test_mark_servers_matches_the_reference():
         assert new == outcome(old_mark, plan, advice)
         raised += isinstance(new, str)
     assert 1000 < raised < 3000  # both results and raises are covered
+
+
+def assert_marks_are_runs(plan, advice, marks):
+    """The marks ``mark_servers`` gave ``advice``: in each group the right
+    marks are a prefix and the left marks a suffix, and each side's marks
+    number its m words and lie past its nearest crossed boundary."""
+    right, left = divide._crossings(plan, advice.q)
+    marked_right, marked_left = sorted(marks.marked_right), sorted(marks.marked_left)
+    assert len(marked_right) == sum(advice.m[b] for b in right)
+    assert len(marked_left) == sum(advice.m[b] for b in left)
+    if marked_right:
+        assert marked_right[0] >= plan.groups[right[0] + 1][0]
+    if marked_left:
+        assert marked_left[-1] < plan.groups[left[0] + 1][0]
+    for start, stop in plan.groups:
+        in_right = [j for j in marked_right if start <= j < stop]
+        in_left = [j for j in marked_left if start <= j < stop]
+        assert in_right == list(range(start, start + len(in_right))), (plan, advice)
+        assert in_left == list(range(stop - len(in_left), stop)), (plan, advice)
+
+
+def test_marks_are_a_prefix_and_a_suffix_of_each_group():
+    # random plans with arbitrary q and m words: whatever mark_servers
+    # accepts leaves each block's unmarked servers one id run, which
+    # _run_divide serves as one slice
+    rng = random.Random(37)
+    accepted = 0
+    for _ in range(6000):
+        n = rng.randint(1, 16)
+        plan = plan_blocks(sorted(rng.randint(1, 3 * n) for _ in range(n)), rng.randint(1, n))
+        # a q word is None or lies in (p_{b-1}, p_{b+1}], as the reader's
+        q = tuple(
+            rng.choice((None, rng.randint(low + 1, high))) if low < high else None
+            for low, _mid, high in plan.frames
+        )
+        m = tuple(0 if w is None else rng.choice((0, 1, 2, rng.randint(0, n))) for w in q)
+        d = tuple(rng.randint(0, n) for _ in q)
+        advice = DivideAdvice(plan.k, q, d, m)
+        try:
+            marks = mark_servers(plan, advice)
+        except DivideError:
+            continue
+        assert_marks_are_runs(plan, advice, marks)
+        accepted += 1
+    assert 3000 < accepted < 5000  # both marks and refusals are covered
 
 
 def test_block_conservation():

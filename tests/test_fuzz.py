@@ -34,6 +34,7 @@ from matchline.model import Instance, integer_image, save_instance, validate_ins
 from matchline.offline import brute_force_optimal, monotone_cost, monotone_optimal
 from matchline.subroutines import SUBROUTINE_NAMES, Permutation
 from matchline.tape import AdviceTape, TapeUnderflow
+from test_divide import assert_marks_are_runs
 
 BIG = 10**15
 HUGE = 2**60  # past 2^53, where a float midpoint of two integers can round
@@ -177,7 +178,8 @@ def planning_requests(instance, algo: str, plan) -> list:
 def test_a_corrupt_oracle_tape_gives_a_named_error_or_advice(instance, data):
     # flip, drop or append bits of a run's oracle tape: reading, marking and
     # classifying what is left raises DivideError or TapeUnderflow, or goes
-    # through, and nothing else escapes
+    # through, and nothing else escapes; marks that go through are a prefix
+    # and a suffix of each group
     algos = ("divide", "rescale") if instance.integer_mode else ("rescale",)
     algo = data.draw(st.sampled_from(algos))
     k = data.draw(st.integers(1, instance.n))
@@ -200,9 +202,13 @@ def test_a_corrupt_oracle_tape_gives_a_named_error_or_advice(instance, data):
                 del bits[i]
     try:
         advice = decode_divide_advice(AdviceTape(bits), plan)
-        mark_servers(plan, advice)
-        classify_requests(requests, plan, advice)
+        marks = mark_servers(plan, advice)
     except (DivideError, TapeUnderflow):
+        return
+    assert_marks_are_runs(plan, advice, marks)
+    try:
+        classify_requests(requests, plan, advice)
+    except DivideError:
         pass
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from matchline import subroutines
 from matchline.model import integer_image, validate_instance
 from matchline.offline import monotone_cost, monotone_optimal
 from matchline.subroutines import (
@@ -236,3 +237,50 @@ def test_make_subroutine_refuses(name, servers, ids, sealed, match):
     # sealed: the sequence the pool is then served
     with pytest.raises(SubroutineError, match=match):
         make_subroutine(name, servers, ids).serve(sealed)
+
+
+def pairwise_ordered(servers, ids):
+    """``subroutines._ordered`` by its definition: one (position, id) pair
+    per server, each pair below the next."""
+    ids = range(len(servers)) if ids is None else ids
+    if len(ids) != len(servers):
+        raise ValueError(f"{len(servers)} servers but {len(ids)} ids")
+    pairs = list(zip(servers, ids))
+    if any(a >= b for a, b in zip(pairs, pairs[1:])):
+        raise SubroutineError("servers out of (position, id) order")
+    return ids
+
+
+def test_ordered_accepts_and_refuses_as_the_pairwise_test():
+    # positions with ties, sometimes falling; ids as None, a list, a tuple
+    # or a range, rising or not: equal ids back, or the same error
+    def outcome(check, servers, ids):
+        try:
+            return "ids", list(check(servers, ids))
+        except (SubroutineError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(6000):
+        n = rng.randint(0, 7)
+        servers = sorted(rng.randint(1, 4) for _ in range(n))
+        if rng.random() < 0.3 and n > 1:
+            i = rng.randrange(n - 1)
+            servers[i], servers[i + 1] = servers[i + 1], servers[i]
+        base = rng.randint(0, 5)
+        m = n + (rng.random() < 0.05)  # now and then a length mismatch
+        ids = rng.choice((
+            None,
+            range(base, base + m),
+            range(base + 2 * m, base, -2),
+            range(base, base + 2 * m, 2),
+            sorted(rng.sample(range(20), m)),
+            tuple(sorted(rng.sample(range(20), m))),
+            rng.sample(range(20), m),
+            tuple(rng.randint(0, 3) for _ in range(m)),
+        ))  # fmt: skip
+        new = outcome(subroutines._ordered, servers, ids)
+        assert new == outcome(pairwise_ordered, servers, ids), (servers, ids)
+        seen.add(new[0])
+    assert seen == {"ids", "SubroutineError", "ValueError"}
